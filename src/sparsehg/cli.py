@@ -9,11 +9,12 @@ input errors. Sampled checks require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
 
-from sparsehg import jsonio, kernels
+from sparsehg import jsonio
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.extraction import extract, locate_subcopy
 from sparsehg.families import (
@@ -58,6 +59,13 @@ def _witness_arg(text: str) -> tuple[str, ...]:
     if not labels:
         raise argparse.ArgumentTypeError("witness must be a comma-separated label list")
     return labels
+
+
+def _check_workers(workers: int) -> None:
+    """Reject a --workers value outside 1..os.cpu_count()."""
+    limit = os.cpu_count() or 1
+    if not 1 <= workers <= limit:
+        raise HypergraphError(f"--workers must be in 1..{limit}, got {workers}")
 
 
 def _tower_base(name: str) -> LabeledConfiguration:
@@ -131,6 +139,7 @@ def _cmd_build(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_nice(args) -> tuple[dict, int]:
+    _check_workers(args.workers)
     config = jsonio.load_any(jsonio.read_json(args.input))
     if args.samples is not None:
         if args.seed is None:
@@ -151,11 +160,6 @@ def _cmd_verify_nice(args) -> tuple[dict, int]:
         "checked_subsets": result.checked_subsets,
         "counterexample": _counterexample_obj(result.counterexample),
         "seed": result.seed,
-        "backend": kernels.backend_name(
-            config.vertex_count
-            if isinstance(config, Hypergraph)
-            else config.graph.vertex_count
-        ),
         "workers": args.workers,
     }
     code = EXIT_REFUTED if result.verdict == NOT_NICE else EXIT_OK
@@ -174,6 +178,7 @@ def _cmd_verify_claim63(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_gl(args) -> tuple[dict, int]:
+    _check_workers(args.workers)
     config = _load_config(args.input)
     if args.samples is not None:
         if args.seed is None:
@@ -326,7 +331,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
     if args.search_cmd == "config":
-        result = find_configuration(graph, args.v, args.e, workers=args.workers)
+        result = find_configuration(graph, args.v, args.e)
         report = {
             "command": "search config",
             "inputs": _inputs_obj(input=args.input),
@@ -337,7 +342,6 @@ def _cmd_search(args) -> tuple[dict, int]:
             if result.witness is None
             else [list(edge) for edge in result.witness],
             "nodes_explored": result.nodes_explored,
-            "workers": args.workers,
         }
         return report, EXIT_OK if result.found else EXIT_REFUTED
     pattern = jsonio.graph_from_obj(jsonio.read_json(args.pattern))
@@ -354,9 +358,11 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--workers", type=int, default=1, help="parallel scan width")
     common.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
     common.add_argument("-o", "--output", default=None, help="write the result here")
+    # only the subset scans split work across threads
+    scan = _Parser(add_help=False)
+    scan.add_argument("--workers", type=int, default=1, help="parallel scan width")
 
     parser = _Parser(prog="sparsehg", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -373,7 +379,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="check a structural property")
     sv = p_verify.add_subparsers(dest="verify_cmd", required=True)
-    p_nice = sv.add_parser("nice", parents=[common])
+    p_nice = sv.add_parser("nice", parents=[common, scan])
     p_nice.add_argument("--input", required=True, help="graph or configuration JSON")
     p_nice.add_argument(
         "--witness", type=_witness_arg, default=None,
@@ -383,7 +389,7 @@ def build_parser() -> _Parser:
     group.add_argument("--exhaustive", action="store_true", help="scan all subsets (default)")
     group.add_argument("--samples", type=int, default=None, help="sampled scan size")
     sv.add_parser("claim63", parents=[common])
-    p_glp = sv.add_parser("gl-props", parents=[common])
+    p_glp = sv.add_parser("gl-props", parents=[common, scan])
     p_glp.add_argument("--input", required=True, help="tower configuration JSON")
     group = p_glp.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="scan all supersets (default)")

@@ -6,8 +6,8 @@ recursive builders rely on anchor vertices keeping their positions across
 rebuilds. Edges carry two representations: sorted label tuples (the
 interchange form) and bitmasks over the vertex order (the computation form).
 Masks are plain Python integers, so hosts with more than 64 vertices work
-unchanged; the compiled kernels only accept the single-word case and the
-dispatcher falls back above that.
+unchanged; the subset kernels vectorize hosts that fit one 64-bit word and
+take a per-subset path above that.
 """
 
 from __future__ import annotations
@@ -236,7 +236,8 @@ class VertexSubset:
         return self.host == other.host and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash((id(self.host), self.mask))
+        # by value, as __eq__ compares hosts: equal subsets of equal hosts hash equal
+        return hash((self.host, self.mask))
 
     def __repr__(self) -> str:
         return f"VertexSubset({self.labels()!r})"

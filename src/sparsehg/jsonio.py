@@ -57,7 +57,8 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     if key not in obj:
         raise HypergraphError(f"{where}: missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, kind):
+    # JSON true/false load as bool, which is a subclass of int
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise HypergraphError(
             f"{where}: key {key!r} must be {kind.__name__}, got {type(val).__name__}"
         )
@@ -159,7 +160,7 @@ def coloring_from_obj(obj: Any) -> ColoringInstance:
             raise HypergraphError(f"coloring: bad pair key {key!r}, want integers")
         if not (1 <= i < j <= n):
             raise HypergraphError(f"coloring: pair {key!r} out of range for n={n}")
-        if not isinstance(val, int):
+        if not isinstance(val, int) or isinstance(val, bool):
             raise HypergraphError(f"coloring: color of {key!r} must be an integer")
         colors[(i, j)] = val
     missing = [

@@ -8,8 +8,10 @@ stream plus a stratified pass over small subsets near A). The first
 violation in scan order is reported and is always re-checkable through
 Hypergraph.difference.
 
-Checks run through sparsehg.kernels, so workers and backend choice can
-never change a report, only its runtime.
+Niceness and the tower bounds run through the one bound checker in
+sparsehg.kernels; niceness is the tower check with x = A_ell = xy = A, no
+G^ell copy, k + 1 in place of k and ell = 0. Worker counts can never change
+a report, only its runtime.
 """
 
 from __future__ import annotations
@@ -103,6 +105,34 @@ def _parallel_scan(
     return (best[0] + 1, best)
 
 
+def _nice_roles(a_mask: int, k: int) -> tuple[int, int, int, int, int, int]:
+    """Roles (x, A_ell, xy, G, k, ell) under which the tower checker checks
+    niceness of witness a_mask: Item1 is Cond1, Item2 is Cond2, Item3 never fires."""
+    return (a_mask, a_mask, a_mask, 0, k + 1, 0)
+
+
+def _report(
+    graph: Hypergraph,
+    clean_verdict: str,
+    checked: int,
+    vio: Optional[tuple],
+    names: dict[int, str],
+    seed: Optional[int] = None,
+) -> NicenessReport:
+    """Report of a finished scan: `clean_verdict` when it found no violation,
+    else NOT_NICE with the violating subset, its condition named by `names`."""
+    if vio is None:
+        return NicenessReport(clean_verdict, checked, None, seed=seed)
+    _, u_mask, code, delta, bound = vio
+    ce = Counterexample(
+        subset=graph.labels_of_mask(u_mask),
+        condition=names[code],
+        observed_delta=delta,
+        required_bound=bound,
+    )
+    return NicenessReport(NOT_NICE, checked, ce, seed=seed)
+
+
 def _independence_failure(graph: Hypergraph, witness: tuple[str, ...]):
     if graph.is_independent(witness):
         return None
@@ -144,22 +174,14 @@ def verify_nice(
     n = graph.vertex_count
     a_mask = _mask_of_labels(graph, wit)
     edge_masks = list(graph.edge_masks)
+    free = range(n)
+    roles = _nice_roles(a_mask, k)
 
     def chunk(lo: int, hi: int):
-        checked, vio = kernels.nice_scan_range(edge_masks, n, a_mask, k, lo, hi)
-        return (checked, vio)
+        return kernels.scan_range(edge_masks, free, 0, *roles, lo, hi)
 
     checked, vio = _parallel_scan(1 << n, workers, chunk)
-    if vio is None:
-        return NicenessReport(NICE, 1 << n, None)
-    _, u_mask, code, delta, bound = vio
-    ce = Counterexample(
-        subset=graph.labels_of_mask(u_mask),
-        condition=_CONDITION_NAMES[code],
-        observed_delta=delta,
-        required_bound=bound,
-    )
-    return NicenessReport(NOT_NICE, checked, ce)
+    return _report(graph, NICE, checked, vio, _CONDITION_NAMES)
 
 
 def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor: int):
@@ -190,7 +212,7 @@ def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor
                 chosen: set[int] = set()
                 m = 0
                 while len(chosen) < size:
-                    idx = kernels.mix64((seed + (cursor + 1) * kernels.GAMMA) & kernels.MASK64) % len(pool)
+                    idx = kernels._mix64((seed + (cursor + 1) * kernels.GAMMA) & kernels.MASK64) % len(pool)
                     cursor += 1
                     if idx in chosen:
                         continue
@@ -229,27 +251,17 @@ def sample_nice(
     n = graph.vertex_count
     a_mask = _mask_of_labels(graph, wit)
     edge_masks = list(graph.edge_masks)
+    roles = _nice_roles(a_mask, k)
 
     def chunk(lo: int, hi: int):
-        return kernels.nice_sample_scan(edge_masks, n, a_mask, k, hi - lo, seed, lo)
+        return kernels.sample_scan(edge_masks, n, 0, *roles, hi - lo, seed, lo)
 
     checked, vio = _parallel_scan(samples, workers, chunk)
     if vio is None:
         strat, _ = _stratified_masks(graph, wit, seed, samples)
-        s_checked, s_vio = kernels.nice_check_masks(edge_masks, n, a_mask, k, strat)
+        s_checked, vio = kernels.check_masks(edge_masks, n, *roles, strat)
         checked += s_checked
-        if s_vio is not None:
-            vio = s_vio
-    if vio is None:
-        return NicenessReport(SAMPLED_NO_VIOLATION, checked, None, seed=seed)
-    _, u_mask, code, delta, bound = vio
-    ce = Counterexample(
-        subset=graph.labels_of_mask(u_mask),
-        condition=_CONDITION_NAMES[code],
-        observed_delta=delta,
-        required_bound=bound,
-    )
-    return NicenessReport(NOT_NICE, checked, ce, seed=seed)
+    return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, _CONDITION_NAMES, seed)
 
 
 def find_witness(
@@ -363,42 +375,23 @@ def verify_tower_bounds(
             )
 
         def chunk(lo: int, hi: int):
-            return kernels.gl_scan_range(
+            return kernels.scan_range(
                 edge_masks, free, yprefix_mask, x_mask, aell_mask, xy_mask,
                 gl_mask, k, ell, lo, hi,
             )
 
-        total = 1 << len(free)
-        checked, vio = _parallel_scan(total, workers, chunk)
-        if vio is None:
-            return NicenessReport(NICE, total, None)
-        _, u_mask, code, delta, bound = vio
-        ce = Counterexample(
-            subset=graph.labels_of_mask(u_mask),
-            condition=_ITEM_NAMES[code],
-            observed_delta=delta,
-            required_bound=bound,
-        )
-        return NicenessReport(NOT_NICE, checked, ce)
+        checked, vio = _parallel_scan(1 << len(free), workers, chunk)
+        return _report(graph, NICE, checked, vio, _ITEM_NAMES)
     if samples is None or seed is None:
         raise HypergraphError("sampled mode needs samples and seed")
     if samples <= 0:
         raise HypergraphError("samples must be positive")
 
     def chunk(lo: int, hi: int):
-        return kernels.gl_sample_scan(
+        return kernels.sample_scan(
             edge_masks, n, yprefix_mask, x_mask, aell_mask, xy_mask, gl_mask,
             k, ell, hi - lo, seed, lo,
         )
 
     checked, vio = _parallel_scan(samples, workers, chunk)
-    if vio is None:
-        return NicenessReport(SAMPLED_NO_VIOLATION, checked, None, seed=seed)
-    _, u_mask, code, delta, bound = vio
-    ce = Counterexample(
-        subset=graph.labels_of_mask(u_mask),
-        condition=_ITEM_NAMES[code],
-        observed_delta=delta,
-        required_bound=bound,
-    )
-    return NicenessReport(NOT_NICE, checked, ce, seed=seed)
+    return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, _ITEM_NAMES, seed)

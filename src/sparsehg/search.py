@@ -10,7 +10,6 @@ one the unpruned scan (`find_configuration_unpruned`) returns.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,13 +50,13 @@ def _witness_from_masks(graph: Hypergraph, picked: tuple[int, ...]):
     return (graph.labels_of_mask(span), edges)
 
 
-def _dfs(graph: Hypergraph, v: int, e: int, root_lo: int, root_hi: int):
-    """First e-subset (lex order, roots in [root_lo, root_hi)) spanning <= v."""
+def _dfs(graph: Hypergraph, v: int, e: int):
+    """First e-subset (lex order) spanning <= v."""
     masks = graph.edge_masks
     m = len(masks)
     nodes = 0
     stack: list[tuple[int, int, tuple[int, ...]]] = []
-    for root in range(root_hi - 1, root_lo - 1, -1):
+    for root in range(m - 1, -1, -1):
         stack.append((root, 0, ()))
     while stack:
         idx, span, picked = stack.pop()
@@ -76,14 +75,11 @@ def _dfs(graph: Hypergraph, v: int, e: int, root_lo: int, root_hi: int):
     return (None, 0, nodes)
 
 
-def find_configuration(
-    graph: Hypergraph, v: int, e: int, *, workers: int = 1
-) -> SearchResult:
+def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
     """Decide whether some e edges of the graph span at most v vertices.
 
     Exact; the witness is the lexicographically first qualifying edge
-    subset. Worker counts never change the result: a parallel find is
-    re-derived by the deterministic serial scan.
+    subset.
     """
     _search_guard(graph)
     if e < 0 or v < 0:
@@ -93,18 +89,7 @@ def find_configuration(
     m = graph.edge_count
     if e > m:
         return SearchResult(False, None, 0)
-    workers = max(1, int(workers))
-    if workers > 1:
-        bounds = [m * i // workers for i in range(workers + 1)]
-        chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_dfs, graph, v, e, lo, hi) for lo, hi in chunks]
-            results = [f.result() for f in futures]
-        if any(picked is not None for picked, _, _ in results):
-            # canonicalize: the serial scan terminates at the first witness
-            return find_configuration(graph, v, e, workers=1)
-        return SearchResult(False, None, sum(n for _, _, n in results))
-    picked, _, nodes = _dfs(graph, v, e, 0, m)
+    picked, _, nodes = _dfs(graph, v, e)
     if picked is None:
         return SearchResult(False, None, nodes)
     return SearchResult(True, _witness_from_masks(graph, picked), nodes)

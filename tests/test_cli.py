@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from sparsehg import jsonio
-from sparsehg.cli import main
-from sparsehg.core import Hypergraph
+from sparsehg.cli import _check_workers, main
+from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.ramsey import packed_coloring, random_coloring
 
 
@@ -20,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    return [line for line in err.splitlines() if line.startswith("sparsehg: error:")]
 
 
 @pytest.fixture()
@@ -86,6 +92,7 @@ def test_verify_nice_pass(capsys, f14_file):
     assert report["checked_subsets"] == 16384
     assert report["counterexample"] is None
     assert report["inputs"]["input"]["sha256"] == jsonio.file_digest(f14_file)
+    assert report["workers"] == 1 and "backend" not in report
 
 
 def test_verify_nice_counterexample_exit_two(capsys, cycle_file):
@@ -143,9 +150,36 @@ def test_verify_gl_props_exhaustive_and_sampled(capsys, tmp_path):
     assert run(capsys, "build", "g-ell", "--ell", "1", "-o", str(g1))[0] == 0
     code, report = run(
         capsys, "verify", "gl-props", "--input", str(g1),
-        "--samples", "3000", "--seed", "2", "--workers", "2",
+        "--samples", "3000", "--seed", "2", "--workers", str(min(2, os.cpu_count() or 1)),
     )
     assert code == 0 and report["verdict"] == "SAMPLED_NO_VIOLATION"
+
+
+def test_check_workers_accepts_one_to_cpu_count():
+    limit = os.cpu_count() or 1
+    _check_workers(1)
+    _check_workers(limit)
+    for bad in (0, -1, limit + 1):
+        with pytest.raises(HypergraphError, match="--workers must be in"):
+            _check_workers(bad)
+
+
+@pytest.mark.parametrize("cmd", ["nice", "gl-props"])
+def test_workers_out_of_range_exits_one(capsys, tmp_path, cmd):
+    g0 = str(tmp_path / "g0.json")
+    assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
+    for workers in ("0", str((os.cpu_count() or 1) + 1)):
+        code = main(["verify", cmd, "--input", g0, "--workers", workers])
+        assert code == 1
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and "--workers must be in" in lines[0]
+
+
+def test_workers_only_on_subset_scans(capsys, f14_file):
+    assert main(["build", "f14", "--workers", "1"]) == 1
+    assert main(["verify", "claim63", "--workers", "1"]) == 1
+    assert main(["search", "config", "--input", f14_file, "--v", "3", "--e", "1",
+                 "--workers", "1"]) == 1
 
 
 def test_extract_writes_subgraph_and_trace(capsys, tmp_path):
@@ -259,6 +293,7 @@ def test_search_config_exit_codes(capsys, tmp_path):
         capsys, "search", "config", "--input", str(shadow), "--v", "7", "--e", "2"
     )
     assert code == 2 and report["found"] is False
+    assert "workers" not in report
 
 
 def test_search_copies(capsys, tmp_path, cycle_file):
@@ -275,6 +310,25 @@ def test_search_copies(capsys, tmp_path, cycle_file):
     assert code == 0
     assert report["copies"] == 120
     assert report["embeddings"] == 720
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["search", "config", "--v", "3", "--e", "1"],
+         {"r": True, "vertices": ["a", "b"], "edges": []}, "key 'r' must be int, got bool"),
+        (["ramsey", "to4"], {"n": True, "colors": {}}, "key 'n' must be int, got bool"),
+        (["ramsey", "check", "--p", "2", "--q", "1"],
+         {"n": 3, "colors": {"1,2": True, "1,3": 1, "2,3": 2}}, "must be an integer"),
+    ],
+    ids=["graph-r", "coloring-n", "coloring-color"],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--input", str(path)]) == 1
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and message in lines[0]
 
 
 def test_missing_input_file_exits_one(capsys):

@@ -157,6 +157,15 @@ def test_equality_ignores_construction_order_of_edges():
     assert g1 != g3  # vertex order is part of identity
 
 
+def test_subset_hash_agrees_with_equality_across_equal_hosts():
+    g1 = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
+    g2 = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
+    sa, sb = g1.subset(["a", "d"]), g2.subset(["a", "d"])
+    assert g1 is not g2 and sa == sb
+    assert hash(sa) == hash(sb)
+    assert sb in {sa}
+
+
 def test_subgraph_from_edges_keeps_host_order():
     g = Hypergraph(3, ["d", "c", "b", "a"], [("d", "c", "b"), ("c", "b", "a")])
     sub = subgraph_from_edges(g, ["a", "b", "c"], [("c", "b", "a")])

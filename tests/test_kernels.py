@@ -1,27 +1,21 @@
-"""Backend agreement: every kernel must give bit-identical results from
-the compiled extension and the numpy fallback, including sample streams."""
+"""The subset-check kernels: the numpy batch path (hosts up to 64 vertices)
+and the Python-int path (wider hosts) must give identical results, the
+sample stream must be a pure function of (seed, index), and niceness run
+through the tower checker must match the naive oracle."""
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsehg import kernels
-from sparsehg import _kernels_py as fallback
 from sparsehg.core import Hypergraph
-from sparsehg.families import f14, geometric_tower
-from sparsehg.niceness import _mask_of_labels, _tower_context
+from sparsehg.families import f14
+from sparsehg.niceness import _mask_of_labels, _nice_roles
 
 import oracles
-
-compiled = pytest.importorskip("sparsehg._kernels") if kernels.HAVE_COMPILED else None
-
-needs_compiled = pytest.mark.skipif(
-    not kernels.HAVE_COMPILED, reason="compiled kernels not built"
-)
 
 
 def _nice_args(seed):
@@ -33,19 +27,20 @@ def _nice_args(seed):
 
 
 def test_mix64_reference_values():
-    # splitmix64 finalizer on a few fixed inputs, cross-checked once by hand
-    assert kernels.mix64(0) == 0
-    assert kernels.mix64(1) == fallback.mix64(1)
-    assert 0 <= kernels.mix64(2**64 - 1) < 2**64
+    # splitmix64 finalizer on fixed inputs; pins the sample stream
+    assert kernels._mix64(0) == 0
+    assert kernels._mix64(1) == 6238072747940578789
+    assert kernels._mix64(12345) == 17540659726606785873
+    assert kernels._mix64(2**64 - 1) == 13029008266876403067
 
 
 def test_stream_is_pure_function_of_seed_and_index():
     g = f14().graph
     masks = list(g.edge_masks)
-    a = _mask_of_labels(g, f14().witness)
-    r1 = fallback.nice_sample_scan(masks, 14, a, 4, 500, 99)
-    r2 = fallback.nice_sample_scan(masks, 14, a, 4, 500, 99)
-    r3 = fallback.nice_sample_scan(masks, 14, a, 4, 500, 100)
+    roles = _nice_roles(_mask_of_labels(g, f14().witness), 4)
+    r1 = kernels.sample_scan(masks, 14, 0, *roles, 500, 99)
+    r2 = kernels.sample_scan(masks, 14, 0, *roles, 500, 99)
+    r3 = kernels.sample_scan(masks, 14, 0, *roles, 500, 100)
     assert r1 == r2
     assert r1 != r3 or r1[1] is None  # different seed, same verdict only by luck
 
@@ -53,81 +48,42 @@ def test_stream_is_pure_function_of_seed_and_index():
 def test_index_offset_continues_the_stream():
     g = f14().graph
     masks = list(g.edge_masks)
-    a = _mask_of_labels(g, f14().witness)
-    whole = fallback.nice_sample_scan(masks, 14, a, 4, 400, 7)
-    first = fallback.nice_sample_scan(masks, 14, a, 4, 150, 7)
-    rest = fallback.nice_sample_scan(masks, 14, a, 4, 250, 7, index_offset=150)
+    roles = _nice_roles(_mask_of_labels(g, f14().witness), 4)
+    whole = kernels.sample_scan(masks, 14, 0, *roles, 400, 7)
+    first = kernels.sample_scan(masks, 14, 0, *roles, 150, 7)
+    rest = kernels.sample_scan(masks, 14, 0, *roles, 250, 7, index_offset=150)
     assert whole[0] == first[0] + rest[0]
 
 
-@needs_compiled
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=99_999))
-def test_nice_scan_range_backends_agree(seed):
-    g, wit = _nice_args(seed)
-    masks = list(g.edge_masks)
-    n = g.vertex_count
-    a = g.mask_of(wit)
-    k = len(wit) - 1
-    total = 1 << n
-    assert compiled.nice_scan_range(masks, n, a, k, 0, total) == (
-        fallback.nice_scan_range(masks, n, a, k, 0, total)
-    )
-
-
-@needs_compiled
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=99_999),
-    st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=1, max_value=300),
+    st.booleans(),
+    st.integers(min_value=65, max_value=80),
 )
-def test_nice_sample_scan_backends_agree(seed, stream_seed, samples):
-    g, wit = _nice_args(seed)
-    masks = list(g.edge_masks)
+def test_numpy_and_python_int_paths_agree(seed, nice, n_wide):
+    # the same host twice: as drawn (numpy path) and padded with isolated
+    # vertices past 64 (Python-int path); edge and role masks are unchanged
+    vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
+    g = Hypergraph(3, vertices, edges)
     n = g.vertex_count
-    a = g.mask_of(wit)
-    k = len(wit) - 1
-    assert compiled.nice_sample_scan(masks, n, a, k, samples, stream_seed) == (
-        fallback.nice_sample_scan(masks, n, a, k, samples, stream_seed)
+    masks = list(g.edge_masks)
+    rng = random.Random(seed)
+
+    def draw():
+        return rng.getrandbits(n)
+
+    if nice:
+        roles = _nice_roles(draw(), rng.randint(0, 5))
+    else:
+        roles = (draw(), draw(), draw(), draw(), rng.randint(2, 6), rng.randint(0, 3))
+    checks = [draw() for _ in range(rng.randint(0, 60))]
+    assert kernels.check_masks(masks, n, *roles, checks) == (
+        kernels.check_masks(masks, n_wide, *roles, checks)
     )
-
-
-@needs_compiled
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=99_999),
-    st.lists(st.integers(min_value=0, max_value=2**14 - 1), min_size=1, max_size=40),
-)
-def test_nice_check_masks_backends_agree(seed, raw_masks):
-    g, wit = _nice_args(seed)
-    masks = list(g.edge_masks)
-    n = g.vertex_count
-    a = g.mask_of(wit)
-    k = len(wit) - 1
-    trimmed = [m & ((1 << n) - 1) for m in raw_masks]
-    assert compiled.nice_check_masks(masks, n, a, k, trimmed) == (
-        fallback.nice_check_masks(masks, n, a, k, trimmed)
-    )
-
-
-@needs_compiled
-def test_gl_kernels_backends_agree_on_tower():
-    cfg = geometric_tower(f14(), 1)
-    (g, k, ell, x_mask, yprefix, yell_bit, aell_mask, gl_mask) = _tower_context(cfg)
-    masks = list(g.edge_masks)
-    n = g.vertex_count
-    xy = x_mask | yell_bit
-    free = [b for b in range(n) if not (yprefix >> b) & 1]
-    # narrow scatter slice
-    args_c = (masks, free[:20], yprefix, x_mask, aell_mask, xy, gl_mask, k, ell, 0, 1 << 18)
-    assert compiled.gl_scan_range(*args_c) == fallback.gl_scan_range(*args_c)
-    for seed in (0, 1, 77):
-        a = (masks, n, yprefix, x_mask, aell_mask, xy, gl_mask, k, ell, 4000, seed)
-        assert compiled.gl_sample_scan(*a) == fallback.gl_sample_scan(*a)
-    check = [yprefix | (i * 2654435761 % (1 << n)) for i in range(64)]
-    b = (masks, n, x_mask, aell_mask, xy, gl_mask, k, ell, check)
-    assert compiled.gl_check_masks(*b) == fallback.gl_check_masks(*b)
+    narrow = kernels.scan_range(masks, range(n), 0, *roles, 0, 1 << n)
+    wide = kernels.scan_range(masks, range(n_wide), 0, *roles, 0, 1 << n)
+    assert narrow == wide
 
 
 def test_wide_host_uses_fallback_and_matches_narrow_logic():
@@ -135,30 +91,19 @@ def test_wide_host_uses_fallback_and_matches_narrow_logic():
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
     wide = Hypergraph(3, list(base.vertices) + pad, base.edges)
-    a = _mask_of_labels(base, f14().witness)
+    roles = _nice_roles(_mask_of_labels(base, f14().witness), 4)
     n_wide = wide.vertex_count
     assert n_wide > 64
-    assert kernels.backend_name(n_wide) == "python"
-    r_narrow = fallback.nice_scan_range(list(base.edge_masks), 14, a, 4, 0, 1 << 14)
+    r_narrow = kernels.scan_range(list(base.edge_masks), range(14), 0, *roles, 0, 1 << 14)
     # isolated vertices force Cond2 violations, so only compare the clean prefix
-    r_wide = fallback.nice_scan_range(list(wide.edge_masks), n_wide, a, 4, 0, 1 << 14)
+    r_wide = kernels.scan_range(list(wide.edge_masks), range(n_wide), 0, *roles, 0, 1 << 14)
     assert r_narrow == r_wide
-
-
-def test_dispatcher_prefers_compiled_within_64_bits():
-    name = kernels.backend_name(14)
-    if kernels.HAVE_COMPILED:
-        assert name == "compiled"
-    else:
-        assert name == "python"
 
 
 def test_induced_count_matches_core():
     g = f14().graph
     for mask in (0, 5, 1023, g.full_mask()):
-        assert kernels.induced_count(list(g.edge_masks), mask, g.vertex_count) == (
-            g.induced_edge_count(mask)
-        )
+        assert kernels._induced_count(list(g.edge_masks), mask) == g.induced_edge_count(mask)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,9 +112,8 @@ def test_fallback_scan_matches_naive_oracle(seed):
     g, wit = _nice_args(seed)
     masks = list(g.edge_masks)
     n = g.vertex_count
-    a = g.mask_of(wit)
-    k = len(wit) - 1
-    checked, violation = fallback.nice_scan_range(masks, n, a, k, 0, 1 << n)
+    roles = _nice_roles(g.mask_of(wit), len(wit) - 1)
+    checked, violation = kernels.scan_range(masks, range(n), 0, *roles, 0, 1 << n)
     naive = oracles.nice_violation(g.vertices, g.edges, wit)
     if naive is None:
         assert violation is None and checked == 1 << n

@@ -80,16 +80,6 @@ def test_witness_is_lex_first():
     assert picked == (("v0", "v1", "v2"), ("v0", "v1", "v3"))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 5])
-def test_worker_invariance(workers):
-    g = f14().graph
-    for v, e in [(6, 3), (8, 4), (5, 3)]:
-        serial = find_configuration(g, v, e)
-        parallel = find_configuration(g, v, e, workers=workers)
-        assert serial.found == parallel.found
-        assert serial.witness == parallel.witness
-
-
 def test_guard_rejects_oversized_inputs():
     verts = [f"v{i}" for i in range(25)]
     edges = list(itertools.combinations(verts, 3))[:70]
