@@ -42,7 +42,9 @@ def file_digest(path: Union[str, Path]) -> str:
 
 def read_json(path: Union[str, Path]) -> Any:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise HypergraphError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise HypergraphError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -112,8 +114,11 @@ def config_from_obj(obj: Any) -> LabeledConfiguration:
     family = obj.get("family", {})
     if not isinstance(family, dict):
         raise HypergraphError("configuration: 'family' must be an object")
+    subcopies_raw = obj.get("subcopies", {})
+    if not isinstance(subcopies_raw, dict):
+        raise HypergraphError("configuration: 'subcopies' must be an object")
     subcopies = {}
-    for name, vmap in obj.get("subcopies", {}).items():
+    for name, vmap in subcopies_raw.items():
         if not isinstance(vmap, dict):
             raise HypergraphError(f"subcopy {name!r} must map labels to labels")
         for src, dst in vmap.items():

@@ -293,7 +293,10 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
 
     Main bound: delta(U) >= |U ∩ {v1..v4}| - [v1..v4 ⊆ U]. Moreover: when
     U has a vertex outside {v1..v4} and misses v1 or both of v2, v3, the
-    bound strengthens to |U ∩ {v1..v4}| + 1.
+    bound strengthens to |U ∩ {v1..v4}| + 1. These are tower Items 1 and 2
+    with A_ell = xy = {v1..v4}, G empty, k = 2 and ell = 0, where Item 2
+    covers the subsets that miss X: one scan with X = {v1}, one with
+    X = {v2, v3}.
     """
     if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "cycle":
         raise HypergraphError("expected the linear 3-cycle configuration")
@@ -301,18 +304,19 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     for name in ("v1", "v2", "v3", "v4", "v5", "v6"):
         if name not in config.roles:
             raise HypergraphError(f"cycle configuration is missing role {name!r}")
-    a_mask = _mask_of_labels(graph, [config.role(f"v{i}")[0] for i in range(1, 5)])
-    v1_bit = 1 << graph.index_of(config.role("v1")[0])
-    v23_mask = _mask_of_labels(graph, [config.role("v2")[0], config.role("v3")[0]])
+
+    def mask(*names: str) -> int:
+        return _mask_of_labels(graph, [config.role(name)[0] for name in names])
+
+    a_mask = mask("v1", "v2", "v3", "v4")
     n = graph.vertex_count
-    for u in range(1 << n):
-        rep = graph.difference(graph.subset_from_mask(u))
-        au = (u & a_mask).bit_count()
-        if rep.delta < au - (1 if (u & a_mask) == a_mask else 0):
+    edge_masks = list(graph.edge_masks)
+    for x_mask in (mask("v1"), mask("v2", "v3")):
+        _, vio = kernels.scan_range(
+            edge_masks, range(n), 0, x_mask, a_mask, a_mask, 0, 2, 0, 0, 1 << n
+        )
+        if vio is not None:
             return False
-        if (u & ~a_mask) != 0 and (not (u & v1_bit) or not (u & v23_mask)):
-            if rep.delta < au + 1:
-                return False
     return True
 
 

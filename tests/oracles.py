@@ -78,6 +78,45 @@ def tower_violation(vertices, edges, x_labels, y_labels, a_ell, gl_vertices):
     return None
 
 
+def cycle_bounds_hold(vertices, edges, roles):
+    """Claim 6.3's two bounds on every subset, as stated.
+
+    `roles` maps v1..v4 to vertex labels. Main bound: the difference of U
+    is at least |U ∩ A| - [A ⊆ U] with A = {v1..v4}; when U leaves A and
+    misses v1 or both of v2, v3, at least |U ∩ A| + 1.
+    """
+    a_set = {roles[f"v{i}"] for i in range(1, 5)}
+    for size in range(len(vertices) + 1):
+        for subset in itertools.combinations(vertices, size):
+            sub = set(subset)
+            d = difference(edges, sub)
+            inter = len(sub & a_set)
+            if d < inter - (1 if a_set <= sub else 0):
+                return False
+            misses = roles["v1"] not in sub or not sub & {roles["v2"], roles["v3"]}
+            if sub - a_set and misses and d < inter + 1:
+                return False
+    return True
+
+
+def splitmix64_draw(seed, index, n):
+    """Draw `index` of the sampled scans' stream over n vertices.
+
+    Word w of the draw is the splitmix64 output for counter
+    index * words + w + 1, words = max(1, ceil(n / 64)); the words are
+    concatenated low word first and cut to n bits.
+    """
+    mask64 = (1 << 64) - 1
+    words = max(1, (n + 63) // 64)
+    draw = 0
+    for w in range(words):
+        z = (seed + (index * words + w + 1) * 0x9E3779B97F4A7C15) & mask64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+        draw |= (z ^ (z >> 31)) << (64 * w)
+    return draw & ((1 << n) - 1)
+
+
 def find_configuration(edges, v, e):
     """Lexicographically first e-subset of edges spanning at most v vertices."""
     if e == 0:

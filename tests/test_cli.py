@@ -3,17 +3,25 @@ stability of emitted reports. Runs in process through main(argv)."""
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sparsehg
 from sparsehg import jsonio
 from sparsehg.cli import _check_workers, main
 from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.families import f14
 from sparsehg.ramsey import packed_coloring, random_coloring
 
 
@@ -331,6 +339,79 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, argv, doc, message):
     assert len(lines) == 1 and message in lines[0]
 
 
+@pytest.mark.parametrize("subcopies", [[], None, 1, "s", True])
+@pytest.mark.parametrize("command", ["nice", "gl-props"])
+def test_non_object_subcopies_exit_one(capsys, f14_file, command, subcopies):
+    with open(f14_file) as fh:
+        doc = json.load(fh)
+    doc["subcopies"] = subcopies
+    with open(f14_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", command, "--input", f14_file]) == 1
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and "'subcopies' must be an object" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["nice", "gl-props"])
+def test_non_utf8_input_exits_one(capsys, f14_file, command):
+    with open(f14_file, "rb") as fh:
+        data = fh.read()
+    with open(f14_file, "wb") as fh:
+        fh.write(b"\xff\xfe" + data)
+    assert main(["verify", command, "--input", f14_file]) == 1
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and "not UTF-8" in lines[0]
+
+
+# JSON values of every type; a mutation sets a key to one whose type differs
+# from the valid value's, so every mutated document is invalid
+_JSON_VALUES = [None, True, False, 0, 7, 1.5, "s", [], ["x"], [1], {}, {"k": "x"}]
+_F14_DOC = jsonio.config_to_obj(f14())
+_MUTABLE_PATHS = [
+    ("r",), ("vertices",), ("edges",), ("roles",), ("family",), ("subcopies",),
+    ("vertices", 0), ("edges", 0), ("roles", "A"),
+    ("subcopies", next(iter(_F14_DOC["subcopies"]))),
+]
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(["r", "vertices", "edges", "roles"])),
+    st.tuples(st.just("set"), st.sampled_from(_MUTABLE_PATHS), st.sampled_from(_JSON_VALUES)),
+    st.tuples(st.just("bytes"), st.integers(min_value=0, max_value=4000), st.binary(max_size=8)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_MUTATIONS, st.sampled_from(["nice", "gl-props"]))
+def test_mutated_f14_documents_exit_one(mutation, command):
+    doc = copy.deepcopy(_F14_DOC)
+    if mutation[0] == "drop":
+        del doc[mutation[1]]
+    elif mutation[0] == "set":
+        _, path, value = mutation
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        # type(), not isinstance: bool is a subclass of int
+        assume(type(value) is not type(target[last]))
+        target[last] = value
+    text = json.dumps(doc).encode()
+    if mutation[0] == "bytes":
+        # 0xff never occurs in UTF-8
+        _, at, junk = mutation
+        text = text[:at] + b"\xff" + junk + text[at:]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", command, "--input", path])
+    assert code == 1
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
+
+
 def test_missing_input_file_exits_one(capsys):
     assert main(["verify", "nice", "--input", "/nonexistent/g.json"]) == 1
 
@@ -345,10 +426,15 @@ def test_report_digest_stable_across_runs(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same sparsehg as this process, installed or not
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "sparsehg.cli", "ramsey", "qquad", "--p", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q_quad"] == 6

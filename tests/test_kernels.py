@@ -1,12 +1,14 @@
-"""The subset-check kernels: the numpy batch path (hosts up to 64 vertices)
-and the Python-int path (wider hosts) must give identical results, the
-sample stream must be a pure function of (seed, index), and niceness run
-through the tower checker must match the naive oracle."""
+"""The subset-check kernels: results must not depend on how many 64-bit
+words hold a subset, the sample stream must be a pure function of
+(seed, index) and match an independent splitmix64 draw at every host
+width, and niceness run through the tower checker must match the naive
+oracle."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,11 +61,13 @@ def test_index_offset_continues_the_stream():
 @given(
     st.integers(min_value=0, max_value=99_999),
     st.booleans(),
-    st.integers(min_value=65, max_value=80),
+    st.integers(min_value=0, max_value=140),
 )
-def test_numpy_and_python_int_paths_agree(seed, nice, n_wide):
-    # the same host twice: as drawn (numpy path) and padded with isolated
-    # vertices past 64 (Python-int path); edge and role masks are unchanged
+def test_results_do_not_depend_on_word_count(seed, nice, offset):
+    # the same host twice: as drawn (one word), and moved up by `offset`
+    # bit positions in a host padded with isolated vertices (up to four
+    # words, with runs of free positions crossing word boundaries); the
+    # results agree once the violating mask is moved back
     vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
     g = Hypergraph(3, vertices, edges)
     n = g.vertex_count
@@ -78,15 +82,25 @@ def test_numpy_and_python_int_paths_agree(seed, nice, n_wide):
     else:
         roles = (draw(), draw(), draw(), draw(), rng.randint(2, 6), rng.randint(0, 3))
     checks = [draw() for _ in range(rng.randint(0, 60))]
-    assert kernels.check_masks(masks, n, *roles, checks) == (
-        kernels.check_masks(masks, n_wide, *roles, checks)
+    n_wide = n + offset + rng.randint(0, 64)
+
+    def up(ms):
+        return [m << offset for m in ms]
+
+    def moved(result):
+        checked, vio = result
+        return checked, vio and (vio[0], vio[1] << offset, *vio[2:])
+
+    wide_roles = (*up(roles[:4]), *roles[4:])
+    assert kernels.check_masks(up(masks), n_wide, *wide_roles, up(checks)) == moved(
+        kernels.check_masks(masks, n, *roles, checks)
     )
     narrow = kernels.scan_range(masks, range(n), 0, *roles, 0, 1 << n)
-    wide = kernels.scan_range(masks, range(n_wide), 0, *roles, 0, 1 << n)
-    assert narrow == wide
+    wide = kernels.scan_range(up(masks), range(offset, offset + n), 0, *wide_roles, 0, 1 << n)
+    assert wide == moved(narrow)
 
 
-def test_wide_host_uses_fallback_and_matches_narrow_logic():
+def test_f14_scan_does_not_depend_on_word_count():
     # same graph twice: once as-is, once padded with 60 isolated vertices
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
@@ -100,10 +114,17 @@ def test_wide_host_uses_fallback_and_matches_narrow_logic():
     assert r_narrow == r_wide
 
 
-def test_induced_count_matches_core():
-    g = f14().graph
-    for mask in (0, 5, 1023, g.full_mask()):
-        assert kernels._induced_count(list(g.edge_masks), mask) == g.induced_edge_count(mask)
+@pytest.mark.parametrize("n", [14, 64, 65, 130, 2107])
+@pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 123_456_789])
+def test_sample_stream_matches_independent_draw(n, seed, index):
+    # no edges, G = every vertex, k + ell = n + 2: every nonempty subset
+    # violates Item 3, so the first draw comes back as the violation
+    full = (1 << n) - 1
+    checked, vio = kernels.sample_scan([], n, 0, 0, 0, 0, full, 1, n + 1, 1, seed, index)
+    draw = oracles.splitmix64_draw(seed, index, n)
+    assert checked == 1
+    assert vio == ((index, draw, 3, draw.bit_count(), n + 2) if draw else None)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.families import f14, geometric_tower, linear_three_cycle, single_edge
+from sparsehg.families import (
+    LabeledConfiguration,
+    f14,
+    geometric_tower,
+    linear_three_cycle,
+    single_edge,
+)
 from sparsehg.niceness import (
     NICE,
     NOT_NICE,
@@ -140,6 +146,21 @@ def test_sample_counterexample_is_sound():
 
 def test_verify_cycle_bounds_holds():
     assert verify_cycle_bounds(linear_three_cycle()) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(6)), st.sets(st.integers(min_value=0, max_value=19), max_size=5))
+def test_cycle_bounds_match_oracle(perm, edge_ids):
+    # up to five of the 20 triples over six vertices, roles v1..v6 permuted
+    labels = tuple(f"c{i}" for i in range(6))
+    triples = list(itertools.combinations(labels, 3))
+    edges = [triples[i] for i in sorted(edge_ids)]
+    roles = {f"v{i + 1}": (labels[p],) for i, p in enumerate(perm)}
+    config = LabeledConfiguration(
+        graph=Hypergraph(3, labels, edges), roles=roles, family={"name": "cycle"}
+    )
+    expected = oracles.cycle_bounds_hold(labels, edges, {r: v[0] for r, v in roles.items()})
+    assert verify_cycle_bounds(config) is expected
 
 
 def test_verify_cycle_bounds_wants_the_cycle():
