@@ -16,7 +16,7 @@ from typing import Optional
 
 from sparsehg import jsonio
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.extraction import extract, locate_subcopy
+from sparsehg.extraction import extract
 from sparsehg.families import (
     LabeledConfiguration,
     f14,
@@ -111,10 +111,10 @@ def _config_summary(config: LabeledConfiguration) -> dict:
     }
 
 
-def _emit_config(config: LabeledConfiguration, out: Optional[str], report: dict) -> None:
-    obj = jsonio.config_to_obj(config)
+def _emit(report: dict, key: str, obj, out: Optional[str]) -> None:
+    """Write `obj` to `out` and name the file in the report, or embed it under `key`."""
     if out is None:
-        report["configuration"] = obj
+        report[key] = obj
     else:
         jsonio.write_json(out, obj)
         report["output"] = out
@@ -134,27 +134,33 @@ def _cmd_build(args) -> tuple[dict, int]:
             allow_edge_base=args.base == "edge",
         )
     report = {"command": f"build {args.what}", **_config_summary(config)}
-    _emit_config(config, args.output, report)
+    _emit(report, "configuration", jsonio.config_to_obj(config), args.output)
     return report, EXIT_OK
 
 
-def _cmd_verify_nice(args) -> tuple[dict, int]:
+def _cmd_verify_scan(args) -> tuple[dict, int]:
+    """verify nice and verify gl-props: one report over either subset scan."""
     _check_workers(args.workers)
-    config = jsonio.load_any(jsonio.read_json(args.input))
-    if args.samples is not None:
-        if args.seed is None:
-            raise HypergraphError("--samples requires --seed")
-        result = sample_nice(
-            config,
-            args.witness,
-            samples=args.samples,
-            seed=args.seed,
+    sampled = args.samples is not None
+    if args.verify_cmd == "nice":
+        config = jsonio.load_any(jsonio.read_json(args.input))
+    else:
+        config = _load_config(args.input)
+    if sampled and args.seed is None:
+        raise HypergraphError("--samples requires --seed")
+    if args.verify_cmd == "gl-props":
+        result = verify_tower_bounds(
+            config, exhaustive=not sampled, samples=args.samples, seed=args.seed,
             workers=args.workers,
+        )
+    elif sampled:
+        result = sample_nice(
+            config, args.witness, samples=args.samples, seed=args.seed, workers=args.workers
         )
     else:
         result = verify_nice(config, args.witness, workers=args.workers)
     report = {
-        "command": "verify nice",
+        "command": f"verify {args.verify_cmd}",
         "inputs": _inputs_obj(input=args.input),
         "verdict": result.verdict,
         "checked_subsets": result.checked_subsets,
@@ -175,34 +181,6 @@ def _cmd_verify_claim63(args) -> tuple[dict, int]:
         "checked_subsets": 1 << config.graph.vertex_count,
     }
     return report, EXIT_OK if holds else EXIT_REFUTED
-
-
-def _cmd_verify_gl(args) -> tuple[dict, int]:
-    _check_workers(args.workers)
-    config = _load_config(args.input)
-    if args.samples is not None:
-        if args.seed is None:
-            raise HypergraphError("--samples requires --seed")
-        result = verify_tower_bounds(
-            config,
-            exhaustive=False,
-            samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    else:
-        result = verify_tower_bounds(config, workers=args.workers)
-    report = {
-        "command": "verify gl-props",
-        "inputs": _inputs_obj(input=args.input),
-        "verdict": result.verdict,
-        "checked_subsets": result.checked_subsets,
-        "counterexample": _counterexample_obj(result.counterexample),
-        "seed": result.seed,
-        "workers": args.workers,
-    }
-    code = EXIT_REFUTED if result.verdict == NOT_NICE else EXIT_OK
-    return report, code
 
 
 def _cmd_extract(args) -> tuple[dict, int]:
@@ -244,11 +222,7 @@ def _cmd_project(args) -> tuple[dict, int]:
         if result.heavy_config is None
         else result.heavy_config.edge_count,
     }
-    if args.output is not None:
-        jsonio.write_json(args.output, jsonio.projection_to_obj(result))
-        report["output"] = args.output
-    else:
-        report["projection"] = jsonio.projection_to_obj(result)
+    _emit(report, "projection", jsonio.projection_to_obj(result), args.output)
     return report, EXIT_OK
 
 
@@ -262,11 +236,7 @@ def _cmd_lift(args) -> tuple[dict, int]:
         "v": lifted.vertex_count,
         "e": lifted.edge_count,
     }
-    if args.output is not None:
-        jsonio.write_json(args.output, jsonio.graph_to_obj(lifted))
-        report["output"] = args.output
-    else:
-        report["lifted"] = jsonio.graph_to_obj(lifted)
+    _emit(report, "lifted", jsonio.graph_to_obj(lifted), args.output)
     return report, EXIT_OK
 
 
@@ -311,11 +281,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
                 for entry in log
             ],
         }
-        if args.output is not None:
-            jsonio.write_json(args.output, jsonio.graph_to_obj(shadow))
-            report["output"] = args.output
-        else:
-            report["graph"] = jsonio.graph_to_obj(shadow)
+        _emit(report, "graph", jsonio.graph_to_obj(shadow), args.output)
         return report, EXIT_OK
     holds = verify_implication(coloring, args.p, args.q)
     report = {
@@ -357,81 +323,79 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    common.add_argument("-o", "--output", default=None, help="write the result here")
-    # only the subset scans split work across threads
+    # only the commands that write a file take -o
+    output = _Parser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="write the result here")
+    # only the subset scans sample and split work across threads
     scan = _Parser(add_help=False)
     scan.add_argument("--workers", type=int, default=1, help="parallel scan width")
+    scan.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
+    group = scan.add_mutually_exclusive_group()
+    group.add_argument("--exhaustive", action="store_true", help="scan every subset (default)")
+    group.add_argument("--samples", type=int, default=None, help="sampled scan size")
 
     parser = _Parser(prog="sparsehg", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_build = sub.add_parser("build", help="construct a named configuration")
     sb = p_build.add_subparsers(dest="what", required=True)
-    sb.add_parser("cycle", parents=[common])
-    sb.add_parser("f14", parents=[common])
-    p_fk = sb.add_parser("f-k", parents=[common])
+    sb.add_parser("cycle", parents=[output])
+    sb.add_parser("f14", parents=[output])
+    p_fk = sb.add_parser("f-k", parents=[output])
     p_fk.add_argument("--k", type=int, required=True, help="witness size, 4..8")
-    p_gl = sb.add_parser("g-ell", parents=[common])
+    p_gl = sb.add_parser("g-ell", parents=[output])
     p_gl.add_argument("--base", default="f14", help="tower base: f14 or edge")
     p_gl.add_argument("--ell", type=int, required=True, help="tower height, >= 0")
 
     p_verify = sub.add_parser("verify", help="check a structural property")
     sv = p_verify.add_subparsers(dest="verify_cmd", required=True)
-    p_nice = sv.add_parser("nice", parents=[common, scan])
+    p_nice = sv.add_parser("nice", parents=[scan])
     p_nice.add_argument("--input", required=True, help="graph or configuration JSON")
     p_nice.add_argument(
         "--witness", type=_witness_arg, default=None,
         help="comma-separated witness labels (default: role A)",
     )
-    group = p_nice.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", help="scan all subsets (default)")
-    group.add_argument("--samples", type=int, default=None, help="sampled scan size")
-    sv.add_parser("claim63", parents=[common])
-    p_glp = sv.add_parser("gl-props", parents=[common, scan])
+    sv.add_parser("claim63")
+    p_glp = sv.add_parser("gl-props", parents=[scan])
     p_glp.add_argument("--input", required=True, help="tower configuration JSON")
-    group = p_glp.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", help="scan all supersets (default)")
-    group.add_argument("--samples", type=int, default=None, help="sampled scan size")
 
-    p_extract = sub.add_parser("extract", parents=[common], help="subgraph with 10t edges")
+    p_extract = sub.add_parser("extract", parents=[output], help="subgraph with 10t edges")
     p_extract.add_argument("--base", default="f14", help="tower base: f14 or edge")
     p_extract.add_argument("--ell", type=int, required=True, help="tower height")
     p_extract.add_argument("--t", type=int, required=True, help="edge multiple")
     p_extract.add_argument("--trace", dest="trace_out", default=None, help="write the descent trace here")
 
-    p_project = sub.add_parser("project", parents=[common], help="anchor and reduce to 3-uniform")
+    p_project = sub.add_parser("project", parents=[output], help="anchor and reduce to 3-uniform")
     p_project.add_argument("--input", required=True, help="r-uniform graph JSON")
     p_project.add_argument("--k", type=int, required=True)
     p_project.add_argument("--e", type=int, required=True)
 
-    p_lift = sub.add_parser("lift", parents=[common], help="pull a 3-uniform hit back up")
+    p_lift = sub.add_parser("lift", parents=[output], help="pull a 3-uniform hit back up")
     p_lift.add_argument("--proj", required=True, help="projection JSON from `project`")
     p_lift.add_argument("--config", required=True, help="3-uniform configuration JSON")
 
     p_ramsey = sub.add_parser("ramsey", help="edge colorings and the 4-graph shadow")
     sr = p_ramsey.add_subparsers(dest="ramsey_cmd", required=True)
-    p_qq = sr.add_parser("qquad", parents=[common])
+    p_qq = sr.add_parser("qquad")
     p_qq.add_argument("--p", type=int, required=True)
-    p_check = sr.add_parser("check", parents=[common])
+    p_check = sr.add_parser("check")
     p_check.add_argument("--input", required=True, help="coloring JSON")
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument("--q", type=int, required=True)
-    p_to4 = sr.add_parser("to4", parents=[common])
+    p_to4 = sr.add_parser("to4", parents=[output])
     p_to4.add_argument("--input", required=True, help="coloring JSON")
-    p_impl = sr.add_parser("implication", parents=[common])
+    p_impl = sr.add_parser("implication")
     p_impl.add_argument("--input", required=True, help="coloring JSON")
     p_impl.add_argument("--p", type=int, required=True)
     p_impl.add_argument("--q", type=int, required=True)
 
     p_search = sub.add_parser("search", help="brute-force oracles")
     ss = p_search.add_subparsers(dest="search_cmd", required=True)
-    p_cfg = ss.add_parser("config", parents=[common])
+    p_cfg = ss.add_parser("config")
     p_cfg.add_argument("--input", required=True, help="graph JSON")
     p_cfg.add_argument("--v", type=int, required=True)
     p_cfg.add_argument("--e", type=int, required=True)
-    p_cp = ss.add_parser("copies", parents=[common])
+    p_cp = ss.add_parser("copies")
     p_cp.add_argument("--input", required=True, help="host graph JSON")
     p_cp.add_argument("--pattern", required=True, help="pattern graph JSON")
     p_cp.add_argument("--induced", action="store_true")
@@ -460,9 +424,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.cmd == "verify":
             handler = {
-                "nice": _cmd_verify_nice,
+                "nice": _cmd_verify_scan,
                 "claim63": _cmd_verify_claim63,
-                "gl-props": _cmd_verify_gl,
+                "gl-props": _cmd_verify_scan,
             }[args.verify_cmd]
         else:
             handler = _DISPATCH[args.cmd]

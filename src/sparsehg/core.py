@@ -6,8 +6,7 @@ recursive builders rely on anchor vertices keeping their positions across
 rebuilds. Edges carry two representations: sorted label tuples (the
 interchange form) and bitmasks over the vertex order (the computation form).
 Masks are plain Python integers, so hosts with more than 64 vertices work
-unchanged; the subset kernels vectorize hosts that fit one 64-bit word and
-take a per-subset path above that.
+unchanged; the subset kernels check them as arrays of 64-bit words.
 """
 
 from __future__ import annotations

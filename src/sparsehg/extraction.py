@@ -15,7 +15,6 @@ y0..y(lp) fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from sparsehg.core import DifferenceReport, Hypergraph, HypergraphError, subgraph_from_edges
 from sparsehg.families import LabeledConfiguration

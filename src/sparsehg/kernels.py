@@ -51,19 +51,8 @@ ScanResult = tuple[int, Optional[Violation]]
 
 
 # The helpers below are private: span tracers (perfbench/tracing.py) wrap
-# every public function here, and these run inside a kernel, per call,
-# batch or draw.
-
-
-def _mix64(x: int) -> int:
-    """Scalar splitmix64 finalizer over Python ints."""
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & MASK64
-    x ^= x >> 31
-    return x
+# every public function here, and these run per call, batch or draw inside
+# a kernel or the stratified pass of sparsehg.niceness.
 
 
 def _mix_vec(z: np.ndarray) -> np.ndarray:

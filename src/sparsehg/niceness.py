@@ -8,10 +8,10 @@ stream plus a stratified pass over small subsets near A). The first
 violation in scan order is reported and is always re-checkable through
 Hypergraph.difference.
 
-Niceness and the tower bounds run through the one bound checker in
-sparsehg.kernels; niceness is the tower check with x = A_ell = xy = A, no
-G^ell copy, k + 1 in place of k and ell = 0. Worker counts can never change
-a report, only its runtime.
+Niceness, the tower bounds and claim 6.3 run through one scan function,
+`_check`, and the one bound checker in sparsehg.kernels; niceness is the
+tower check with x = A_ell = xy = A, no G^ell copy, k + 1 in place of k and
+ell = 0. Worker counts can never change a report, only its runtime.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError
@@ -34,6 +36,8 @@ _EXHAUSTIVE_VERTEX_LIMIT = 30
 _WITNESS_VERTEX_LIMIT = 20
 _STRATIFIED_SIZE_LIMIT = 8
 _STRATIFIED_DRAWS = 4096
+# stream draws the stratified pass computes at a time
+_DRAW_BLOCK = 1 << 14
 
 _CONDITION_NAMES = {1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
@@ -70,13 +74,6 @@ def _resolve_witness(obj: GraphLike, witness) -> tuple[str, ...]:
     if isinstance(obj, LabeledConfiguration) and "A" in obj.roles:
         return obj.roles["A"]
     raise HypergraphError("no witness given and the configuration has no role 'A'")
-
-
-def _mask_of_labels(graph: Hypergraph, labels: Sequence[str]) -> int:
-    mask = 0
-    for lab in labels:
-        mask |= 1 << graph.index_of(lab)
-    return mask
 
 
 def _parallel_scan(
@@ -133,15 +130,81 @@ def _report(
     return NicenessReport(NOT_NICE, checked, ce, seed=seed)
 
 
-def _independence_failure(graph: Hypergraph, witness: tuple[str, ...]):
-    if graph.is_independent(witness):
-        return None
-    rep = graph.difference(graph.subset(witness))
-    return Counterexample(
-        subset=witness,
-        condition="Independence",
-        observed_delta=rep.delta,
-        required_bound=len(witness),
+def _check(
+    graph: Hypergraph,
+    roles: tuple[int, int, int, int, int, int],
+    names: dict[int, str],
+    *,
+    base: int = 0,
+    samples: Optional[int] = None,
+    seed: Optional[int] = None,
+    workers: int = 1,
+    extra: Callable[[], list[int]] = list,
+) -> NicenessReport:
+    """Check the bounds under `roles` (x, A_ell, xy, G, k, ell) on supersets of `base`.
+
+    With samples=None every superset is scanned, in increasing order of its
+    free bits; otherwise `samples` seeded uniform subsets are drawn with
+    `base` ORed in and, when none violates, the masks `extra()` returns are
+    checked too. Violations are named by `names`.
+    """
+    edge_masks = list(graph.edge_masks)
+    n = graph.vertex_count
+    if samples is None:
+        free = [b for b in range(n) if not (base >> b) & 1]
+        if len(free) > _EXHAUSTIVE_VERTEX_LIMIT:
+            raise HypergraphError(
+                f"exhaustive check limited to {_EXHAUSTIVE_VERTEX_LIMIT} free vertices; "
+                f"graph has {len(free)} (sample instead: --samples and --seed)"
+            )
+        total, clean = 1 << len(free), NICE
+    elif samples <= 0:
+        raise HypergraphError("samples must be positive")
+    else:
+        total, clean = samples, SAMPLED_NO_VIOLATION
+
+    def chunk(lo: int, hi: int):
+        if samples is None:
+            return kernels.scan_range(edge_masks, free, base, *roles, lo, hi)
+        return kernels.sample_scan(edge_masks, n, base, *roles, hi - lo, seed, lo)
+
+    checked, vio = _parallel_scan(total, workers, chunk)
+    if samples is not None and vio is None and (masks := extra()):
+        s_checked, vio = kernels.check_masks(edge_masks, n, *roles, masks)
+        checked += s_checked
+    return _report(graph, clean, checked, vio, names, seed)
+
+
+def _check_nice(
+    config: GraphLike,
+    witness: Optional[Sequence[str]],
+    *,
+    samples: Optional[int] = None,
+    seed: Optional[int] = None,
+    workers: int = 1,
+) -> NicenessReport:
+    """Niceness of the witness (default: role "A") through `_check`, the
+    stratified pass after a sampled scan; a witness that spans an edge is
+    refuted before any scan."""
+    graph = _as_graph(config)
+    wit = _resolve_witness(config, witness)
+    k = graph.delta
+    if len(wit) != k + 1:
+        raise HypergraphError(
+            f"wrong witness size: difference is {k}, need {k + 1} vertices, got {len(wit)}"
+        )
+    if not graph.is_independent(wit):
+        ce = Counterexample(
+            subset=wit,
+            condition="Independence",
+            observed_delta=graph.difference(graph.subset(wit)).delta,
+            required_bound=len(wit),
+        )
+        return NicenessReport(NOT_NICE, 0, ce, seed=seed)
+    return _check(
+        graph, _nice_roles(graph.mask_of(wit), k), _CONDITION_NAMES,
+        samples=samples, seed=seed, workers=workers,
+        extra=lambda: _stratified_masks(graph, wit, seed, samples),
     )
 
 
@@ -156,40 +219,25 @@ def verify_nice(
     The witness defaults to the configuration's role "A". Scans all 2^v
     subsets in increasing bitmask order and stops at the first violation.
     """
-    graph = _as_graph(config)
-    wit = _resolve_witness(config, witness)
-    k = graph.delta
-    if len(wit) != k + 1:
-        raise HypergraphError(
-            f"wrong witness size: difference is {k}, need {k + 1} vertices, got {len(wit)}"
-        )
-    if graph.vertex_count > _EXHAUSTIVE_VERTEX_LIMIT:
-        raise HypergraphError(
-            f"exhaustive check limited to {_EXHAUSTIVE_VERTEX_LIMIT} vertices; "
-            f"graph has {graph.vertex_count} (use sample_nice)"
-        )
-    indep = _independence_failure(graph, wit)
-    if indep is not None:
-        return NicenessReport(NOT_NICE, 0, indep)
-    n = graph.vertex_count
-    a_mask = _mask_of_labels(graph, wit)
-    edge_masks = list(graph.edge_masks)
-    free = range(n)
-    roles = _nice_roles(a_mask, k)
+    return _check_nice(config, witness, workers=workers)
 
-    def chunk(lo: int, hi: int):
-        return kernels.scan_range(edge_masks, free, 0, *roles, lo, hi)
 
-    checked, vio = _parallel_scan(1 << n, workers, chunk)
-    return _report(graph, NICE, checked, vio, _CONDITION_NAMES)
+def _draws(seed: int, start: int, modulus: int):
+    """The splitmix64 stream at indices start, start + 1, ..., each draw
+    reduced mod `modulus`; computed a block at a time."""
+    for lo in itertools.count(start, _DRAW_BLOCK):
+        idx = np.arange(lo, lo + _DRAW_BLOCK, dtype=np.uint64)
+        z = kernels._mix_vec(np.uint64(seed & kernels.MASK64) + idx * np.uint64(kernels.GAMMA))
+        yield from (z % np.uint64(modulus)).tolist()
 
 
 def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor: int):
     """Small subsets drawn from A and its edge neighbourhood.
 
     Enumerates every subset of each size up to 8 when that is cheap,
-    otherwise takes 4096 seeded draws per size; continues the caller's
-    splitmix64 stream at index `cursor` and returns the new cursor.
+    otherwise takes 4096 seeded draws per size, rejecting a repeated index
+    within a draw; continues the caller's splitmix64 stream after index
+    `cursor`.
     """
     a_set = set(wit)
     touched = set()
@@ -199,27 +247,19 @@ def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor
     # witness first, then its edge neighbourhood in canonical order
     pool = list(wit) + [v for v in graph.vertices if v in touched]
     bits = [1 << graph.index_of(v) for v in pool]
+    draws = _draws(seed, cursor + 1, len(pool))
     masks: list[int] = []
     for size in range(1, min(_STRATIFIED_SIZE_LIMIT, len(pool)) + 1):
         if math.comb(len(pool), size) <= _STRATIFIED_DRAWS:
             for combo in itertools.combinations(range(len(pool)), size):
-                m = 0
-                for i in combo:
-                    m |= bits[i]
-                masks.append(m)
+                masks.append(sum(bits[i] for i in combo))
         else:
             for _ in range(_STRATIFIED_DRAWS):
                 chosen: set[int] = set()
-                m = 0
                 while len(chosen) < size:
-                    idx = kernels._mix64((seed + (cursor + 1) * kernels.GAMMA) & kernels.MASK64) % len(pool)
-                    cursor += 1
-                    if idx in chosen:
-                        continue
-                    chosen.add(idx)
-                    m |= bits[idx]
-                masks.append(m)
-    return masks, cursor
+                    chosen.add(next(draws))
+                masks.append(sum(bits[i] for i in chosen))
+    return masks
 
 
 def sample_nice(
@@ -236,32 +276,7 @@ def sample_nice(
     the stratified pass continues the same stream, so results are a pure
     function of (graph, witness, samples, seed).
     """
-    graph = _as_graph(config)
-    wit = _resolve_witness(config, witness)
-    k = graph.delta
-    if len(wit) != k + 1:
-        raise HypergraphError(
-            f"wrong witness size: difference is {k}, need {k + 1} vertices, got {len(wit)}"
-        )
-    if samples <= 0:
-        raise HypergraphError("samples must be positive")
-    indep = _independence_failure(graph, wit)
-    if indep is not None:
-        return NicenessReport(NOT_NICE, 0, indep, seed=seed)
-    n = graph.vertex_count
-    a_mask = _mask_of_labels(graph, wit)
-    edge_masks = list(graph.edge_masks)
-    roles = _nice_roles(a_mask, k)
-
-    def chunk(lo: int, hi: int):
-        return kernels.sample_scan(edge_masks, n, 0, *roles, hi - lo, seed, lo)
-
-    checked, vio = _parallel_scan(samples, workers, chunk)
-    if vio is None:
-        strat, _ = _stratified_masks(graph, wit, seed, samples)
-        s_checked, vio = kernels.check_masks(edge_masks, n, *roles, strat)
-        checked += s_checked
-    return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, _CONDITION_NAMES, seed)
+    return _check_nice(config, witness, samples=samples, seed=seed, workers=workers)
 
 
 def find_witness(
@@ -306,18 +321,13 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
             raise HypergraphError(f"cycle configuration is missing role {name!r}")
 
     def mask(*names: str) -> int:
-        return _mask_of_labels(graph, [config.role(name)[0] for name in names])
+        return graph.mask_of(config.role(name)[0] for name in names)
 
     a_mask = mask("v1", "v2", "v3", "v4")
-    n = graph.vertex_count
-    edge_masks = list(graph.edge_masks)
-    for x_mask in (mask("v1"), mask("v2", "v3")):
-        _, vio = kernels.scan_range(
-            edge_masks, range(n), 0, x_mask, a_mask, a_mask, 0, 2, 0, 0, 1 << n
-        )
-        if vio is not None:
-            return False
-    return True
+    return all(
+        _check(graph, (x_mask, a_mask, a_mask, 0, 2, 0), _ITEM_NAMES).verdict == NICE
+        for x_mask in (mask("v1"), mask("v2", "v3"))
+    )
 
 
 def _tower_context(config: LabeledConfiguration):
@@ -343,13 +353,17 @@ def _tower_context(config: LabeledConfiguration):
     gname = f"G^{ell}"
     if gname not in config.subcopies:
         raise HypergraphError(f"tower configuration is missing subcopy {gname!r}")
-    x_mask = _mask_of_labels(graph, [config.role(f"x{j}")[0] for j in range(1, k + 1)])
-    y_all = [config.role(f"y{j}")[0] for j in range(0, ell + 1)]
-    yprefix_mask = _mask_of_labels(graph, y_all[:-1])
-    yell_bit = 1 << graph.index_of(y_all[-1])
-    aell_mask = _mask_of_labels(graph, config.role("A_ell"))
-    gl_mask = _mask_of_labels(graph, list(config.subcopies[gname].values()))
-    return graph, k, ell, x_mask, yprefix_mask, yell_bit, aell_mask, gl_mask
+    x_mask = graph.mask_of(config.role(f"x{j}")[0] for j in range(1, k + 1))
+    ys = [config.role(f"y{j}")[0] for j in range(ell + 1)]
+    roles = (
+        x_mask,
+        graph.mask_of(config.role("A_ell")),
+        x_mask | graph.mask_of(ys[-1:]),
+        graph.mask_of(config.subcopies[gname].values()),
+        k,
+        ell,
+    )
+    return graph, graph.mask_of(ys[:-1]), roles
 
 
 def verify_tower_bounds(
@@ -366,36 +380,12 @@ def verify_tower_bounds(
     draws seeded uniform subsets and ORs the prefix in. Violations name
     the item (1, 2 or 3) whose bound failed.
     """
-    (graph, k, ell, x_mask, yprefix_mask, yell_bit, aell_mask, gl_mask) = _tower_context(config)
-    edge_masks = list(graph.edge_masks)
-    n = graph.vertex_count
-    xy_mask = x_mask | yell_bit
+    graph, yprefix_mask, roles = _tower_context(config)
     if exhaustive:
-        free = [b for b in range(n) if not (yprefix_mask >> b) & 1]
-        if len(free) > _EXHAUSTIVE_VERTEX_LIMIT:
-            raise HypergraphError(
-                f"exhaustive tower check limited to {_EXHAUSTIVE_VERTEX_LIMIT} free "
-                f"vertices; graph has {len(free)} (use sampled mode)"
-            )
-
-        def chunk(lo: int, hi: int):
-            return kernels.scan_range(
-                edge_masks, free, yprefix_mask, x_mask, aell_mask, xy_mask,
-                gl_mask, k, ell, lo, hi,
-            )
-
-        checked, vio = _parallel_scan(1 << len(free), workers, chunk)
-        return _report(graph, NICE, checked, vio, _ITEM_NAMES)
+        return _check(graph, roles, _ITEM_NAMES, base=yprefix_mask, workers=workers)
     if samples is None or seed is None:
         raise HypergraphError("sampled mode needs samples and seed")
-    if samples <= 0:
-        raise HypergraphError("samples must be positive")
-
-    def chunk(lo: int, hi: int):
-        return kernels.sample_scan(
-            edge_masks, n, yprefix_mask, x_mask, aell_mask, xy_mask, gl_mask,
-            k, ell, hi - lo, seed, lo,
-        )
-
-    checked, vio = _parallel_scan(samples, workers, chunk)
-    return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, _ITEM_NAMES, seed)
+    return _check(
+        graph, roles, _ITEM_NAMES,
+        base=yprefix_mask, samples=samples, seed=seed, workers=workers,
+    )

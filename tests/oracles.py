@@ -99,6 +99,15 @@ def cycle_bounds_hold(vertices, edges, roles):
     return True
 
 
+def splitmix64(x):
+    """The splitmix64 finalizer on x mod 2^64."""
+    mask64 = (1 << 64) - 1
+    z = x & mask64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
+    return z ^ (z >> 31)
+
+
 def splitmix64_draw(seed, index, n):
     """Draw `index` of the sampled scans' stream over n vertices.
 
@@ -106,15 +115,40 @@ def splitmix64_draw(seed, index, n):
     index * words + w + 1, words = max(1, ceil(n / 64)); the words are
     concatenated low word first and cut to n bits.
     """
-    mask64 = (1 << 64) - 1
     words = max(1, (n + 63) // 64)
     draw = 0
     for w in range(words):
-        z = (seed + (index * words + w + 1) * 0x9E3779B97F4A7C15) & mask64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
-        draw |= (z ^ (z >> 31)) << (64 * w)
+        draw |= splitmix64(seed + (index * words + w + 1) * 0x9E3779B97F4A7C15) << (64 * w)
     return draw & ((1 << n) - 1)
+
+
+def stratified_masks(graph, witness, seed, cursor):
+    """The stratified pass of sampled niceness, one scalar draw at a time.
+
+    The pool is the witness, then the vertices sharing an edge with it in
+    vertex order. Each size 1..8 takes every combination of the pool when
+    there are at most 4096, else 4096 subsets, each made of stream draws
+    cursor + 1, cursor + 2, ... mod the pool size, a repeated index
+    rejected.
+    """
+    wit = set(witness)
+    touched = {u for edge in graph.edges if wit & set(edge) for u in edge} - wit
+    pool = list(witness) + [v for v in graph.vertices if v in touched]
+    masks = []
+    for size in range(1, min(8, len(pool)) + 1):
+        if comb(len(pool), size) <= 4096:
+            for combo in itertools.combinations(pool, size):
+                masks.append(graph.mask_of(combo))
+            continue
+        for _ in range(4096):
+            chosen = []
+            while len(chosen) < size:
+                cursor += 1
+                idx = splitmix64(seed + cursor * 0x9E3779B97F4A7C15) % len(pool)
+                if idx not in chosen:
+                    chosen.append(idx)
+            masks.append(graph.mask_of(pool[i] for i in chosen))
+    return masks
 
 
 def find_configuration(edges, v, e):

@@ -3,15 +3,18 @@ stability of emitted reports. Runs in process through main(argv)."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +22,9 @@ from hypothesis import strategies as st
 
 import sparsehg
 from sparsehg import jsonio
-from sparsehg.cli import _check_workers, main
+from sparsehg.cli import _check_workers, build_parser, main
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.families import f14
+from sparsehg.families import f14, factorial_family, geometric_tower
 from sparsehg.ramsey import packed_coloring, random_coloring
 
 
@@ -188,6 +191,135 @@ def test_workers_only_on_subset_scans(capsys, f14_file):
     assert main(["verify", "claim63", "--workers", "1"]) == 1
     assert main(["search", "config", "--input", f14_file, "--v", "3", "--e", "1",
                  "--workers", "1"]) == 1
+
+
+# the required arguments of every subcommand; parsing reads no file
+_REQUIRED = {
+    ("build", "cycle"): [],
+    ("build", "f14"): [],
+    ("build", "f-k"): ["--k", "5"],
+    ("build", "g-ell"): ["--ell", "0"],
+    ("verify", "nice"): ["--input", "g.json"],
+    ("verify", "claim63"): [],
+    ("verify", "gl-props"): ["--input", "g.json"],
+    ("extract",): ["--ell", "1", "--t", "1"],
+    ("project",): ["--input", "g.json", "--k", "2", "--e", "3"],
+    ("lift",): ["--proj", "p.json", "--config", "c.json"],
+    ("ramsey", "qquad"): ["--p", "8"],
+    ("ramsey", "check"): ["--input", "c.json", "--p", "8", "--q", "27"],
+    ("ramsey", "to4"): ["--input", "c.json"],
+    ("ramsey", "implication"): ["--input", "c.json", "--p", "8", "--q", "27"],
+    ("search", "config"): ["--input", "g.json", "--v", "3", "--e", "1"],
+    ("search", "copies"): ["--input", "g.json", "--pattern", "p.json"],
+}
+# the commands that read each option
+_READERS = {
+    "--seed": {("verify", "nice"), ("verify", "gl-props")},
+    "-o": {
+        ("build", "cycle"), ("build", "f14"), ("build", "f-k"), ("build", "g-ell"),
+        ("extract",), ("project",), ("lift",), ("ramsey", "to4"),
+    },
+}
+
+
+def _leaf_commands(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [leaf for a in subs for name, child in a.choices.items()
+            for leaf in _leaf_commands(child, prefix + (name,))]
+
+
+def test_required_arguments_cover_every_subcommand():
+    assert sorted(_leaf_commands(build_parser())) == sorted(_REQUIRED)
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED), ids=" ".join)
+@pytest.mark.parametrize("option", ["--seed", "-o"])
+def test_options_only_on_commands_that_read_them(capsys, tmp_path, monkeypatch, command, option):
+    monkeypatch.chdir(tmp_path)
+    value = "7" if option == "--seed" else "out.json"
+    argv = [*command, *_REQUIRED[command], option, value]
+    if command in _READERS[option]:
+        args = build_parser().parse_args(argv)
+        assert (args.seed if option == "--seed" else args.output) == (7 if option == "--seed" else value)
+        return
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = [line for line in err.splitlines() if line.startswith("sparsehg: error:")]
+    assert len(lines) == 1 and "unrecognized arguments" in lines[0]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # every build, verify and extract line of the README's CLI block, in order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [
+        shlex.split(line)[1:] for line in block.splitlines()
+        if line.startswith(("sparsehg build", "sparsehg verify", "sparsehg extract"))
+    ]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code = main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
+
+
+def _write(path, obj):
+    jsonio.write_json(path, obj)
+    return str(path)
+
+
+def _triples(n, m):
+    labels = [f"t{i}" for i in range(n)]
+    return {"r": 3, "vertices": labels,
+            "edges": [list(e) for e in itertools.islice(itertools.combinations(labels, 3), m)]}
+
+
+# each size guard the CLI reaches: files to write, then the command
+_GUARDS = {
+    "exhaustive-nice": (
+        {"f6.json": lambda: jsonio.config_to_obj(factorial_family(6))},
+        ["verify", "nice", "--input", "f6.json"], "free vertices"),
+    "exhaustive-gl-props": (
+        {"g1.json": lambda: jsonio.config_to_obj(geometric_tower(f14(), 1))},
+        ["verify", "gl-props", "--input", "g1.json"], "free vertices"),
+    "tower-size": ({}, ["build", "g-ell", "--ell", "5"], "size guard"),
+    "factorial-k": ({}, ["build", "f-k", "--k", "9"], "[4, 8]"),
+    "search": (
+        {"host.json": lambda: _triples(21, 61)},
+        ["search", "config", "--input", "host.json", "--v", "6", "--e", "3"], "search limited"),
+    "pattern": (
+        {"host.json": lambda: _triples(6, 4), "pat.json": lambda: _triples(15, 1)},
+        ["search", "copies", "--input", "host.json", "--pattern", "pat.json"],
+        "pattern limited"),
+    "ramsey-check": (
+        {"c.json": lambda: jsonio.coloring_to_obj(random_coloring(15, 0))},
+        ["ramsey", "check", "--input", "c.json", "--p", "4", "--q", "5"], "n <= 14"),
+    "ramsey-implication": (
+        {"c.json": lambda: jsonio.coloring_to_obj(random_coloring(13, 0))},
+        ["ramsey", "implication", "--input", "c.json", "--p", "4", "--q", "5"], "n <= 12"),
+    "project": (
+        {"h.json": lambda: {"r": 4, "vertices": [f"u{i}" for i in range(41)],
+                            "edges": [["u0", "u1", "u2", "u3"]]}},
+        ["project", "--input", "h.json", "--k", "2", "--e", "3"], "projection limited"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_GUARDS))
+def test_size_guards_exit_one(capsys, tmp_path, monkeypatch, guard):
+    files, argv, message = _GUARDS[guard]
+    monkeypatch.chdir(tmp_path)
+    for name, make in files.items():
+        _write(name, make())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("sparsehg: error:") and message in err
 
 
 def test_extract_writes_subgraph_and_trace(capsys, tmp_path):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from sparsehg import kernels
 from sparsehg.core import Hypergraph
 from sparsehg.families import f14
-from sparsehg.niceness import _mask_of_labels, _nice_roles
+from sparsehg.niceness import _nice_roles
 
 import oracles
 
@@ -30,16 +31,16 @@ def _nice_args(seed):
 
 def test_mix64_reference_values():
     # splitmix64 finalizer on fixed inputs; pins the sample stream
-    assert kernels._mix64(0) == 0
-    assert kernels._mix64(1) == 6238072747940578789
-    assert kernels._mix64(12345) == 17540659726606785873
-    assert kernels._mix64(2**64 - 1) == 13029008266876403067
+    z = np.array([0, 1, 12345, 2**64 - 1], dtype=np.uint64)
+    assert kernels._mix_vec(z).tolist() == [
+        0, 6238072747940578789, 17540659726606785873, 13029008266876403067,
+    ]
 
 
 def test_stream_is_pure_function_of_seed_and_index():
     g = f14().graph
     masks = list(g.edge_masks)
-    roles = _nice_roles(_mask_of_labels(g, f14().witness), 4)
+    roles = _nice_roles(g.mask_of(f14().witness), 4)
     r1 = kernels.sample_scan(masks, 14, 0, *roles, 500, 99)
     r2 = kernels.sample_scan(masks, 14, 0, *roles, 500, 99)
     r3 = kernels.sample_scan(masks, 14, 0, *roles, 500, 100)
@@ -50,7 +51,7 @@ def test_stream_is_pure_function_of_seed_and_index():
 def test_index_offset_continues_the_stream():
     g = f14().graph
     masks = list(g.edge_masks)
-    roles = _nice_roles(_mask_of_labels(g, f14().witness), 4)
+    roles = _nice_roles(g.mask_of(f14().witness), 4)
     whole = kernels.sample_scan(masks, 14, 0, *roles, 400, 7)
     first = kernels.sample_scan(masks, 14, 0, *roles, 150, 7)
     rest = kernels.sample_scan(masks, 14, 0, *roles, 250, 7, index_offset=150)
@@ -105,7 +106,7 @@ def test_f14_scan_does_not_depend_on_word_count():
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
     wide = Hypergraph(3, list(base.vertices) + pad, base.edges)
-    roles = _nice_roles(_mask_of_labels(base, f14().witness), 4)
+    roles = _nice_roles(base.mask_of(f14().witness), 4)
     n_wide = wide.vertex_count
     assert n_wide > 64
     r_narrow = kernels.scan_range(list(base.edge_masks), range(14), 0, *roles, 0, 1 << 14)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import (
     LabeledConfiguration,
     f14,
+    factorial_family,
     geometric_tower,
     linear_three_cycle,
     single_edge,
@@ -16,6 +19,7 @@ from sparsehg.niceness import (
     NICE,
     NOT_NICE,
     SAMPLED_NO_VIOLATION,
+    _stratified_masks,
     find_witness,
     sample_nice,
     verify_cycle_bounds,
@@ -142,6 +146,32 @@ def test_sample_counterexample_is_sound():
             assert d < inter - (1 if wit <= sub else 0)
         else:
             assert d < inter + 1 and inter <= len(wit) - 2 and sub - wit
+
+
+_family = functools.lru_cache(maxsize=None)(factorial_family)
+
+
+@pytest.mark.parametrize("seed", [0, -977, 2**63 + 11])
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_stratified_masks_match_scalar_oracle(k, seed):
+    # F_5..F_7 pools are large enough that every size from 3 or 4 up is drawn
+    cfg = _family(k)
+    expected = oracles.stratified_masks(cfg.graph, cfg.witness, seed, 1000)
+    assert _stratified_masks(cfg.graph, cfg.witness, seed, 1000) == expected
+
+
+@pytest.mark.parametrize("host_seed", range(8))
+def test_stratified_masks_match_scalar_oracle_on_random_hosts(host_seed):
+    # hosts 0 and 4-7 have pools large enough for drawn sizes, with all three
+    # kinds of seed
+    rng = random.Random(host_seed)
+    vertices = [f"t{i}" for i in range(rng.randint(12, 22))]
+    edges = {tuple(sorted(rng.sample(vertices, 3))) for _ in range(2 * len(vertices))}
+    g = Hypergraph(3, vertices, edges)
+    wit = tuple(rng.sample(vertices, rng.randint(1, 8)))
+    seed = [0, -rng.getrandbits(70), 2**63 + rng.getrandbits(70)][host_seed % 3]
+    cursor = rng.randrange(10**7)
+    assert _stratified_masks(g, wit, seed, cursor) == oracles.stratified_masks(g, wit, seed, cursor)
 
 
 def test_verify_cycle_bounds_holds():

@@ -1,5 +1,4 @@
 import itertools
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
