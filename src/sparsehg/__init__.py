@@ -1,4 +1,11 @@
-"""Sparse 3-uniform hypergraph families, subset-density checks, and oracles."""
+"""Sparse 3-uniform hypergraph families, subset-density checks, and oracles.
+
+The names of sparsehg.niceness are re-exported lazily: that module imports
+numpy, which only the subset scans use, so the package and every command
+that does not scan subsets start without it.
+"""
+
+import importlib
 
 from sparsehg.core import (
     DifferenceReport,
@@ -15,18 +22,6 @@ from sparsehg.families import (
     geometric_tower,
     linear_three_cycle,
     single_edge,
-)
-from sparsehg.niceness import (
-    NICE,
-    NOT_NICE,
-    SAMPLED_NO_VIOLATION,
-    Counterexample,
-    NicenessReport,
-    find_witness,
-    sample_nice,
-    verify_cycle_bounds,
-    verify_nice,
-    verify_tower_bounds,
 )
 from sparsehg.projection import (
     HEAVY_TRIPLE,
@@ -104,3 +99,27 @@ __all__ = [
     "verify_tower_bounds",
     "__version__",
 ]
+
+# names resolved from sparsehg.niceness on first access (PEP 562)
+_LAZY = frozenset({
+    "NICE",
+    "NOT_NICE",
+    "SAMPLED_NO_VIOLATION",
+    "Counterexample",
+    "NicenessReport",
+    "find_witness",
+    "sample_nice",
+    "verify_cycle_bounds",
+    "verify_nice",
+    "verify_tower_bounds",
+})
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module("sparsehg.niceness"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAZY)

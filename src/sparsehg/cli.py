@@ -4,6 +4,9 @@ Every command prints one canonical JSON report to stdout. Exit status is
 0 for a verified property or successful construction, 2 when a check
 produced a counterexample or a search came up empty, and 1 for usage or
 input errors. Sampled checks require an explicit --seed.
+
+Only the verify handlers import sparsehg.niceness (and through it numpy),
+at call time, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -25,13 +28,6 @@ from sparsehg.families import (
     linear_three_cycle,
     single_edge,
 )
-from sparsehg.niceness import (
-    NOT_NICE,
-    sample_nice,
-    verify_cycle_bounds,
-    verify_nice,
-    verify_tower_bounds,
-)
 from sparsehg.projection import lift, project
 from sparsehg.ramsey import (
     check_coloring,
@@ -41,17 +37,21 @@ from sparsehg.ramsey import (
 )
 from sparsehg.search import count_copies, find_configuration
 
+PROG = "sparsehg"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REFUTED = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract reserves 2 for refutations."""
+    """argparse exits 2 on usage errors; the contract reserves 2 for refutations.
+
+    Errors name the root program, not the subcommand, like every other error.
+    """
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"{PROG}: error: {message}\n")
 
 
 def _witness_arg(text: str) -> tuple[str, ...]:
@@ -140,6 +140,8 @@ def _cmd_build(args) -> tuple[dict, int]:
 
 def _cmd_verify_scan(args) -> tuple[dict, int]:
     """verify nice and verify gl-props: one report over either subset scan."""
+    from sparsehg.niceness import NOT_NICE, sample_nice, verify_nice, verify_tower_bounds
+
     _check_workers(args.workers)
     sampled = args.samples is not None
     if args.verify_cmd == "nice":
@@ -173,6 +175,8 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_claim63(args) -> tuple[dict, int]:
+    from sparsehg.niceness import verify_cycle_bounds
+
     config = linear_three_cycle()
     holds = verify_cycle_bounds(config)
     report = {
@@ -334,7 +338,7 @@ def build_parser() -> _Parser:
     group.add_argument("--exhaustive", action="store_true", help="scan every subset (default)")
     group.add_argument("--samples", type=int, default=None, help="sampled scan size")
 
-    parser = _Parser(prog="sparsehg", description=__doc__)
+    parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_build = sub.add_parser("build", help="construct a named configuration")

@@ -201,10 +201,12 @@ def _check_nice(
             required_bound=len(wit),
         )
         return NicenessReport(NOT_NICE, 0, ce, seed=seed)
+    # the uniform pass uses stream counters 1 .. samples * words
+    words = max(1, (graph.vertex_count + 63) // 64)
     return _check(
         graph, _nice_roles(graph.mask_of(wit), k), _CONDITION_NAMES,
         samples=samples, seed=seed, workers=workers,
-        extra=lambda: _stratified_masks(graph, wit, seed, samples),
+        extra=lambda: _stratified_masks(graph, wit, seed, samples * words),
     )
 
 
@@ -236,8 +238,9 @@ def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor
 
     Enumerates every subset of each size up to 8 when that is cheap,
     otherwise takes 4096 seeded draws per size, rejecting a repeated index
-    within a draw; continues the caller's splitmix64 stream after index
-    `cursor`.
+    within a draw. The draws continue the caller's splitmix64 stream at
+    counters cursor + 1, cursor + 2, ...; `cursor` is the last counter the
+    caller used.
     """
     a_set = set(wit)
     touched = set()
@@ -272,9 +275,13 @@ def sample_nice(
 ) -> NicenessReport:
     """Seeded check of the subset bounds: uniform pass, then stratified pass.
 
-    Uniform subsets come from a splitmix64 stream indexed 0..samples-1;
-    the stratified pass continues the same stream, so results are a pure
-    function of (graph, witness, samples, seed).
+    Uniform subsets come from one splitmix64 stream: on a host of v
+    vertices, words = max(1, ceil(v / 64)) and sample i (0 <= i < samples)
+    takes word w from counter i * words + w + 1, so the uniform pass uses
+    counters 1 .. samples * words. The stratified pass continues the same
+    stream at counter samples * words + 1, so the two passes share no
+    counter and results are a pure function of (graph, witness, samples,
+    seed).
     """
     return _check_nice(config, witness, samples=samples, seed=seed, workers=workers)
 

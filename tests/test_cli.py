@@ -96,6 +96,19 @@ def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "nice"],
+    ["build", "f-k", "--k", "x"],
+], ids=" ".join)
+def test_subcommand_usage_errors_name_the_program(capsys, argv):
+    # errors raised by a subcommand's own parser, not the top-level one
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = [line for line in err.splitlines() if ": error:" in line]
+    assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
+
+
 def test_verify_nice_pass(capsys, f14_file):
     code, report = run(capsys, "verify", "nice", "--input", f14_file)
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsehg import kernels, niceness
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import (
     LabeledConfiguration,
@@ -172,6 +173,34 @@ def test_stratified_masks_match_scalar_oracle_on_random_hosts(host_seed):
     seed = [0, -rng.getrandbits(70), 2**63 + rng.getrandbits(70)][host_seed % 3]
     cursor = rng.randrange(10**7)
     assert _stratified_masks(g, wit, seed, cursor) == oracles.stratified_masks(g, wit, seed, cursor)
+
+
+def test_stratified_stream_follows_the_uniform_counters_on_wide_hosts(monkeypatch):
+    # F_6 has 306 vertices, so each uniform sample takes 5 stream words; the
+    # splitmix64 counter of each draw is recovered from the finalizer's input
+    cfg = _family(6)
+    seed, samples = 17, 300
+    words = (cfg.graph.vertex_count + 63) // 64
+    assert words > 1
+    inverse = pow(kernels.GAMMA, -1, 1 << 64)
+    used = {"uniform": set(), "stratified": set()}
+    phase = ["uniform"]
+    mix, stratified = kernels._mix_vec, niceness._stratified_masks
+
+    def recording_mix(z):
+        used[phase[0]].update((v - seed) * inverse % (1 << 64) for v in z.ravel().tolist())
+        return mix(z)
+
+    def recording_stratified(*args):
+        phase[0] = "stratified"
+        return stratified(*args)
+
+    monkeypatch.setattr(kernels, "_mix_vec", recording_mix)
+    monkeypatch.setattr(niceness, "_stratified_masks", recording_stratified)
+    report = sample_nice(cfg, samples=samples, seed=seed)
+    assert report.verdict == SAMPLED_NO_VIOLATION
+    assert used["uniform"] == set(range(1, samples * words + 1))
+    assert min(used["stratified"]) == samples * words + 1
 
 
 def test_verify_cycle_bounds_holds():
