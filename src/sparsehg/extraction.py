@@ -2,14 +2,11 @@
 
 Given the level chain of a tower build and a target t, `extract` returns
 a subgraph with exactly t times the base edge count whose difference
-stays at most k + ell. The recursion mirrors the tower's construction:
-descend into the first child copy while t fits inside one level, else
-take the attached base copy plus d full child copies and recurse on the
-remainder inside a located deeper copy.
-
-`locate_subcopy` finds a level-lp copy inside the top level by composing
-the k-th child copy maps, which keeps the spine vertices x1..x(k-1) and
-y0..y(lp) fixed.
+stays at most k + ell. The recursion mirrors the tower's construction,
+whose layout sparsehg.families describes: descend into the first child
+copy while t fits inside one level, else take the attached base copy plus
+d full child copies and recurse on the remainder inside a located deeper
+copy, found by composing the k-th child copy maps.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from sparsehg.core import DifferenceReport, Hypergraph, HypergraphError, subgraph_from_edges
-from sparsehg.families import LabeledConfiguration
+from sparsehg.families import LabeledConfiguration, _level_ratio, _tower_shape
 
 
 @dataclass(frozen=True)
@@ -28,25 +25,13 @@ class ExtractionResult:
 
 
 def _chain_context(chain: LabeledConfiguration):
-    if not isinstance(chain, LabeledConfiguration) or chain.family.get("name") != "g-ell":
-        raise HypergraphError("expected a tower configuration (family 'g-ell')")
-    if not chain.levels:
+    k, ell = _tower_shape(chain)
+    if not chain.levels or len(chain.levels) != ell + 1:
         raise HypergraphError(
             "missing subcopy index: configuration lacks its level chain "
             "(rebuild with geometric_tower)"
         )
-    levels = chain.levels
-    k = 0
-    while f"x{k + 1}" in chain.roles:
-        k += 1
-    if k < 2:
-        raise HypergraphError("tower configuration is missing x roles")
-    return levels, k, len(levels) - 1
-
-
-def _ratio(k: int, m: int) -> int:
-    """Edge count of level m divided by the base edge count."""
-    return (k ** (m + 1) - 1) // (k - 1)
+    return chain.levels, k, ell
 
 
 def _compose_to_level(levels, k: int, lp: int, m: int) -> dict[str, str]:
@@ -102,7 +87,7 @@ def _extract_rec(levels, k: int, m: int, t: int, trace: list):
     if m == 0:
         record["branch"] = "base"
         return set(g.graph.vertices), set(g.graph.edges)
-    ratio_prev = _ratio(k, m - 1)
+    ratio_prev = _level_ratio(k, m - 1)
     if t <= ratio_prev:
         record["branch"] = "descend"
         sv, se = _extract_rec(levels, k, m - 1, t, trace)
@@ -125,7 +110,7 @@ def _extract_rec(levels, k: int, m: int, t: int, trace: list):
         edges |= pe
     if t_res > 0:
         lp = 0
-        while _ratio(k, lp) < t_res:
+        while _level_ratio(k, lp) < t_res:
             lp += 1
         record["descent_level"] = lp
         sv, se = _extract_rec(levels, k, lp, t_res, trace)
@@ -145,7 +130,7 @@ def extract(chain: LabeledConfiguration, t: int) -> ExtractionResult:
     """
     levels, k, ell = _chain_context(chain)
     e_base = levels[0].graph.edge_count
-    max_t = _ratio(k, ell)
+    max_t = _level_ratio(k, ell)
     if not isinstance(t, int) or t < 0 or t > max_t:
         raise HypergraphError(f"t must be an integer in [0, {max_t}], got {t!r}")
     trace: list = []
@@ -154,7 +139,7 @@ def extract(chain: LabeledConfiguration, t: int) -> ExtractionResult:
         raise HypergraphError(
             f"extraction produced {len(edges)} edges, expected {t * e_base}"
         )
-    if ell >= 1 and t > _ratio(k, ell - 1):
+    if ell >= 1 and t > _level_ratio(k, ell - 1):
         missing = [v for v in chain.role("A_ell") if v not in verts]
         if missing:
             raise HypergraphError(

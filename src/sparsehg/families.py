@@ -5,8 +5,24 @@ role markers (witness sets, spine vertices) and a subcopy index mapping
 each immediate child copy's name to its vertex-label embedding. Builds
 are deterministic: equal arguments give identical canonical forms.
 
-Fresh vertices of the i-th child copy are labelled "c{i}.<template label>"
-so copy images stay recoverable from labels alone.
+Both recursive families glue copies of a template onto a shared spine
+(`_glue`), and this module is the one place that knows their layout:
+
+- F_k (k >= 5) has spine x1..xk, xp1..xpk and k copies of F_(k-1) named
+  F_1..F_k; copy i sends the j-th witness vertex of F_(k-1) to xj, except
+  the i-th, which goes to xpi. The witness is A = (xp1..xpk, x1).
+- Tower level G^m over a base with witness x1..xk, y0 has spine x1..xk,
+  y0..ym, xp1..xpk, k copies of G^(m-1) named G_(m-1)^1..G_(m-1)^k (copy i
+  fixes y0..y(m-1) and the x roles, except xi, which goes to xpi) and one
+  base copy named G^m attached at x1..xk and ym. Level 0 is the base with
+  the split recorded as roles x1..xk, y0 and subcopy G^0 the identity.
+  Every level carries the roles x1..xk, y0..ym and A_ell = (x1..xk, y0..ym).
+  Level m has 1 + k + ... + k^m (`_level_ratio`) times the base's edges.
+
+A copy's other vertices are labelled "c{i}.<template label>" in the i-th
+child copy and "c0.<template label>" in the tower's base copy, so copy
+images stay recoverable from labels alone. Vertices are ordered spine
+first, then each copy's new labels in copy order and template order.
 """
 
 from __future__ import annotations
@@ -109,9 +125,7 @@ def _factorial_edge_count(k: int) -> int:
 def factorial_family(k: int) -> LabeledConfiguration:
     """Level-k member of the doubling witness recursion; F_4 is f14.
 
-    F_k is assembled from k copies of F_{k-1}: spine vertices x1..xk and
-    xp1..xpk, copy i sending the j-th witness element to xj except the
-    i-th, which goes to xpi. The new witness is (xp1..xpk, x1).
+    F_k glues k copies of F_(k-1) onto its spine (layout: module docstring).
     """
     if not isinstance(k, int) or k < 4 or k > 8:
         raise HypergraphError(f"k must be an integer in [4, 8], got {k!r}")
@@ -121,6 +135,36 @@ def factorial_family(k: int) -> LabeledConfiguration:
     return cfg
 
 
+def _glue(
+    spine: list[str], copies: list[tuple], expected_e: int, expected_v: int, what: str
+) -> tuple[Hypergraph, dict[str, dict[str, str]]]:
+    """Glue copies onto `spine`: the graph and its subcopy index.
+
+    Each copy is (subcopy name, template, fixed, prefix): `fixed` sends
+    template vertices to spine labels and every other vertex v becomes
+    "<prefix>.v". The build must come out with the expected counts.
+    """
+    verts = list(spine)
+    seen = set(verts)
+    edges: list[tuple[str, ...]] = []
+    subcopies: dict[str, dict[str, str]] = {}
+    for name, template, fixed, prefix in copies:
+        vmap = dict(fixed)
+        for v in template.vertices:
+            w = vmap.setdefault(v, f"{prefix}.{v}")
+            if w not in seen:
+                seen.add(w)
+                verts.append(w)
+        subcopies[name] = vmap
+        edges.extend(tuple(vmap[u] for u in e) for e in template.edges)
+    graph = Hypergraph(3, verts, edges)
+    if graph.edge_count != expected_e or graph.vertex_count != expected_v:
+        raise HypergraphError(
+            f"{what} came out wrong: v={graph.vertex_count}, e={graph.edge_count}"
+        )
+    return graph, subcopies
+
+
 def _next_factorial(prev: LabeledConfiguration, m: int) -> LabeledConfiguration:
     a_prev = prev.witness
     if len(a_prev) != m:
@@ -128,30 +172,17 @@ def _next_factorial(prev: LabeledConfiguration, m: int) -> LabeledConfiguration:
             f"witness of the level-{m - 1} graph must have {m} vertices"
         )
     spine = [f"x{j}" for j in range(1, m + 1)] + [f"xp{j}" for j in range(1, m + 1)]
-    verts: list[str] = list(spine)
-    seen = set(verts)
-    edges: list[tuple[str, ...]] = []
-    subcopies: dict[str, dict[str, str]] = {}
-    for i in range(1, m + 1):
-        vmap: dict[str, str] = {}
-        for j, av in enumerate(a_prev, start=1):
-            vmap[av] = f"xp{i}" if j == i else f"x{j}"
-        for v in prev.graph.vertices:
-            if v not in vmap:
-                vmap[v] = f"c{i}.{v}"
-        subcopies[f"F_{i}"] = vmap
-        for v in prev.graph.vertices:
-            w = vmap[v]
-            if w not in seen:
-                seen.add(w)
-                verts.append(w)
-        edges.extend(tuple(vmap[u] for u in e) for e in prev.graph.edges)
-    graph = Hypergraph(3, verts, edges)
-    expected_e = _factorial_edge_count(m)
-    if graph.edge_count != expected_e or graph.vertex_count != expected_e + m:
-        raise HypergraphError(
-            f"level-{m} build came out wrong: v={graph.vertex_count}, e={graph.edge_count}"
+    copies = [
+        (
+            f"F_{i}",
+            prev.graph,
+            {av: f"xp{i}" if j == i else f"x{j}" for j, av in enumerate(a_prev, start=1)},
+            f"c{i}",
         )
+        for i in range(1, m + 1)
+    ]
+    expected_e = _factorial_edge_count(m)
+    graph, subcopies = _glue(spine, copies, expected_e, expected_e + m, f"level-{m} build")
     roles = {v: (v,) for v in spine}
     roles["A"] = tuple(f"xp{j}" for j in range(1, m + 1)) + ("x1",)
     if not graph.is_independent(roles["A"]):
@@ -159,6 +190,9 @@ def _next_factorial(prev: LabeledConfiguration, m: int) -> LabeledConfiguration:
     return LabeledConfiguration(
         graph=graph, roles=roles, family={"name": "f-k", "k": m}, subcopies=subcopies
     )
+
+
+_TOWER_VERTEX_LIMIT = 10_000
 
 
 def geometric_tower(
@@ -169,10 +203,9 @@ def geometric_tower(
 ) -> LabeledConfiguration:
     """Level-ell tower over `base`, whose witness A splits as x1..xk, y0.
 
-    Level 0 is the base itself with the split recorded as roles. Level m
-    glues k copies of level m-1 onto a shared spine (copy i diverts xi to
-    xpi) plus one fresh base copy attached at ym. The returned value's
-    `levels` tuple holds every level, index 0 up to ell.
+    Level m glues k copies of level m-1 and one base copy onto its spine
+    (layout: module docstring). The returned value's `levels` tuple holds
+    every level, index 0 up to ell.
 
     `y0` names which witness element plays the distinguished role; default
     is the last one in the stored witness order. `allow_edge_base` admits
@@ -196,12 +229,13 @@ def geometric_tower(
         raise HypergraphError(f"designated y0 {y0!r} is not in the witness")
     x_split = tuple(v for v in a if v != y0)
 
-    ratio_ell = (k ** (ell + 1) - 1) // (k - 1)
-    v_final = ratio_ell * base.graph.edge_count + k + ell
-    if v_final > 10_000:
-        raise HypergraphError(
-            f"size guard exceeded: level {ell} would have {v_final} vertices"
-        )
+    # stop at the first level over the limit: the count grows like k^m
+    for m in range(ell + 1):
+        if _level_ratio(k, m) * base.graph.edge_count + k + m > _TOWER_VERTEX_LIMIT:
+            raise HypergraphError(
+                f"size guard exceeded: level {ell} would have more than "
+                f"{_TOWER_VERTEX_LIMIT} vertices"
+            )
 
     roles0 = dict(base.roles)
     for j, xv in enumerate(x_split, start=1):
@@ -231,61 +265,47 @@ def _next_tower_level(
     k: int,
     m: int,
 ) -> LabeledConfiguration:
-    spine = (
-        [f"x{j}" for j in range(1, k + 1)]
-        + [f"y{j}" for j in range(0, m + 1)]
-        + [f"xp{j}" for j in range(1, k + 1)]
-    )
-    verts: list[str] = list(spine)
-    seen = set(verts)
-    edges: list[tuple[str, ...]] = []
-    subcopies: dict[str, dict[str, str]] = {}
-
-    for i in range(1, k + 1):
-        vmap: dict[str, str] = {}
-        for j in range(1, k + 1):
-            vmap[prev.role(f"x{j}")[0]] = f"xp{i}" if j == i else f"x{j}"
-        for j in range(0, m):
-            vmap[prev.role(f"y{j}")[0]] = f"y{j}"
-        for v in prev.graph.vertices:
-            if v not in vmap:
-                vmap[v] = f"c{i}.{v}"
-        subcopies[f"G_{m - 1}^{i}"] = vmap
-        for v in prev.graph.vertices:
-            w = vmap[v]
-            if w not in seen:
-                seen.add(w)
-                verts.append(w)
-        edges.extend(tuple(vmap[u] for u in e) for e in prev.graph.edges)
-
-    bmap: dict[str, str] = {}
-    for j, xv in enumerate(x_split, start=1):
-        bmap[xv] = f"x{j}"
-    bmap[y0_label] = f"y{m}"
-    for v in base.graph.vertices:
-        if v not in bmap:
-            bmap[v] = f"c0.{v}"
-    subcopies[f"G^{m}"] = bmap
-    for v in base.graph.vertices:
-        w = bmap[v]
-        if w not in seen:
-            seen.add(w)
-            verts.append(w)
-    edges.extend(tuple(bmap[u] for u in e) for e in base.graph.edges)
-
-    graph = Hypergraph(3, verts, edges)
-    expected_e = ((k ** (m + 1) - 1) // (k - 1)) * base.graph.edge_count
-    if graph.edge_count != expected_e or graph.vertex_count != expected_e + k + m:
-        raise HypergraphError(
-            f"tower level {m} came out wrong: v={graph.vertex_count}, e={graph.edge_count}"
+    xs = [f"x{j}" for j in range(1, k + 1)]
+    ys = [f"y{j}" for j in range(0, m + 1)]
+    spine = xs + ys + [f"xp{j}" for j in range(1, k + 1)]
+    copies = [
+        (
+            f"G_{m - 1}^{i}",
+            prev.graph,
+            {prev.role(x)[0]: f"xp{i}" if j == i else x for j, x in enumerate(xs, start=1)}
+            | {prev.role(y)[0]: y for y in ys[:-1]},
+            f"c{i}",
         )
+        for i in range(1, k + 1)
+    ]
+    copies.append((f"G^{m}", base.graph, dict(zip(x_split, xs)) | {y0_label: ys[-1]}, "c0"))
+    expected_e = _level_ratio(k, m) * base.graph.edge_count
+    graph, subcopies = _glue(spine, copies, expected_e, expected_e + k + m, f"tower level {m}")
     roles = {v: (v,) for v in spine}
-    roles["A_ell"] = tuple(f"x{j}" for j in range(1, k + 1)) + tuple(
-        f"y{j}" for j in range(0, m + 1)
-    )
+    roles["A_ell"] = tuple(xs + ys)
     return LabeledConfiguration(
         graph=graph,
         roles=roles,
         family={"name": "g-ell", "ell": m, "base": dict(base.family)},
         subcopies=subcopies,
     )
+
+
+def _level_ratio(k: int, m: int) -> int:
+    """Edge count of tower level m divided by the base edge count."""
+    return (k ** (m + 1) - 1) // (k - 1)
+
+
+def _tower_shape(config: LabeledConfiguration) -> tuple[int, int]:
+    """(k, ell) of a tower level, read from its x1..xk and y0..y(ell) roles."""
+    if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "g-ell":
+        raise HypergraphError("expected a tower configuration (family 'g-ell')")
+    k = 0
+    while f"x{k + 1}" in config.roles:
+        k += 1
+    ell = -1
+    while f"y{ell + 1}" in config.roles:
+        ell += 1
+    if k < 2 or ell < 0:
+        raise HypergraphError("tower configuration is missing x/y roles")
+    return k, ell

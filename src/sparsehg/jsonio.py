@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import Any, Union
 
@@ -168,13 +169,10 @@ def coloring_from_obj(obj: Any) -> ColoringInstance:
         if not isinstance(val, int) or isinstance(val, bool):
             raise HypergraphError(f"coloring: color of {key!r} must be an integer")
         colors[(i, j)] = val
-    missing = [
-        pair
-        for pair in itertools.combinations(range(1, n + 1), 2)
-        if pair not in colors
-    ]
+    missing = math.comb(max(n, 0), 2) - len(colors)
     if missing:
-        raise HypergraphError(f"coloring: {len(missing)} pairs missing, first {missing[0]}")
+        first = next(p for p in itertools.combinations(range(1, n + 1), 2) if p not in colors)
+        raise HypergraphError(f"coloring: {missing} pairs missing, first {first}")
     return ColoringInstance(n=n, colors=colors)
 
 

@@ -5,8 +5,8 @@ size k+1 satisfies, for every vertex subset U, a pair of lower bounds on
 the difference of U in terms of |U ∩ A|. Verification is exhaustive
 (every subset, canonical bitmask order) or sampled (seeded splitmix64
 stream plus a stratified pass over small subsets near A). The first
-violation in scan order is reported and is always re-checkable through
-Hypergraph.difference.
+violation in scan order is re-checked through Hypergraph.difference,
+then reported.
 
 Niceness, the tower bounds and claim 6.3 run through one scan function,
 `_check`, and the one bound checker in sparsehg.kernels; niceness is the
@@ -26,7 +26,7 @@ import numpy as np
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.families import LabeledConfiguration
+from sparsehg.families import LabeledConfiguration, _tower_shape
 
 NICE = "NICE"
 NOT_NICE = "NOT_NICE"
@@ -121,6 +121,12 @@ def _report(
     if vio is None:
         return NicenessReport(clean_verdict, checked, None, seed=seed)
     _, u_mask, code, delta, bound = vio
+    observed = graph.difference(graph.subset_from_mask(u_mask)).delta
+    if observed != delta or observed >= bound:
+        raise HypergraphError(
+            f"scan reported a false violation: subset of difference {observed}, "
+            f"kernel said {delta} against bound {bound}"
+        )
     ce = Counterexample(
         subset=graph.labels_of_mask(u_mask),
         condition=names[code],
@@ -338,19 +344,8 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
 
 
 def _tower_context(config: LabeledConfiguration):
-    if not isinstance(config, LabeledConfiguration):
-        raise HypergraphError("expected a tower configuration")
-    if config.family.get("name") != "g-ell":
-        raise HypergraphError("expected a tower configuration (family 'g-ell')")
+    k, ell = _tower_shape(config)
     graph = config.graph
-    k = 0
-    while f"x{k + 1}" in config.roles:
-        k += 1
-    ell = -1
-    while f"y{ell + 1}" in config.roles:
-        ell += 1
-    if k < 2 or ell < 0:
-        raise HypergraphError("tower configuration is missing x/y roles")
     if "A_ell" not in config.roles:
         raise HypergraphError("tower configuration is missing role 'A_ell'")
     if k + ell != graph.delta:

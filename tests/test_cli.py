@@ -301,6 +301,8 @@ _GUARDS = {
         {"g1.json": lambda: jsonio.config_to_obj(geometric_tower(f14(), 1))},
         ["verify", "gl-props", "--input", "g1.json"], "free vertices"),
     "tower-size": ({}, ["build", "g-ell", "--ell", "5"], "size guard"),
+    "tower-huge-ell": ({}, ["build", "g-ell", "--ell", "1000000"], "size guard"),
+    "extract-huge-ell": ({}, ["extract", "--ell", "1000000", "--t", "1"], "size guard"),
     "factorial-k": ({}, ["build", "f-k", "--k", "9"], "[4, 8]"),
     "search": (
         {"host.json": lambda: _triples(21, 61)},

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from sparsehg import jsonio
 from sparsehg.core import HypergraphError
 from sparsehg.families import (
     f14,
@@ -203,3 +206,40 @@ def test_factorial_witness_layout():
 def test_oracle_difference_on_f14_witness():
     cfg = f14()
     assert oracles.is_independent(cfg.graph.edges, cfg.witness)
+
+
+# sha256 of each build's canonical JSON: vertex order fixes every subset
+# bit, sampled mask and counterexample, so a build must not move a byte
+_BUILD_DIGESTS = {
+    ("f-k", 4): "e66d32154f46b8869a25c90ab2b19a1e8d20dfc6e257ff57e2ec2f385af7cf85",
+    ("f-k", 5): "1ed84734021f6d2647b411bfd285095ef65fd8287f1c73ef6b92101e1e0bf3f6",
+    ("f-k", 6): "8538c6993a448905fd491fcabcf90ef22f02191cbe2630c2d968700c45914919",
+    ("f-k", 7): "1913e0d8d3948feba8e3a3b193c8ac10b67a28871dafe19cfe2747f9e9de0f57",
+    ("f-k", 8): "be61a3401794aef340d85f2f481c3fcb37a16615a4b47b274bb187c6820a04d0",
+    ("g-ell f14", 0): "b1991f2aae62073f88f3f90139d9d4d1c1ba1d451a439dab2523b46e6de4d130",
+    ("g-ell f14", 1): "fa793c0a1663d4050393fc41c56eb1b0a70d4eaf59cdd494087a6f613fd5c58c",
+    ("g-ell f14", 2): "4d38e80a03c3b895a254a91bf1929b3ec9d2b54a3970ab22ecc6b25ba4b2d164",
+    ("g-ell f14", 3): "679b1b175732761131c26981001b1f622e6523ffbe3629cf55eb726d72184258",
+    ("g-ell f14", 4): "45927ede70cea8506d44de98492dc9fe81e51b3680a1975416815657eeb056e7",
+    ("g-ell edge", 0): "30c46aaa72a330f5c6fc6a321e2ef713ad7887371ebbab236e789cb48d8511ab",
+    ("g-ell edge", 3): "e41610140a95b2e9b3fb59ee2e0e83b64fee16c461f224a65cd29344748a8eff",
+    ("g-ell edge", 6): "2d6d9e163ae57bed4094897b69b82c8ed25c42308af595c2328e7702d453ae6f",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(_BUILD_DIGESTS))
+def test_build_bytes_are_pinned(family, n):
+    if family == "f-k":
+        cfg = factorial_family(n)
+    elif family == "g-ell f14":
+        cfg = geometric_tower(f14(), n)
+    else:
+        cfg = geometric_tower(single_edge(), n, allow_edge_base=True)
+    text = jsonio.canonical_json(jsonio.config_to_obj(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == _BUILD_DIGESTS[(family, n)]
+
+
+def test_tower_size_guard_stops_before_the_huge_power():
+    # 4^(10^8 + 1) is never formed: the guard stops at the first level over the cap
+    with pytest.raises(HypergraphError, match="more than 10000 vertices"):
+        geometric_tower(f14(), 10**8)

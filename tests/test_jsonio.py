@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,18 @@ def test_coloring_validation():
         jsonio.coloring_from_obj({"n": 3, "colors": {"2,1": 0}})
     with pytest.raises(HypergraphError, match="integer"):
         jsonio.coloring_from_obj({"n": 2, "colors": {"1,2": "red"}})
+
+
+def test_missing_pairs_are_counted_not_listed():
+    # a tiny file naming a large n must not allocate every missing pair
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypergraphError, match=r"1999000 pairs missing, first \(1, 2\)"):
+            jsonio.coloring_from_obj({"n": 2000, "colors": {}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_projection_roundtrip_both_cases():

@@ -203,6 +203,20 @@ def test_stratified_stream_follows_the_uniform_counters_on_wide_hosts(monkeypatc
     assert min(used["stratified"]) == samples * words + 1
 
 
+@pytest.mark.parametrize("delta,bound", [(0, 5), (4, 3)])
+def test_forged_violation_is_rechecked(monkeypatch, delta, bound):
+    # full f14 has difference 4: the first forgery misstates it, the
+    # second states it but against a bound it meets
+    full = f14().graph.full_mask()
+
+    def forged(*args):
+        return 1, (0, full, 1, delta, bound)
+
+    monkeypatch.setattr(kernels, "scan_range", forged)
+    with pytest.raises(HypergraphError, match="false violation"):
+        verify_nice(f14())
+
+
 def test_verify_cycle_bounds_holds():
     assert verify_cycle_bounds(linear_three_cycle()) is True
 
