@@ -12,7 +12,6 @@ at call time, so the other commands start without it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Optional
@@ -59,13 +58,6 @@ def _witness_arg(text: str) -> tuple[str, ...]:
     if not labels:
         raise argparse.ArgumentTypeError("witness must be a comma-separated label list")
     return labels
-
-
-def _check_workers(workers: int) -> None:
-    """Reject a --workers value outside 1..os.cpu_count()."""
-    limit = os.cpu_count() or 1
-    if not 1 <= workers <= limit:
-        raise HypergraphError(f"--workers must be in 1..{limit}, got {workers}")
 
 
 def _tower_base(name: str) -> LabeledConfiguration:
@@ -142,7 +134,6 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
     """verify nice and verify gl-props: one report over either subset scan."""
     from sparsehg.niceness import NOT_NICE, sample_nice, verify_nice, verify_tower_bounds
 
-    _check_workers(args.workers)
     sampled = args.samples is not None
     if args.verify_cmd == "nice":
         config = jsonio.load_any(jsonio.read_json(args.input))
@@ -152,23 +143,20 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
         raise HypergraphError("--samples requires --seed")
     if args.verify_cmd == "gl-props":
         result = verify_tower_bounds(
-            config, exhaustive=not sampled, samples=args.samples, seed=args.seed,
-            workers=args.workers,
+            config, exhaustive=not sampled, samples=args.samples, seed=args.seed
         )
     elif sampled:
-        result = sample_nice(
-            config, args.witness, samples=args.samples, seed=args.seed, workers=args.workers
-        )
+        result = sample_nice(config, args.witness, samples=args.samples, seed=args.seed)
     else:
-        result = verify_nice(config, args.witness, workers=args.workers)
+        result = verify_nice(config, args.witness)
     report = {
         "command": f"verify {args.verify_cmd}",
         "inputs": _inputs_obj(input=args.input),
+        "method": "sampled" if sampled else "exhaustive",
         "verdict": result.verdict,
         "checked_subsets": result.checked_subsets,
         "counterexample": _counterexample_obj(result.counterexample),
         "seed": result.seed,
-        "workers": args.workers,
     }
     code = EXIT_REFUTED if result.verdict == NOT_NICE else EXIT_OK
     return report, code
@@ -182,6 +170,9 @@ def _cmd_verify_claim63(args) -> tuple[dict, int]:
     report = {
         "command": "verify claim63",
         "holds": holds,
+        "method": "exhaustive",
+        # verify_cycle_bounds scans all 2^v subsets once per X role split
+        "passes": 2,
         "checked_subsets": 1 << config.graph.vertex_count,
     }
     return report, EXIT_OK if holds else EXIT_REFUTED
@@ -330,9 +321,8 @@ def build_parser() -> _Parser:
     # only the commands that write a file take -o
     output = _Parser(add_help=False)
     output.add_argument("-o", "--output", default=None, help="write the result here")
-    # only the subset scans sample and split work across threads
+    # only the subset scans sample
     scan = _Parser(add_help=False)
-    scan.add_argument("--workers", type=int, default=1, help="parallel scan width")
     scan.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
     group = scan.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="scan every subset (default)")

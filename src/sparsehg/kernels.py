@@ -19,9 +19,7 @@ popcounts sum over axis 0, and each edge is tested only on the words it
 touches. A host of at most 64 vertices is the one-word case.
 
 The sampling stream is splitmix64: word w of sample i is
-mix64(seed + ((index_offset + i) * words + w + 1) * GAMMA), a pure function
-of (seed, index_offset + i), so partitioning a run across workers cannot
-change the stream.
+mix64(seed + (i * words + w + 1) * GAMMA), a pure function of (seed, i).
 """
 
 from __future__ import annotations
@@ -42,11 +40,9 @@ _C2 = _U64(0x3333333333333333)
 _C4 = _U64(0x0F0F0F0F0F0F0F0F)
 _CM = _U64(0x0101010101010101)
 
-# A violation is (position, u_mask, code, delta, bound): position orders
-# violations for worker merging (the scan index for range scans, the list
-# or stream index for mask lists and sampled scans); code is the violated
-# bound's number.
-Violation = tuple[int, int, int, int, int]
+# A violation is (u_mask, code, delta, bound); code is the violated bound's
+# number.
+Violation = tuple[int, int, int, int]
 ScanResult = tuple[int, Optional[Violation]]
 
 
@@ -83,9 +79,8 @@ def _column(mask: int, words: int) -> np.ndarray:
 
 
 def _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -> ScanResult:
-    """Check (position, u) batches in order, u a (words, batch) uint64
-    array whose column i is the subset at position + i; stops at the first
-    violation."""
+    """Check batches in order, each a (words, batch) uint64 array with one
+    subset per column; stops at the first violation."""
     # each edge as the (word, bits) pairs it touches; an edge reaching past
     # the last word lies in no subset and never counts
     edges = []
@@ -126,12 +121,12 @@ def _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batche
         return i, code, int(d[i]), int(bound)
 
     checked = 0
-    for pos, u in batches:
+    for u in batches:
         hit = first_violation(u)
         if hit is not None:
             i, code, delta, bound = hit
             u_mask = int.from_bytes(u[:, i].astype("<u8").tobytes(), "little")
-            return (checked + i + 1, (pos + i, u_mask, code, delta, bound))
+            return (checked + i + 1, (u_mask, code, delta, bound))
         checked += u.shape[1]
     return (checked, None)
 
@@ -159,24 +154,23 @@ def scan_range(
     gl_mask: int,
     k: int,
     ell: int,
-    start: int,
-    stop: int,
 ) -> ScanResult:
-    """Exhaustive scan over U = base_mask | scatter(i, free_positions), i in [start, stop)."""
+    """Exhaustive scan over U = base_mask | scatter(i, free_positions), i in
+    [0, 2^len(free_positions))."""
     roles = (x_mask, aell_mask, xy_mask, gl_mask)
     n = max(max(free_positions, default=-1) + 1, *(m.bit_length() for m in (base_mask, *roles)))
     words = max(1, (n + 63) // 64)
     base = _column(base_mask, words)
     runs = _runs(free_positions)
-    step = max(1, _BATCH // words)
+    total, step = 1 << len(free_positions), max(1, _BATCH // words)
 
     def batches():
-        for pos in range(start, stop, step):
-            i_arr = np.arange(pos, min(pos + step, stop), dtype=np.uint64)
+        for pos in range(0, total, step):
+            i_arr = np.arange(pos, min(pos + step, total), dtype=np.uint64)
             u = np.repeat(base, len(i_arr), axis=1)
             for w, b, low, shift in runs:
                 u[w] |= ((i_arr >> b) & low) << shift
-            yield pos, u
+            yield u
 
     return _scan(edge_masks, words, *roles, k, ell, batches())
 
@@ -195,7 +189,7 @@ def check_masks(
             for j in range(count):
                 raw[j * size : (j + 1) * size] = masks[lo + j].to_bytes(size, "little")
             u = np.frombuffer(raw, dtype="<u8").reshape(count, words).T
-            yield lo, np.ascontiguousarray(u, dtype=np.uint64)
+            yield np.ascontiguousarray(u, dtype=np.uint64)
 
     return _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
 
@@ -212,20 +206,19 @@ def sample_scan(
     ell,
     samples,
     seed,
-    index_offset: int = 0,
 ) -> ScanResult:
     """Seeded uniform supersets of the y-prefix: draw U, then OR the prefix in."""
     words = max(1, (n + 63) // 64)
     nmask, ypre = _column((1 << n) - 1, words), _column(yprefix_mask, words)
     word_no = np.arange(1, words + 1, dtype=np.uint64).reshape(words, 1)
-    stop, step = index_offset + samples, max(1, _BATCH // words)
+    step = max(1, _BATCH // words)
 
     def batches():
-        for pos in range(index_offset, stop, step):
-            idx = np.arange(pos, min(pos + step, stop), dtype=np.uint64)
+        for pos in range(0, samples, step):
+            idx = np.arange(pos, min(pos + step, samples), dtype=np.uint64)
             u = _mix_vec(_U64(seed & MASK64) + (idx * _U64(words) + word_no) * _U64(GAMMA))
             u &= nmask
             u |= ypre
-            yield pos, u
+            yield u
 
     return _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())

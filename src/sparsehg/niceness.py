@@ -11,14 +11,13 @@ then reported.
 Niceness, the tower bounds and claim 6.3 run through one scan function,
 `_check`, and the one bound checker in sparsehg.kernels; niceness is the
 tower check with x = A_ell = xy = A, no G^ell copy, k + 1 in place of k and
-ell = 0. Worker counts can never change a report, only its runtime.
+ell = 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -69,37 +68,17 @@ def _as_graph(obj: GraphLike) -> Hypergraph:
 
 
 def _resolve_witness(obj: GraphLike, witness) -> tuple[str, ...]:
-    if witness is not None:
-        return tuple(witness)
-    if isinstance(obj, LabeledConfiguration) and "A" in obj.roles:
-        return obj.roles["A"]
-    raise HypergraphError("no witness given and the configuration has no role 'A'")
-
-
-def _parallel_scan(
-    total: int,
-    workers: int,
-    run_chunk: Callable[[int, int], tuple[int, Optional[tuple]]],
-) -> tuple[int, Optional[tuple]]:
-    """Split [0, total) into contiguous chunks; merge to the earliest violation.
-
-    Reports are position-ordered, so the merged result is identical for
-    every worker count.
-    """
-    workers = max(1, int(workers))
-    if workers == 1 or total <= 1:
-        return run_chunk(0, total)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    results = []
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(run_chunk, lo, hi) for lo, hi in chunks]
-        results = [f.result() for f in futures]
-    violations = [v for _, v in results if v is not None]
-    if not violations:
-        return (total, None)
-    best = min(violations, key=lambda v: v[0])
-    return (best[0] + 1, best)
+    """The witness labels, default role "A"; a repeated label would count
+    twice against the size k + 1 but only once in the scan's mask."""
+    if witness is None:
+        if not (isinstance(obj, LabeledConfiguration) and "A" in obj.roles):
+            raise HypergraphError("no witness given and the configuration has no role 'A'")
+        witness = obj.roles["A"]
+    wit = tuple(witness)
+    for i, label in enumerate(wit):
+        if label in wit[:i]:
+            raise HypergraphError(f"witness repeats label {label!r}")
+    return wit
 
 
 def _nice_roles(a_mask: int, k: int) -> tuple[int, int, int, int, int, int]:
@@ -120,7 +99,7 @@ def _report(
     else NOT_NICE with the violating subset, its condition named by `names`."""
     if vio is None:
         return NicenessReport(clean_verdict, checked, None, seed=seed)
-    _, u_mask, code, delta, bound = vio
+    u_mask, code, delta, bound = vio
     observed = graph.difference(graph.subset_from_mask(u_mask)).delta
     if observed != delta or observed >= bound:
         raise HypergraphError(
@@ -144,7 +123,6 @@ def _check(
     base: int = 0,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    workers: int = 1,
     extra: Callable[[], list[int]] = list,
 ) -> NicenessReport:
     """Check the bounds under `roles` (x, A_ell, xy, G, k, ell) on supersets of `base`.
@@ -152,7 +130,7 @@ def _check(
     With samples=None every superset is scanned, in increasing order of its
     free bits; otherwise `samples` seeded uniform subsets are drawn with
     `base` ORed in and, when none violates, the masks `extra()` returns are
-    checked too. Violations are named by `names`.
+    checked too; `seed` is read only then. Violations are named by `names`.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
@@ -163,22 +141,17 @@ def _check(
                 f"exhaustive check limited to {_EXHAUSTIVE_VERTEX_LIMIT} free vertices; "
                 f"graph has {len(free)} (sample instead: --samples and --seed)"
             )
-        total, clean = 1 << len(free), NICE
-    elif samples <= 0:
+        checked, vio = kernels.scan_range(edge_masks, free, base, *roles)
+        return _report(graph, NICE, checked, vio, names)
+    if samples <= 0:
         raise HypergraphError("samples must be positive")
-    else:
-        total, clean = samples, SAMPLED_NO_VIOLATION
-
-    def chunk(lo: int, hi: int):
-        if samples is None:
-            return kernels.scan_range(edge_masks, free, base, *roles, lo, hi)
-        return kernels.sample_scan(edge_masks, n, base, *roles, hi - lo, seed, lo)
-
-    checked, vio = _parallel_scan(total, workers, chunk)
-    if samples is not None and vio is None and (masks := extra()):
+    if seed is None:
+        raise HypergraphError("a sampled check needs a seed")
+    checked, vio = kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
+    if vio is None and (masks := extra()):
         s_checked, vio = kernels.check_masks(edge_masks, n, *roles, masks)
         checked += s_checked
-    return _report(graph, clean, checked, vio, names, seed)
+    return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, names, seed)
 
 
 def _check_nice(
@@ -187,7 +160,6 @@ def _check_nice(
     *,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    workers: int = 1,
 ) -> NicenessReport:
     """Niceness of the witness (default: role "A") through `_check`, the
     stratified pass after a sampled scan; a witness that spans an edge is
@@ -211,23 +183,20 @@ def _check_nice(
     words = max(1, (graph.vertex_count + 63) // 64)
     return _check(
         graph, _nice_roles(graph.mask_of(wit), k), _CONDITION_NAMES,
-        samples=samples, seed=seed, workers=workers,
+        samples=samples, seed=seed,
         extra=lambda: _stratified_masks(graph, wit, seed, samples * words),
     )
 
 
 def verify_nice(
-    config: GraphLike,
-    witness: Optional[Sequence[str]] = None,
-    *,
-    workers: int = 1,
+    config: GraphLike, witness: Optional[Sequence[str]] = None
 ) -> NicenessReport:
     """Exhaustively check the two subset bounds for (graph, witness).
 
     The witness defaults to the configuration's role "A". Scans all 2^v
     subsets in increasing bitmask order and stops at the first violation.
     """
-    return _check_nice(config, witness, workers=workers)
+    return _check_nice(config, witness)
 
 
 def _draws(seed: int, start: int, modulus: int):
@@ -277,7 +246,6 @@ def sample_nice(
     *,
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> NicenessReport:
     """Seeded check of the subset bounds: uniform pass, then stratified pass.
 
@@ -289,12 +257,10 @@ def sample_nice(
     counter and results are a pure function of (graph, witness, samples,
     seed).
     """
-    return _check_nice(config, witness, samples=samples, seed=seed, workers=workers)
+    return _check_nice(config, witness, samples=samples, seed=seed)
 
 
-def find_witness(
-    config: GraphLike, *, workers: int = 1
-) -> Optional[tuple[str, ...]]:
+def find_witness(config: GraphLike) -> Optional[tuple[str, ...]]:
     """First independent set (canonical order) passing the exhaustive check.
 
     Candidates are the size-(delta+1) vertex combinations in index order;
@@ -310,7 +276,7 @@ def find_witness(
     if size > graph.vertex_count:
         return None
     for combo in itertools.combinations(graph.vertices, size):
-        report = verify_nice(graph, combo, workers=workers)
+        report = verify_nice(graph, combo)
         if report.verdict == NICE:
             return combo
     return None
@@ -374,20 +340,17 @@ def verify_tower_bounds(
     exhaustive: bool = True,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    workers: int = 1,
 ) -> NicenessReport:
     """Check the three conditional bounds on subsets containing y0..y(ell-1).
 
-    Exhaustive mode scans every superset of the y-prefix; sampled mode
-    draws seeded uniform subsets and ORs the prefix in. Violations name
-    the item (1, 2 or 3) whose bound failed.
+    Exhaustive mode scans every superset of the y-prefix and takes no
+    samples; sampled mode (exhaustive=False) needs samples and seed, draws
+    seeded uniform subsets and ORs the prefix in. Violations name the item
+    (1, 2 or 3) whose bound failed.
     """
     graph, yprefix_mask, roles = _tower_context(config)
-    if exhaustive:
-        return _check(graph, roles, _ITEM_NAMES, base=yprefix_mask, workers=workers)
-    if samples is None or seed is None:
+    if exhaustive and samples is not None:
+        raise HypergraphError("exhaustive mode takes no samples; pass exhaustive=False")
+    if not exhaustive and samples is None:
         raise HypergraphError("sampled mode needs samples and seed")
-    return _check(
-        graph, roles, _ITEM_NAMES,
-        base=yprefix_mask, samples=samples, seed=seed, workers=workers,
-    )
+    return _check(graph, roles, _ITEM_NAMES, base=yprefix_mask, samples=samples, seed=seed)

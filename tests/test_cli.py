@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import sparsehg
 from sparsehg import jsonio
-from sparsehg.cli import _check_workers, build_parser, main
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.cli import build_parser, main
+from sparsehg.core import Hypergraph
 from sparsehg.families import f14, factorial_family, geometric_tower
 from sparsehg.ramsey import packed_coloring, random_coloring
 
@@ -116,7 +116,7 @@ def test_verify_nice_pass(capsys, f14_file):
     assert report["checked_subsets"] == 16384
     assert report["counterexample"] is None
     assert report["inputs"]["input"]["sha256"] == jsonio.file_digest(f14_file)
-    assert report["workers"] == 1 and "backend" not in report
+    assert report["method"] == "exhaustive" and "backend" not in report
 
 
 def test_verify_nice_counterexample_exit_two(capsys, cycle_file):
@@ -174,36 +174,66 @@ def test_verify_gl_props_exhaustive_and_sampled(capsys, tmp_path):
     assert run(capsys, "build", "g-ell", "--ell", "1", "-o", str(g1))[0] == 0
     code, report = run(
         capsys, "verify", "gl-props", "--input", str(g1),
-        "--samples", "3000", "--seed", "2", "--workers", str(min(2, os.cpu_count() or 1)),
+        "--samples", "3000", "--seed", "2",
     )
     assert code == 0 and report["verdict"] == "SAMPLED_NO_VIOLATION"
 
 
-def test_check_workers_accepts_one_to_cpu_count():
-    limit = os.cpu_count() or 1
-    _check_workers(1)
-    _check_workers(limit)
-    for bad in (0, -1, limit + 1):
-        with pytest.raises(HypergraphError, match="--workers must be in"):
-            _check_workers(bad)
+def test_workers_is_a_usage_error_everywhere(capsys, f14_file):
+    # every scan runs in one thread; no command takes a worker count
+    for argv in (
+        ["build", "f14"],
+        ["verify", "claim63"],
+        ["verify", "nice", "--input", f14_file],
+        ["verify", "gl-props", "--input", f14_file],
+        ["search", "config", "--input", f14_file, "--v", "3", "--e", "1"],
+    ):
+        assert main(argv + ["--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if ": error:" in line]
+        assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
+        assert "--workers" in lines[0]
 
 
-@pytest.mark.parametrize("cmd", ["nice", "gl-props"])
-def test_workers_out_of_range_exits_one(capsys, tmp_path, cmd):
+def test_verify_reports_name_their_method(capsys, f14_file, tmp_path):
+    scan_keys = {"command", "inputs", "method", "verdict", "checked_subsets",
+                 "counterexample", "seed", "timings", "report_sha256"}
+    code, report = run(capsys, "verify", "nice", "--input", f14_file)
+    assert code == 0 and set(report) == scan_keys
+    assert report["method"] == "exhaustive"
+    code, report = run(capsys, "verify", "nice", "--input", f14_file,
+                       "--samples", "100", "--seed", "1")
+    assert code == 0 and set(report) == scan_keys
+    assert report["method"] == "sampled"
     g0 = str(tmp_path / "g0.json")
     assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
-    for workers in ("0", str((os.cpu_count() or 1) + 1)):
-        code = main(["verify", cmd, "--input", g0, "--workers", workers])
-        assert code == 1
-        lines = error_lines(capsys)
-        assert len(lines) == 1 and "--workers must be in" in lines[0]
+    for extra, method in (([], "exhaustive"), (["--samples", "100", "--seed", "1"], "sampled")):
+        code, report = run(capsys, "verify", "gl-props", "--input", g0, *extra)
+        assert code == 0 and set(report) == scan_keys
+        assert report["method"] == method
+    code, report = run(capsys, "verify", "claim63")
+    assert code == 0
+    assert set(report) == {"command", "holds", "method", "passes", "checked_subsets",
+                           "timings", "report_sha256"}
+    assert (report["method"], report["passes"], report["checked_subsets"]) == (
+        "exhaustive", 2, 64,
+    )
 
 
-def test_workers_only_on_subset_scans(capsys, f14_file):
-    assert main(["build", "f14", "--workers", "1"]) == 1
-    assert main(["verify", "claim63", "--workers", "1"]) == 1
-    assert main(["search", "config", "--input", f14_file, "--v", "3", "--e", "1",
-                 "--workers", "1"]) == 1
+def test_repeated_witness_label_exits_one(capsys, f14_file, tmp_path):
+    # four distinct vertices would otherwise pass as a five-vertex witness
+    assert main(["verify", "nice", "--input", f14_file,
+                 "--witness", "w4,w4,wp1,wp2,wp3"]) == 1
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and "witness repeats label 'w4'" in lines[0]
+    doc = jsonio.read_json(f14_file)
+    doc["roles"]["A"] = ["w4", "w4", "wp1", "wp2", "wp3"]
+    doubled = tmp_path / "doubled.json"
+    jsonio.write_json(doubled, doc)
+    assert main(["verify", "nice", "--input", str(doubled)]) == 1
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and "witness repeats label 'w4'" in lines[0]
 
 
 # the required arguments of every subcommand; parsing reads no file

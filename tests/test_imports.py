@@ -1,6 +1,6 @@
 """What importing the package costs: numpy is loaded only by the commands
-that scan subsets, and the lazily re-exported niceness names still behave
-like ordinary package attributes."""
+that scan subsets, no scan loads a thread pool, and the lazily re-exported
+niceness names still behave like ordinary package attributes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import sys
 import sparsehg
 
 # Runs in a fresh interpreter: each CLI call in turn, then whether numpy has
-# been imported so far.
+# been imported so far; after the last call, also whether the thread pool
+# module concurrent.futures has.
 _CHILD = """
 import contextlib, io, json, os, sys
 import sparsehg.cli as cli
@@ -30,6 +31,7 @@ for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     seen.append([" ".join(a for a in argv[:2] if a[0] != "-"), code, "numpy" in sys.modules])
+seen[-1].append("concurrent.futures" in sys.modules)
 print(json.dumps(seen))
 """
 
@@ -48,7 +50,7 @@ def test_only_subset_scans_import_numpy(tmp_path):
         ["ramsey qquad", 0, False],
         ["search config", 0, False],
         ["extract", 0, False],
-        ["verify nice", 0, True],
+        ["verify nice", 0, True, False],
     ]
 
 

@@ -48,16 +48,6 @@ def test_stream_is_pure_function_of_seed_and_index():
     assert r1 != r3 or r1[1] is None  # different seed, same verdict only by luck
 
 
-def test_index_offset_continues_the_stream():
-    g = f14().graph
-    masks = list(g.edge_masks)
-    roles = _nice_roles(g.mask_of(f14().witness), 4)
-    whole = kernels.sample_scan(masks, 14, 0, *roles, 400, 7)
-    first = kernels.sample_scan(masks, 14, 0, *roles, 150, 7)
-    rest = kernels.sample_scan(masks, 14, 0, *roles, 250, 7, index_offset=150)
-    assert whole[0] == first[0] + rest[0]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=99_999),
@@ -90,42 +80,51 @@ def test_results_do_not_depend_on_word_count(seed, nice, offset):
 
     def moved(result):
         checked, vio = result
-        return checked, vio and (vio[0], vio[1] << offset, *vio[2:])
+        return checked, vio and (vio[0] << offset, *vio[1:])
 
     wide_roles = (*up(roles[:4]), *roles[4:])
     assert kernels.check_masks(up(masks), n_wide, *wide_roles, up(checks)) == moved(
         kernels.check_masks(masks, n, *roles, checks)
     )
-    narrow = kernels.scan_range(masks, range(n), 0, *roles, 0, 1 << n)
-    wide = kernels.scan_range(up(masks), range(offset, offset + n), 0, *wide_roles, 0, 1 << n)
+    narrow = kernels.scan_range(masks, range(n), 0, *roles)
+    wide = kernels.scan_range(up(masks), range(offset, offset + n), 0, *wide_roles)
     assert wide == moved(narrow)
 
 
 def test_f14_scan_does_not_depend_on_word_count():
-    # same graph twice: once as-is, once padded with 60 isolated vertices
+    # the f14 scan twice: on f14 itself, and on f14 padded with 60 isolated
+    # vertices, where a G bit on the last pad vertex makes the scan run two
+    # words; no scanned subset holds that vertex, so Item 3 never fires
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
     wide = Hypergraph(3, list(base.vertices) + pad, base.edges)
-    roles = _nice_roles(base.mask_of(f14().witness), 4)
-    n_wide = wide.vertex_count
-    assert n_wide > 64
-    r_narrow = kernels.scan_range(list(base.edge_masks), range(14), 0, *roles, 0, 1 << 14)
-    # isolated vertices force Cond2 violations, so only compare the clean prefix
-    r_wide = kernels.scan_range(list(wide.edge_masks), range(n_wide), 0, *roles, 0, 1 << 14)
-    assert r_narrow == r_wide
+    x, aell, xy, _, k, ell = _nice_roles(base.mask_of(f14().witness), 4)
+    last_pad = 1 << (wide.vertex_count - 1)
+    assert last_pad.bit_length() > 64
+    r_narrow = kernels.scan_range(list(base.edge_masks), range(14), 0, x, aell, xy, 0, k, ell)
+    r_wide = kernels.scan_range(
+        list(wide.edge_masks), range(14), 0, x, aell, xy, last_pad, k, ell
+    )
+    assert r_narrow == r_wide == (1 << 14, None)
 
 
 @pytest.mark.parametrize("n", [14, 64, 65, 130, 2107])
 @pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
 @pytest.mark.parametrize("index", [0, 1, 123_456_789])
 def test_sample_stream_matches_independent_draw(n, seed, index):
-    # no edges, G = every vertex, k + ell = n + 2: every nonempty subset
-    # violates Item 3, so the first draw comes back as the violation
-    full = (1 << n) - 1
-    checked, vio = kernels.sample_scan([], n, 0, 0, 0, 0, full, 1, n + 1, 1, seed, index)
-    draw = oracles.splitmix64_draw(seed, index, n)
-    assert checked == 1
-    assert vio == ((index, draw, 3, draw.bit_count(), n + 2) if draw else None)
+    # no edges, G = one vertex v, k + ell = n + 2: a subset violates Item 3
+    # exactly when it holds v, so the scan stops at the first draw holding v.
+    # Counter c under seed + index * words * GAMMA is counter
+    # c + index * words under seed, so that seed starts the scan at draw
+    # `index` of the seed's stream.
+    words = max(1, (n + 63) // 64)
+    start = (seed + index * words * kernels.GAMMA) & kernels.MASK64
+    draws = [oracles.splitmix64_draw(seed, index + i, n) for i in range(64)]
+    for v in (0, n // 2, n - 1):
+        checked, vio = kernels.sample_scan([], n, 0, 0, 0, 0, 1 << v, 1, n + 1, 64, start)
+        i = next(i for i, draw in enumerate(draws) if draw >> v & 1)
+        assert checked == i + 1
+        assert vio == (draws[i], 3, draws[i].bit_count(), n + 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,15 +134,16 @@ def test_fallback_scan_matches_naive_oracle(seed):
     masks = list(g.edge_masks)
     n = g.vertex_count
     roles = _nice_roles(g.mask_of(wit), len(wit) - 1)
-    checked, violation = kernels.scan_range(masks, range(n), 0, *roles, 0, 1 << n)
+    checked, violation = kernels.scan_range(masks, range(n), 0, *roles)
     naive = oracles.nice_violation(g.vertices, g.edges, wit)
     if naive is None:
         assert violation is None and checked == 1 << n
     else:
         subset, condition, observed, required = naive
         assert violation is not None
-        pos, u_mask, code, delta, bound = violation
+        u_mask, code, delta, bound = violation
         assert g.labels_of_mask(u_mask) == subset
         assert {1: "Cond1", 2: "Cond2"}[code] == condition
         assert (delta, bound) == (observed, required)
-        assert checked == pos + 1
+        # free positions are every vertex, so scan index i is subset mask i
+        assert checked == u_mask + 1

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -104,18 +105,10 @@ def test_verify_nice_matches_naive(seed):
         assert (cx.observed_delta, cx.required_bound) == (observed, required)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 7])
-def test_worker_invariance_exhaustive(workers):
-    assert verify_nice(f14(), workers=workers) == verify_nice(f14())
-    assert verify_nice(linear_three_cycle(), workers=workers) == verify_nice(
-        linear_three_cycle()
-    )
-
-
-def test_sampling_is_deterministic_and_worker_invariant():
+def test_sampling_is_deterministic():
     cfg = f14()
     a = sample_nice(cfg, samples=4000, seed=5)
-    b = sample_nice(cfg, samples=4000, seed=5, workers=4)
+    b = sample_nice(cfg, samples=4000, seed=5)
     assert a == b
     assert a.verdict == SAMPLED_NO_VIOLATION
     assert a.seed == 5
@@ -210,7 +203,7 @@ def test_forged_violation_is_rechecked(monkeypatch, delta, bound):
     full = f14().graph.full_mask()
 
     def forged(*args):
-        return 1, (0, full, 1, delta, bound)
+        return 1, (full, 1, delta, bound)
 
     monkeypatch.setattr(kernels, "scan_range", forged)
     with pytest.raises(HypergraphError, match="false violation"):
@@ -277,10 +270,34 @@ def test_tower_bounds_sampled_requires_seed():
         verify_tower_bounds(cfg, exhaustive=False, seed=1)
 
 
+def test_tower_bounds_exhaustive_takes_no_samples():
+    # exhaustive is the default: samples given with it would be ignored
+    with pytest.raises(HypergraphError, match="exhaustive mode takes no samples"):
+        verify_tower_bounds(geometric_tower(f14(), 0), samples=100, seed=1)
+
+
+def test_sampled_niceness_requires_seed():
+    with pytest.raises(HypergraphError, match="needs a seed"):
+        sample_nice(f14(), samples=10, seed=None)
+
+
+def test_repeated_witness_label_is_rejected():
+    # four distinct vertices counted as five would pass the size check
+    wit = ("w4", "w4", "wp1", "wp2", "wp3")
+    with pytest.raises(HypergraphError, match="witness repeats label 'w4'"):
+        verify_nice(f14(), wit)
+    with pytest.raises(HypergraphError, match="witness repeats label 'w4'"):
+        sample_nice(f14(), wit, samples=100, seed=1)
+    cfg = f14()
+    doubled = dataclasses.replace(cfg, roles={**cfg.roles, "A": wit})
+    with pytest.raises(HypergraphError, match="witness repeats label 'w4'"):
+        verify_nice(doubled)
+
+
 def test_tower_bounds_sampled_deterministic():
     cfg = geometric_tower(f14(), 1)
     a = verify_tower_bounds(cfg, exhaustive=False, samples=5000, seed=9)
-    b = verify_tower_bounds(cfg, exhaustive=False, samples=5000, seed=9, workers=3)
+    b = verify_tower_bounds(cfg, exhaustive=False, samples=5000, seed=9)
     assert a == b
     assert a.verdict == SAMPLED_NO_VIOLATION
 
