@@ -141,6 +141,8 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
         config = _load_config(args.input)
     if sampled and args.seed is None:
         raise HypergraphError("--samples requires --seed")
+    if not sampled and args.seed is not None:
+        raise HypergraphError("--seed requires --samples")
     if args.verify_cmd == "gl-props":
         result = verify_tower_bounds(
             config, exhaustive=not sampled, samples=args.samples, seed=args.seed
@@ -313,6 +315,7 @@ def _cmd_search(args) -> tuple[dict, int]:
         "embeddings": result.embeddings,
         "copies": result.copies,
         "induced": args.induced,
+        "nodes_explored": result.nodes_explored,
     }
     return report, EXIT_OK
 

@@ -1,10 +1,17 @@
-"""Brute-force oracles: configuration search and copy counting.
+"""Exact search: configuration search and copy counting.
 
-These exist to be trusted, not fast. `find_configuration` decides whether
-some e edges span at most v vertices by DFS over edge subsets in
-lexicographic index order with exact pruning, so its witness equals the
-one the unpruned scan (`find_configuration_unpruned`) returns.
-`count_copies` enumerates injective edge-onto-edge vertex maps.
+`find_configuration` decides whether some e edges span at most v vertices
+by a DFS over edge subsets in lexicographic index order with exact
+pruning, so its witness equals the one the unpruned scan
+(`find_configuration_unpruned`) returns. The DFS walks one depth at a
+time: each depth scans its candidate edges in index order and goes down
+at the first one that keeps the span within v, and resumes one past it
+on backtracking. `nodes_explored` counts every candidate tried, pruned or
+not: idx - lo + 1 when a depth goes down at idx, and the rest of the
+depth's range when it is used up.
+
+`count_copies` enumerates injective edge-onto-edge vertex maps;
+its `nodes_explored` counts the partial maps it visits.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ class SearchResult:
 class CopyCount:
     embeddings: int
     copies: int
+    nodes_explored: int
 
 
 def _search_guard(graph: Hypergraph) -> None:
@@ -51,28 +59,42 @@ def _witness_from_masks(graph: Hypergraph, picked: tuple[int, ...]):
 
 
 def _dfs(graph: Hypergraph, v: int, e: int):
-    """First e-subset (lex order) spanning <= v."""
+    """First e-subset (lex order) spanning <= v, for 1 <= e <= edge count.
+
+    Depth d picks the (d+1)-th edge from idx in [lo, hi): lo is one past
+    the edge picked at depth d-1 (0 at the root), hi is m at the root and
+    m - e + d + 1 below it, so that e - d - 1 later edges remain. A loop,
+    not recursion: e may be as large as the guard's 1,140-edge hosts.
+    """
     masks = graph.edge_masks
     m = len(masks)
+    spans = [0] * e
+    picked = [0] * e
     nodes = 0
-    stack: list[tuple[int, int, tuple[int, ...]]] = []
-    for root in range(m - 1, -1, -1):
-        stack.append((root, 0, ()))
-    while stack:
-        idx, span, picked = stack.pop()
-        nodes += 1
-        new_span = span | masks[idx]
-        if new_span.bit_count() > v:
+    d, lo, hi = 0, 0, m
+    while True:
+        span = spans[d]
+        for idx in range(lo, hi):
+            new_span = span | masks[idx]
+            if new_span.bit_count() <= v:
+                break
+        else:
+            # every candidate at this depth tried and pruned: back up one;
+            # a root past m - e + 1 leaves depth 1 with lo > hi
+            nodes += max(hi - lo, 0)
+            if d == 0:
+                return (None, nodes)
+            d -= 1
+            lo = picked[d] + 1
+            hi = m if d == 0 else m - e + d + 1
             continue
-        new_picked = picked + (idx,)
-        if len(new_picked) == e:
-            return (new_picked, new_span, nodes)
-        remaining_needed = e - len(new_picked)
-        # later edges are idx+1..m-1; need at least remaining_needed of them
-        last_start = m - remaining_needed
-        for nxt in range(min(last_start, m - 1), idx, -1):
-            stack.append((nxt, new_span, new_picked))
-    return (None, 0, nodes)
+        nodes += idx - lo + 1
+        picked[d] = idx
+        d += 1
+        if d == e:
+            return (tuple(picked), nodes)
+        spans[d] = new_span
+        lo, hi = idx + 1, m - e + d + 1
 
 
 def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
@@ -89,7 +111,7 @@ def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
     m = graph.edge_count
     if e > m:
         return SearchResult(False, None, 0)
-    picked, _, nodes = _dfs(graph, v, e)
+    picked, nodes = _dfs(graph, v, e)
     if picked is None:
         return SearchResult(False, None, nodes)
     return SearchResult(True, _witness_from_masks(graph, picked), nodes)
@@ -141,6 +163,8 @@ def count_copies(
     `embeddings` counts the maps; `copies` counts distinct edge-set images,
     so embeddings = copies * |Aut(pattern)|. With `induced`, only maps
     whose vertex image induces no host edges beyond the image are counted.
+    `nodes_explored` counts the partial maps visited, the empty and the
+    complete ones included.
     """
     if host.r != pattern.r:
         raise HypergraphError(
@@ -167,13 +191,15 @@ def count_copies(
         ready[max(pos[u] for u in edge)].append(edge)
 
     embeddings = 0
+    nodes = 0
     images: set[frozenset] = set()
     assignment: dict[str, str] = {}
     used: set[str] = set()
     host_vertices = host.vertices
 
     def place(i: int) -> None:
-        nonlocal embeddings
+        nonlocal embeddings, nodes
+        nodes += 1
         if i == len(order):
             edge_image = frozenset(
                 tuple(sorted(assignment[u] for u in edge)) for edge in pattern.edges
@@ -204,4 +230,4 @@ def count_copies(
         assignment.pop(u, None)
 
     place(0)
-    return CopyCount(embeddings=embeddings, copies=len(images))
+    return CopyCount(embeddings=embeddings, copies=len(images), nodes_explored=nodes)

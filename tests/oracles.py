@@ -164,6 +164,36 @@ def find_configuration(edges, v, e):
     return False, None
 
 
+def search_nodes(edges, v, e):
+    """The pruned configuration DFS as an explicit stack of (idx, span, picked).
+
+    Every popped entry is one node, pruned or not. The roots are every
+    edge; below a node holding d edges, the children are the later edges
+    that still leave e - d - 1 edges after them. Returns (found, picked
+    edges, nodes), the first e-subset in lex index order spanning <= v.
+    """
+    if e == 0:
+        return True, (), 0
+    m = len(edges)
+    if e > m:
+        return False, None, 0
+    nodes = 0
+    stack = [(root, frozenset(), ()) for root in range(m - 1, -1, -1)]
+    while stack:
+        idx, span, picked = stack.pop()
+        nodes += 1
+        new_span = span | set(edges[idx])
+        if len(new_span) > v:
+            continue
+        new_picked = picked + (idx,)
+        if len(new_picked) == e:
+            return True, tuple(edges[i] for i in new_picked), nodes
+        last_start = m - (e - len(new_picked))
+        for nxt in range(min(last_start, m - 1), idx, -1):
+            stack.append((nxt, new_span, new_picked))
+    return False, None, nodes
+
+
 def count_embeddings(host_vertices, host_edges, pat_vertices, pat_edges):
     """Injective edge-preserving maps, by scanning every injection."""
     host_set = {frozenset(e) for e in host_edges}

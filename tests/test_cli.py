@@ -141,6 +141,22 @@ def test_verify_nice_sampled_needs_seed(capsys, f14_file):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_seed_without_samples_exits_one(capsys, f14_file, tmp_path):
+    g0 = str(tmp_path / "g0.json")
+    assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
+    for argv in (
+        ["verify", "nice", "--input", f14_file, "--seed", "3"],
+        ["verify", "nice", "--input", f14_file, "--exhaustive", "--seed", "3"],
+        ["verify", "gl-props", "--input", g0, "--seed", "3"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if ": error:" in line]
+        assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
+        assert "--seed requires --samples" in lines[0]
+
+
 def test_verify_nice_sampled(capsys, f14_file):
     code, report = run(
         capsys, "verify", "nice", "--input", f14_file,
@@ -495,6 +511,7 @@ def test_search_copies(capsys, tmp_path, cycle_file):
     assert code == 0
     assert report["copies"] == 120
     assert report["embeddings"] == 720
+    assert report["nodes_explored"] == 1957
 
 
 @pytest.mark.parametrize(

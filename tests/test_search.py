@@ -21,6 +21,39 @@ def complete_3graph(n):
     return Hypergraph(3, verts, list(itertools.combinations(verts, 3)))
 
 
+@st.composite
+def small_hosts(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(min_value=r, max_value=12))
+    labels = draw(st.permutations([f"t{i}" for i in range(n)]))
+    pool = list(itertools.combinations(labels, r))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=30, unique=True))
+    return Hypergraph(r, labels, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_hosts(), st.data())
+def test_nodes_explored_matches_stack_dfs(g, data):
+    e = data.draw(st.integers(min_value=0, max_value=7))
+    v = data.draw(st.integers(min_value=0, max_value=g.vertex_count))
+    found, picked, nodes = oracles.search_nodes(g.edges, v, e)
+    result = find_configuration(g, v, e)
+    assert (result.found, result.nodes_explored) == (found, nodes)
+    if found:
+        spanned = {u for edge in picked for u in edge}
+        assert result.witness == (tuple(u for u in g.vertices if u in spanned), picked)
+    else:
+        assert result.witness is None
+
+
+def test_search_deeper_than_recursion_limit():
+    k20 = complete_3graph(20)
+    assert k20.edge_count == 1140
+    result = find_configuration(k20, 20, 1140)
+    assert result.found and result.nodes_explored == 1140
+    assert result.witness == (k20.vertices, k20.edges)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=0, max_value=99_999),
@@ -102,6 +135,7 @@ def test_cycle_copies_in_complete_hosts():
     in_k6 = count_copies(complete_3graph(6), cycle)
     assert in_k6.copies == 120
     assert in_k6.embeddings == 720
+    assert in_k6.nodes_explored == 1957
     in_k7 = count_copies(complete_3graph(7), cycle)
     assert in_k7.copies == 840
 
@@ -120,6 +154,7 @@ def test_empty_pattern_counts():
     result = count_copies(host, pattern)
     assert result.embeddings == 12  # ordered pairs of 4 vertices
     assert result.copies == 1  # a single empty edge image
+    assert result.nodes_explored == 1 + 4 + 12  # partial maps of 0, 1, 2 vertices
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,7 +218,13 @@ def test_uniformity_mismatch_rejected():
 
 
 def test_nodes_explored_reported():
-    g = f14().graph
-    result = find_configuration(g, 3, 2)  # impossible: two edges span >= 4
-    assert not result.found
-    assert result.nodes_explored > 0
+    f14_host, k8 = f14().graph, complete_3graph(8)
+    for g, v, e, found, nodes in (
+        (f14_host, 3, 2, False, 55),  # two edges span >= 4: every pair is tried
+        (f14_host, 8, 5, False, 243),
+        (f14_host, 9, 5, True, 23),
+        (k8, 4, 4, True, 22),
+        (k8, 4, 5, False, 14579),
+    ):
+        result = find_configuration(g, v, e)
+        assert (result.found, result.nodes_explored) == (found, nodes)
