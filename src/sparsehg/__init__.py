@@ -1,8 +1,8 @@
 """Sparse 3-uniform hypergraph families, subset-density checks, and oracles.
 
-The names of sparsehg.niceness are re-exported lazily: that module imports
-numpy, which only the subset scans use, so the package and every command
-that does not scan subsets start without it.
+The names of sparsehg.niceness are re-exported lazily, on first access, so
+the package and every command that does not check subsets start without
+loading the checker; numpy is imported only by the sampled checks.
 """
 
 import importlib

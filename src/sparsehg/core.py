@@ -6,7 +6,8 @@ recursive builders rely on anchor vertices keeping their positions across
 rebuilds. Edges carry two representations: sorted label tuples (the
 interchange form) and bitmasks over the vertex order (the computation form).
 Masks are plain Python integers, so hosts with more than 64 vertices work
-unchanged; the subset kernels check them as arrays of 64-bit words.
+unchanged; the subset kernels check them as bit-sliced lanes, one Python int
+per vertex with one bit per subset.
 """
 
 from __future__ import annotations

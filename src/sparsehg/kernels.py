@@ -1,44 +1,69 @@
 """Subset-check kernels: one bound checker for every check in the package.
 
-A subset U with difference d = |U| - e(U) is checked against three bounds,
-stated over the role masks X (`x_mask`), A_ell (`aell_mask`), xy
-(`xy_mask`) and G (`gl_mask`):
+A subset U is checked against three bounds, stated over the role masks X
+(`x_mask`), A_ell (`aell_mask`), xy (`xy_mask`) and G (`gl_mask`). With
+P = |U \\ A_ell|, E = e(U), AU = |U ∩ A_ell| and XU = |U ∩ X|, the
+difference of U is d = P + AU - E, and U violates
 
-1. d >= |U ∩ A_ell| - [xy ⊆ U];
-2. d >= |U ∩ A_ell| + 1 when |U ∩ X| <= k - 2 and U leaves A_ell;
-3. d >= k + ell when |U ∩ X| >= k - 1 and U meets G outside X.
+1. d >= AU - [xy ⊆ U]           when P + [xy ⊆ U] < E;
+2. d >= AU + 1                  when XU <= k - 2, P != 0 and P <= E;
+3. d >= k + ell                 when XU >= k - 1, U meets G \\ X and
+                                P + AU < E + k + ell.
 
 These are Items 1-3 of the tower bounds. Niceness of a witness A is the
 same check with X = A_ell = xy = A, G empty, k + 1 in place of k and
 ell = 0: Item 1 is then Cond1, Item 2 is Cond2, and Item 3 never fires.
 
-Every host width runs the same numpy code. A batch of subsets is a
-(words, batch) uint64 array with words = max(1, ceil(n / 64)), word-major
-so that each word row is contiguous; role masks are (words, 1) columns,
-popcounts sum over axis 0, and each edge is tested only on the words it
-touches. A host of at most 64 vertices is the one-word case.
+The checker is bit-sliced. A batch of subsets is a list of lanes, one
+Python int per vertex: bit i of vertex j's lane says whether subset i of
+the batch holds vertex j. The lane of an edge is the AND of its vertices'
+lanes, so it says which subsets the edge lies inside. A count over the
+batch is a list of bit planes, plane b holding bit b of every subset's
+count; a carry-save adder tree sums lanes into planes, and each condition
+above is a ripple-borrow comparison of planes, one machine word testing 64
+subsets. The first violation is the lowest set bit of the OR of the three
+conditions; its difference and bound are recomputed for that one subset.
+A batch holds about `_LANE_BITS` lane bits (vertices times subsets)
+whatever the host width.
+
+Each kernel builds its lanes its own way. `scan_range` takes fixed
+periodic bit patterns for the low bits of the scan index and all-ones or
+all-zero lanes for the high ones; `check_masks` sets each mask's bits into
+one bytearray per vertex; `sample_scan` draws whole subsets and transposes
+each 64 x 64 bit block of them with six delta swaps. Only `sample_scan`
+and the stratified draws of sparsehg.niceness use numpy, and they import
+it when called, so exhaustive checks run without it.
 
 The sampling stream is splitmix64: word w of sample i is
-mix64(seed + (i * words + w + 1) * GAMMA), a pure function of (seed, i).
+mix64(seed + (i * words + w + 1) * GAMMA), words = max(1, ceil(n / 64)),
+a pure function of (seed, i).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+import itertools
+from functools import reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
-# uint64 words per batch: a batch holds _BATCH // words subsets
-_BATCH = 1 << 15
-
-_U64 = np.uint64
-_C1 = _U64(0x5555555555555555)
-_C2 = _U64(0x3333333333333333)
-_C4 = _U64(0x0F0F0F0F0F0F0F0F)
-_CM = _U64(0x0101010101010101)
+# lane bits per batch, vertices times subsets: about 512 KB of lanes, so a
+# batch on an F_8-sized host is as small as one on f14
+_LANE_BITS = 1 << 22
+# stream draws the stratified pass computes at a time
+_DRAW_BLOCK = 1 << 14
+# (shift, mask) of each delta swap of a 64 x 64 bit transpose: swap the
+# bits whose row and column differ in the shift's bit
+_SWAPS = (
+    (32, 0x00000000FFFFFFFF),
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+)
 
 # A violation is (u_mask, code, delta, bound); code is the violated bound's
 # number.
@@ -51,97 +76,140 @@ ScanResult = tuple[int, Optional[Violation]]
 # a kernel or the stratified pass of sparsehg.niceness.
 
 
-def _mix_vec(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a fresh uint64 array, in place."""
-    z ^= z >> _U64(30)
-    z *= _U64(0xBF58476D1CE4E5B9)
-    z ^= z >> _U64(27)
-    z *= _U64(0x94D049BB133111EB)
-    z ^= z >> _U64(31)
-    return z
+def _width(n: int) -> int:
+    """Subsets per batch on a host of n vertices: a multiple of 64."""
+    return max(64, _LANE_BITS // max(n, 1) // 64 * 64)
 
 
-def _popcount(u: np.ndarray) -> np.ndarray:
-    """Bits set in each column of a (words, batch) array, as int64."""
-    x = u - ((u >> _U64(1)) & _C1)
-    x = (x & _C2) + ((x >> _U64(2)) & _C2)
-    x += x >> _U64(4)
-    x &= _C4
-    x *= _CM
-    x >>= _U64(56)
-    return x.sum(axis=0).view(np.int64)
+def _positions(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _column(mask: int, words: int) -> np.ndarray:
-    """`mask` as a (words, 1) uint64 column, word 0 first."""
-    raw = np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
-    return raw.astype(np.uint64).reshape(words, 1)
+def _count(lanes: Iterable[int]) -> list[int]:
+    """Bit planes of the lane-wise count of set bits over `lanes`, low plane
+    first. A carry-save adder tree: weight w keeps a running sum plane and
+    at most one pending plane, and a third plane of that weight turns the
+    three into a new sum and a carry to weight w + 1. All-zero lanes and
+    carries add nothing and are skipped."""
+    acc: list[int] = []
+    pend: list[int] = []
+    for x in lanes:
+        w = 0
+        while x:
+            if w == len(acc):
+                acc.append(x)
+                pend.append(0)
+                break
+            p = pend[w]
+            if not p:
+                pend[w] = x
+                break
+            a = acc[w]
+            t = a ^ p
+            acc[w], pend[w] = t ^ x, 0
+            x = (a & p) | (t & x)
+            w += 1
+    planes, carry = [], 0
+    for a, p in zip(acc, pend):
+        t = a ^ p
+        planes.append(t ^ carry)
+        carry = (a & p) | (t & carry)
+    if carry:
+        planes.append(carry)
+    return planes
 
 
-def _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -> ScanResult:
-    """Check batches in order, each a (words, batch) uint64 array with one
-    subset per column; stops at the first violation."""
-    # each edge as the (word, bits) pairs it touches; an edge reaching past
-    # the last word lies in no subset and never counts
-    edges = []
-    for m in edge_masks:
-        span = (m.bit_length() + 63) // 64
-        if span <= words:
-            edges.append([(w, _U64(b)) for w in range(span) if (b := (m >> (64 * w)) & MASK64)])
-    x, aell, xy = (_column(m, words) for m in (x_mask, aell_mask, xy_mask))
-    not_aell = ~aell
-    # niceness passes x == aell and no G outside x; skipping the lanes that
-    # cannot differ or fire saves a popcount and a mask test per subset
-    same_x = x_mask == aell_mask
-    glx = _column(gl_mask & ~x_mask, words) if gl_mask & ~x_mask else None
+def _planes(value: int, ones: int) -> list[int]:
+    """The constant `value` >= 0 in every lane of `ones`."""
+    return [ones if value >> b & 1 else 0 for b in range(value.bit_length())]
 
-    def first_violation(u):
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """Planes of the lane-wise sum a + b, by ripple carry."""
+    out, carry = [], 0
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        t = x ^ y
+        out.append(t ^ carry)
+        carry = (x & y) | (t & carry)
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _less(a: list[int], b: list[int], borrow: int, ones: int) -> int:
+    """Lanes where a < b + borrow, `borrow` being one bit per lane: the borrow
+    out of a - b - borrow. Each step's borrow is the majority of ~x, y and
+    the incoming borrow."""
+    for i in range(max(len(a), len(b))):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        borrow = y ^ ((x ^ y ^ ones) & (y ^ borrow))
+    return borrow
+
+
+def _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -> ScanResult:
+    """Check batches in order, each (lanes, width): n lanes of `width`
+    subsets; stops at the first violation."""
+    # an edge with a vertex outside the n lanes lies in no subset
+    edges = [_positions(m) for m in edge_masks if not m >> n]
+    aell = [j for j in _positions(aell_mask) if j < n]
+    in_aell = set(aell)
+    outside = [j for j in range(n) if j not in in_aell]
+    xs = [j for j in _positions(x_mask) if j < n]
+    xy = _positions(xy_mask)
+    glx = [j for j in _positions(gl_mask & ~x_mask) if j < n]
+    # Item 3 compares P + AU + lift with E + k + ell - lift, both sides >= 0
+    lift = max(0, -(k + ell))
+
+    def first_violation(lanes, ones):
         # a function of its own, so that a batch's temporaries are freed
-        # before the next batch is drawn
-        rows = list(u)
-        d = _popcount(u)
-        for (w, b), *rest in edges:
-            hit = (rows[w] & b) == b
-            for w, b in rest:
-                hit &= (rows[w] & b) == b
-            d -= hit
-        au = _popcount(u & aell)
-        xu = au if same_x else _popcount(u & x)
-        bound1 = au - ((u & xy) == xy).all(axis=0)
-        v1 = d < bound1
-        v2 = (xu <= k - 2) & (u & not_aell).any(axis=0) & (d < au + 1)
-        bad = v1 | v2
-        if glx is not None:
-            bad |= (xu >= k - 1) & (u & glx).any(axis=0) & (d < k + ell)
-        bad = np.flatnonzero(bad)
-        if len(bad) == 0:
-            return None
-        i = int(bad[0])
-        code, bound = (1, bound1[i]) if v1[i] else (2, au[i] + 1) if v2[i] else (3, k + ell)
-        return i, code, int(d[i]), int(bound)
+        # before the next batch is built
+        lane = lanes.__getitem__
+        e = _count(reduce(and_, map(lane, edge)) for edge in edges)
+        p = _count(map(lane, outside))
+        au = _count(map(lane, aell))
+        xu = au if x_mask == aell_mask else _count(map(lane, xs))
+        holds_xy = 0 if xy and xy[-1] >= n else reduce(and_, map(lane, xy), ones)
+        bad = _less(_add(p, [holds_xy]), e, 0, ones)
+        few_x = _less(xu, _planes(k - 1, ones), 0, ones) if k > 1 else 0
+        if few_x:
+            bad |= few_x & reduce(or_, p, 0) & _less(p, e, ones, ones)
+        if glx:
+            meets = reduce(or_, map(lane, glx))
+            s = _add(_add(p, au), _planes(lift, ones))
+            r = _add(e, _planes(k + ell + lift, ones))
+            bad |= (few_x ^ ones) & meets & _less(s, r, 0, ones)
+        return (bad & -bad).bit_length() - 1
+
+    def violation(i, lanes):
+        # subset i of the batch, rechecked one bound at a time
+        u = sum(1 << j for j in range(n) if lanes[j] >> i & 1)
+        au, xu = (u & aell_mask).bit_count(), (u & x_mask).bit_count()
+        delta = u.bit_count() - sum(1 for m in edge_masks if m & u == m)
+        bound1 = au - (u & xy_mask == xy_mask)
+        if delta < bound1:
+            return u, 1, delta, bound1
+        if xu <= k - 2 and u & ~aell_mask and delta <= au:
+            return u, 2, delta, au + 1
+        if xu >= k - 1 and u & gl_mask & ~x_mask and delta < k + ell:
+            return u, 3, delta, k + ell
+        raise RuntimeError(f"bit-sliced check flagged subset {u:#x}, which meets every bound")
 
     checked = 0
-    for u in batches:
-        hit = first_violation(u)
-        if hit is not None:
-            i, code, delta, bound = hit
-            u_mask = int.from_bytes(u[:, i].astype("<u8").tobytes(), "little")
-            return (checked + i + 1, (u_mask, code, delta, bound))
-        checked += u.shape[1]
+    for lanes, width in batches:
+        i = first_violation(lanes, (1 << width) - 1)
+        if i >= 0:
+            return (checked + i + 1, violation(i, lanes))
+        checked += width
     return (checked, None)
-
-
-def _runs(free_positions: Sequence[int]) -> list[tuple]:
-    """(word, bit, low mask, shift) for each maximal run of consecutive
-    positions within one word: scattering scan index i onto the free
-    positions moves each run of bits as one block, not bit by bit."""
-    runs: list[list[int]] = []
-    for b, p in enumerate(free_positions):
-        if runs and runs[-1][1] + runs[-1][2] == p and p % 64:
-            runs[-1][2] += 1
-        else:
-            runs.append([b, p, 1])
-    return [(p // 64, _U64(b), _U64((1 << n) - 1), _U64(p % 64)) for b, p, n in runs]
 
 
 def scan_range(
@@ -158,40 +226,51 @@ def scan_range(
     """Exhaustive scan over U = base_mask | scatter(i, free_positions), i in
     [0, 2^len(free_positions))."""
     roles = (x_mask, aell_mask, xy_mask, gl_mask)
-    n = max(max(free_positions, default=-1) + 1, *(m.bit_length() for m in (base_mask, *roles)))
-    words = max(1, (n + 63) // 64)
-    base = _column(base_mask, words)
-    runs = _runs(free_positions)
-    total, step = 1 << len(free_positions), max(1, _BATCH // words)
+    free = list(free_positions)
+    n = max(max(free, default=-1) + 1, *(m.bit_length() for m in (base_mask, *roles)))
+    # scan index bits below `low` vary inside a batch, the rest between
+    # batches; batch subset i has index bit t set in runs of 2^t lanes
+    low = min(len(free), _width(n).bit_length() - 1)
+    width = 1 << low
+    ones = (1 << width) - 1
+    base = [ones if base_mask >> j & 1 else 0 for j in range(n)]
+    lanes = list(base)
+    for t, j in enumerate(free[:low]):
+        run = 1 << t
+        pattern, period = ((1 << run) - 1) << run, 2 * run
+        while period < width:
+            pattern |= pattern << period
+            period *= 2
+        lanes[j] |= pattern
 
     def batches():
-        for pos in range(0, total, step):
-            i_arr = np.arange(pos, min(pos + step, total), dtype=np.uint64)
-            u = np.repeat(base, len(i_arr), axis=1)
-            for w, b, low, shift in runs:
-                u[w] |= ((i_arr >> b) & low) << shift
-            yield u
+        for pos in range(0, 1 << len(free), width):
+            for t, j in enumerate(free[low:], low):
+                lanes[j] = base[j] | (ones if pos >> t & 1 else 0)
+            yield lanes, width
 
-    return _scan(edge_masks, words, *roles, k, ell, batches())
+    return _scan(edge_masks, n, *roles, k, ell, batches())
 
 
 def check_masks(
     edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, masks
 ) -> ScanResult:
-    """Check an explicit list of subset masks, in order."""
-    words = max(1, (n + 63) // 64)
-    size, step = 8 * words, max(1, _BATCH // words)
+    """Check an explicit list of subset masks over n vertices, in order."""
+    width, full = _width(n), (1 << n) - 1
 
     def batches():
-        for lo in range(0, len(masks), step):
-            count = min(step, len(masks) - lo)
-            raw = bytearray(size * count)
-            for j in range(count):
-                raw[j * size : (j + 1) * size] = masks[lo + j].to_bytes(size, "little")
-            u = np.frombuffer(raw, dtype="<u8").reshape(count, words).T
-            yield np.ascontiguousarray(u, dtype=np.uint64)
+        for lo in range(0, len(masks), width):
+            count = min(width, len(masks) - lo)
+            rows = [bytearray((count + 7) // 8) for _ in range(n)]
+            for i in range(count):
+                byte, bit, m = i >> 3, 1 << (i & 7), masks[lo + i] & full
+                while m:
+                    j = m.bit_length() - 1
+                    rows[j][byte] |= bit
+                    m ^= 1 << j
+            yield [int.from_bytes(row, "little") for row in rows], count
 
-    return _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
+    return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
 
 
 def sample_scan(
@@ -209,16 +288,78 @@ def sample_scan(
 ) -> ScanResult:
     """Seeded uniform supersets of the y-prefix: draw U, then OR the prefix in."""
     words = max(1, (n + 63) // 64)
-    nmask, ypre = _column((1 << n) - 1, words), _column(yprefix_mask, words)
-    word_no = np.arange(1, words + 1, dtype=np.uint64).reshape(words, 1)
-    step = max(1, _BATCH // words)
+    prefix = [j for j in _positions(yprefix_mask) if j < n]
+    width = _width(n)
 
     def batches():
-        for pos in range(0, samples, step):
-            idx = np.arange(pos, min(pos + step, samples), dtype=np.uint64)
-            u = _mix_vec(_U64(seed & MASK64) + (idx * _U64(words) + word_no) * _U64(GAMMA))
-            u &= nmask
-            u |= ypre
-            yield u
+        for pos in range(0, samples, width):
+            count = min(width, samples - pos)
+            lanes = _transpose(_draw(seed, pos, count, words), n)
+            for j in prefix:
+                lanes[j] = (1 << count) - 1
+            yield lanes, count
 
-    return _scan(edge_masks, words, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
+    return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
+
+
+def _draw(seed: int, start: int, count: int, words: int):
+    """Samples start .. start + count - 1 of the stream, as a (words, count)
+    uint64 array with one sample per column."""
+    import numpy as np
+
+    u64 = np.uint64
+    word_no = np.arange(1, words + 1, dtype=u64).reshape(words, 1)
+    z = np.arange(start, start + count, dtype=u64) * u64(words) + word_no
+    z *= u64(GAMMA)
+    z += u64(seed & MASK64)
+    return _mix_vec(z)
+
+
+def _mix_vec(z):
+    """splitmix64 finalizer over a fresh uint64 array, in place."""
+    u64 = z.dtype.type
+    z ^= z >> u64(30)
+    z *= u64(0xBF58476D1CE4E5B9)
+    z ^= z >> u64(27)
+    z *= u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    return z
+
+
+def _transpose(drawn, n: int) -> list[int]:
+    """Lanes of the first n vertices of a (words, count) uint64 array, one
+    subset per column. The subsets are copied, zero-padded to whole blocks
+    of 64, and each (64 subsets x 64 bits) block of a word row is transposed
+    by delta swaps; `drawn` itself is left as drawn."""
+    import numpy as np
+
+    words, count = drawn.shape
+    blocks = (count + 63) // 64
+    z = np.zeros((words, blocks * 64), dtype=np.uint64)
+    z[:, :count] = drawn
+    del drawn  # the caller's batch is freed here, before the copies below
+    # z[w, r, c] is word w of subset 64c + r: block c is the column z[w, :, c],
+    # so each swap works on rows that are contiguous across all blocks
+    z = np.ascontiguousarray(z.reshape(words, blocks, 64).transpose(0, 2, 1))
+    for shift, mask in _SWAPS:
+        # rows r and r + shift, for r with bit `shift` clear
+        pair = z.reshape(words, 32 // shift, 2, shift, blocks)
+        lo, hi = pair[:, :, 0], pair[:, :, 1]
+        t = ((lo >> np.uint64(shift)) ^ hi) & np.uint64(mask)
+        hi ^= t
+        lo ^= t << np.uint64(shift)
+    # row b of word w now holds bit b of every subset, 64 subsets per block
+    raw = memoryview(z.reshape(words * 64, blocks)[:n].astype("<u8", copy=False).tobytes())
+    size = 8 * blocks
+    return [int.from_bytes(raw[j * size : (j + 1) * size], "little") for j in range(n)]
+
+
+def _draws(seed: int, start: int, modulus: int) -> Iterator[int]:
+    """The splitmix64 stream at indices start, start + 1, ..., each draw
+    reduced mod `modulus`; computed a block at a time."""
+    import numpy as np
+
+    for lo in itertools.count(start, _DRAW_BLOCK):
+        idx = np.arange(lo, lo + _DRAW_BLOCK, dtype=np.uint64)
+        z = _mix_vec(np.uint64(seed & MASK64) + idx * np.uint64(GAMMA))
+        yield from (z % np.uint64(modulus)).tolist()

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import LabeledConfiguration, _tower_shape
@@ -35,8 +33,6 @@ _EXHAUSTIVE_VERTEX_LIMIT = 30
 _WITNESS_VERTEX_LIMIT = 20
 _STRATIFIED_SIZE_LIMIT = 8
 _STRATIFIED_DRAWS = 4096
-# stream draws the stratified pass computes at a time
-_DRAW_BLOCK = 1 << 14
 
 _CONDITION_NAMES = {1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
@@ -199,15 +195,6 @@ def verify_nice(
     return _check_nice(config, witness)
 
 
-def _draws(seed: int, start: int, modulus: int):
-    """The splitmix64 stream at indices start, start + 1, ..., each draw
-    reduced mod `modulus`; computed a block at a time."""
-    for lo in itertools.count(start, _DRAW_BLOCK):
-        idx = np.arange(lo, lo + _DRAW_BLOCK, dtype=np.uint64)
-        z = kernels._mix_vec(np.uint64(seed & kernels.MASK64) + idx * np.uint64(kernels.GAMMA))
-        yield from (z % np.uint64(modulus)).tolist()
-
-
 def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor: int):
     """Small subsets drawn from A and its edge neighbourhood.
 
@@ -225,7 +212,7 @@ def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor
     # witness first, then its edge neighbourhood in canonical order
     pool = list(wit) + [v for v in graph.vertices if v in touched]
     bits = [1 << graph.index_of(v) for v in pool]
-    draws = _draws(seed, cursor + 1, len(pool))
+    draws = kernels._draws(seed, cursor + 1, len(pool))
     masks: list[int] = []
     for size in range(1, min(_STRATIFIED_SIZE_LIMIT, len(pool)) + 1):
         if math.comb(len(pool), size) <= _STRATIFIED_DRAWS:

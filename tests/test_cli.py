@@ -619,6 +619,28 @@ def test_report_digest_stable_across_runs(capsys):
     assert without == without_b
 
 
+def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, tmp_path):
+    # load_s and check_s sit under "timings" next to wall_s, which the
+    # digest drops: the digest is that of the report without them
+    g0 = str(tmp_path / "g0.json")
+    assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
+    for argv in (
+        ["verify", "nice", "--input", f14_file],
+        ["verify", "nice", "--input", f14_file, "--samples", "100", "--seed", "1"],
+        ["verify", "gl-props", "--input", g0],
+        ["verify", "claim63"],
+    ):
+        code, report = run(capsys, *argv)
+        assert code == 0
+        timings = report["timings"]
+        assert set(timings) == {"load_s", "check_s", "wall_s"}
+        assert 0 <= timings["load_s"] + timings["check_s"] <= timings["wall_s"] + 1e-5
+        digest = report.pop("report_sha256")
+        assert digest == jsonio.report_digest({k: v for k, v in report.items() if k != "timings"})
+        report["timings"] = {"wall_s": 0.0}
+        assert digest == jsonio.report_digest(report)
+
+
 def test_console_script_entry_point():
     # the child imports the same sparsehg as this process, installed or not
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))

@@ -1,5 +1,6 @@
-"""What importing the package costs: numpy is loaded only by the commands
-that scan subsets, no scan loads a thread pool, and the lazily re-exported
+"""What importing the package costs: numpy is loaded only by the sampled
+subset scans, exhaustive verification runs where numpy cannot be
+imported at all, no scan loads a thread pool, and the lazily re-exported
 niceness names still behave like ordinary package attributes."""
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import subprocess
 import sys
 
 import sparsehg
+import sparsehg.cli as cli
 
 # Runs in a fresh interpreter: each CLI call in turn, then whether numpy has
 # been imported so far; after the last call, also whether the thread pool
@@ -19,12 +21,17 @@ import contextlib, io, json, os, sys
 import sparsehg.cli as cli
 
 f14 = os.path.join(sys.argv[1], "f14.json")
+g0 = os.path.join(sys.argv[1], "g0.json")
 calls = [
     ["build", "f14", "-o", f14],
+    ["build", "g-ell", "--ell", "0", "-o", g0],
     ["ramsey", "qquad", "--p", "8"],
     ["search", "config", "--input", f14, "--v", "7", "--e", "3"],
     ["extract", "--ell", "1", "--t", "1"],
     ["verify", "nice", "--input", f14],
+    ["verify", "claim63"],
+    ["verify", "gl-props", "--input", g0],
+    ["verify", "nice", "--input", f14, "--samples", "100", "--seed", "1"],
 ]
 seen = [["import sparsehg.cli", None, "numpy" in sys.modules]]
 for argv in calls:
@@ -36,22 +43,75 @@ print(json.dumps(seen))
 """
 
 
-def test_only_subset_scans_import_numpy(tmp_path):
+def _child(script, *args):
+    """Run `script` in a fresh interpreter that imports this sparsehg."""
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
+    return json.loads(proc.stdout)
+
+
+def test_only_subset_scans_import_numpy(tmp_path):
+    assert _child(_CHILD, str(tmp_path)) == [
         ["import sparsehg.cli", None, False],
         ["build f14", 0, False],
+        ["build g-ell", 0, False],
         ["ramsey qquad", 0, False],
         ["search config", 0, False],
         ["extract", 0, False],
+        ["verify nice", 0, False],
+        ["verify claim63", 0, False],
+        ["verify gl-props", 0, False],
         ["verify nice", 0, True, False],
     ]
+
+
+# Runs in a fresh interpreter where `import numpy` raises ImportError: each
+# CLI call in turn, printing its exit code and report.
+_NO_NUMPY_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import sparsehg.cli as cli
+
+try:
+    import numpy
+except ImportError:
+    pass
+else:
+    raise SystemExit("numpy is importable")
+seen = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    seen.append([code, json.loads(out.getvalue())])
+print(json.dumps(seen))
+"""
+
+
+def test_exhaustive_verification_runs_without_numpy(tmp_path, capsys):
+    f14, g0 = str(tmp_path / "f14.json"), str(tmp_path / "g0.json")
+    assert cli.main(["build", "f14", "-o", f14]) == 0
+    assert cli.main(["build", "g-ell", "--ell", "0", "-o", g0]) == 0
+    calls = [
+        ["verify", "nice", "--input", f14],
+        ["verify", "claim63"],
+        ["verify", "gl-props", "--input", g0],
+    ]
+    capsys.readouterr()
+    expected = []
+    for argv in calls:
+        code = cli.main(argv)
+        expected.append([code, json.loads(capsys.readouterr().out)])
+    blocked = _child(_NO_NUMPY_CHILD, json.dumps(calls))
+    for (code, report), (want_code, want) in zip(blocked, expected, strict=True):
+        assert code == want_code == 0
+        assert report.pop("timings").keys() == want.pop("timings").keys()
+        assert report == want
 
 
 def test_every_exported_name_resolves_and_is_listed():

@@ -1,11 +1,12 @@
-"""The subset-check kernels: results must not depend on how many 64-bit
-words hold a subset, the sample stream must be a pure function of
-(seed, index) and match an independent splitmix64 draw at every host
-width, and niceness run through the tower checker must match the naive
-oracle."""
+"""The subset-check kernels: results must not depend on where a host's
+vertices sit in the mask or on how many subsets a batch of lanes holds,
+the sample stream must be a pure function of (seed, index) and match an
+independent splitmix64 draw at every host width and sample count, and the
+bit-sliced checker must match the naive niceness and tower oracles."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -55,9 +56,8 @@ def test_stream_is_pure_function_of_seed_and_index():
     st.integers(min_value=0, max_value=140),
 )
 def test_results_do_not_depend_on_word_count(seed, nice, offset):
-    # the same host twice: as drawn (one word), and moved up by `offset`
-    # bit positions in a host padded with isolated vertices (up to four
-    # words, with runs of free positions crossing word boundaries); the
+    # the same host twice: as drawn, and moved up by `offset` bit positions
+    # in a host padded with isolated vertices (up to 216 lanes); the
     # results agree once the violating mask is moved back
     vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
     g = Hypergraph(3, vertices, edges)
@@ -93,8 +93,8 @@ def test_results_do_not_depend_on_word_count(seed, nice, offset):
 
 def test_f14_scan_does_not_depend_on_word_count():
     # the f14 scan twice: on f14 itself, and on f14 padded with 60 isolated
-    # vertices, where a G bit on the last pad vertex makes the scan run two
-    # words; no scanned subset holds that vertex, so Item 3 never fires
+    # vertices, where a G bit on the last pad vertex gives the scan 74 lanes;
+    # no scanned subset holds that vertex, so Item 3 never fires
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
     wide = Hypergraph(3, list(base.vertices) + pad, base.edges)
@@ -116,15 +116,63 @@ def test_sample_stream_matches_independent_draw(n, seed, index):
     # exactly when it holds v, so the scan stops at the first draw holding v.
     # Counter c under seed + index * words * GAMMA is counter
     # c + index * words under seed, so that seed starts the scan at draw
-    # `index` of the seed's stream.
+    # `index` of the seed's stream. Sample counts around one 64-subset
+    # block: a batch padded to whole blocks must count only its draws.
     words = max(1, (n + 63) // 64)
     start = (seed + index * words * kernels.GAMMA) & kernels.MASK64
-    draws = [oracles.splitmix64_draw(seed, index + i, n) for i in range(64)]
-    for v in (0, n // 2, n - 1):
-        checked, vio = kernels.sample_scan([], n, 0, 0, 0, 0, 1 << v, 1, n + 1, 64, start)
-        i = next(i for i, draw in enumerate(draws) if draw >> v & 1)
-        assert checked == i + 1
-        assert vio == (draws[i], 3, draws[i].bit_count(), n + 2)
+    draws = [oracles.splitmix64_draw(seed, index + i, n) for i in range(65)]
+    for samples, v in itertools.product((1, 63, 64, 65), (0, n // 2, n - 1)):
+        result = kernels.sample_scan([], n, 0, 0, 0, 0, 1 << v, 1, n + 1, samples, start)
+        i = next((i for i, draw in enumerate(draws[:samples]) if draw >> v & 1), None)
+        if i is None:
+            assert result == (samples, None)
+        else:
+            assert result == (i + 1, (draws[i], 3, draws[i].bit_count(), n + 2))
+
+
+@pytest.mark.parametrize("n", [14, 130])
+@pytest.mark.parametrize("samples", [1, 63, 65, 100])
+def test_sampled_prefix_fills_only_the_drawn_lanes(n, samples):
+    # the y-prefix is the one edge, A_ell is that edge and xy a vertex
+    # outside it, X and G are empty: Item 1 (P + [xy ⊆ U] < E) fires exactly
+    # on the prefix alone, which a draw rarely is. The lanes that pad a batch
+    # to whole 64-subset blocks are no subsets and must not count, though
+    # the prefix is forced into every subset.
+    prefix = 0b111 << (n // 2)
+    seed = 7
+    result = kernels.sample_scan([prefix], n, prefix, 0, prefix, 1, 0, 1, 0, samples, seed)
+    draws = [oracles.splitmix64_draw(seed, i, n) for i in range(samples)]
+    i = next((i for i, draw in enumerate(draws) if not draw & ~prefix), None)
+    assert result == ((samples, None) if i is None else (i + 1, (prefix, 1, 2, 3)))
+
+
+def _first_draw_holding(n, must, lo, hi):
+    """A seed whose first stream draw holding every vertex of `must` has an
+    index in [lo, hi), with that index."""
+    for seed in itertools.count():
+        draws = (oracles.splitmix64_draw(seed, i, n) for i in range(hi))
+        i = next((i for i, draw in enumerate(draws) if draw & must == must), None)
+        if i is not None and i >= lo:
+            return seed, i
+
+
+@pytest.mark.parametrize("n", [14, 130])
+@pytest.mark.parametrize("lanes", [None, 64])
+def test_sampled_violation_mask_is_the_drawn_subset(n, lanes):
+    # 100 samples, so the last batch is not a whole number of 64-subset
+    # blocks; the first violation is a draw in its second block (index 64 or
+    # later) and must be reported as drawn. X = six vertices, G = one more
+    # vertex v, k = 7, no edges, k + ell = n + 2: Item 3 fires exactly on the
+    # draws holding X and v.
+    x_mask = sum(1 << (j * (n // 6)) for j in range(6))
+    v = n - 1
+    seed, i = _first_draw_holding(n, x_mask | 1 << v, 64, 100)
+    with pytest.MonkeyPatch.context() as mp:
+        if lanes is not None:
+            mp.setattr(kernels, "_LANE_BITS", n * lanes)
+        result = kernels.sample_scan([], n, 0, x_mask, 0, 0, 1 << v, 7, n - 5, 100, seed)
+    draw = oracles.splitmix64_draw(seed, i, n)
+    assert result == (i + 1, (draw, 3, draw.bit_count(), n + 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,3 +195,66 @@ def test_fallback_scan_matches_naive_oracle(seed):
         assert (delta, bound) == (observed, required)
         # free positions are every vertex, so scan index i is subset mask i
         assert checked == u_mask + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=99_999), st.sampled_from([64, 128, 192, 256]))
+def test_small_batches_match_nice_oracle(seed, lanes):
+    # a lane cap of 64-256 subsets per batch: a 12-vertex scan spans up to
+    # 64 batches, with the high free bits constant within each
+    g, wit = _nice_args(seed)
+    masks = list(g.edge_masks)
+    n = g.vertex_count
+    roles = _nice_roles(g.mask_of(wit), len(wit) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_LANE_BITS", max(n, 1) * lanes)
+        checked, violation = kernels.scan_range(masks, range(n), 0, *roles)
+        assert kernels.check_masks(masks, n, *roles, list(range(1 << n))) == (checked, violation)
+    naive = oracles.nice_violation(g.vertices, g.edges, wit)
+    if naive is None:
+        assert violation is None and checked == 1 << n
+    else:
+        subset, condition, observed, required = naive
+        u_mask, code, delta, bound = violation
+        assert g.labels_of_mask(u_mask) == subset
+        assert {1: "Cond1", 2: "Cond2"}[code] == condition
+        assert (delta, bound, checked) == (observed, required, u_mask + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=99_999), st.sampled_from([64, 128, 192, 256]))
+def test_small_batches_match_tower_oracle(seed, lanes):
+    # random roles on a random host, the y-prefix forced into every subset:
+    # the scan over the free vertices and check_masks over the same subsets
+    # in the same order both stop at the oracle's first violation
+    vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
+    g = Hypergraph(3, vertices, edges)
+    n = g.vertex_count
+    rng = random.Random(seed ^ 0x5A)
+    k, ell = rng.randint(1, 4), rng.randint(0, 2)
+    x_labels = rng.sample(vertices, min(k, n))
+    y_labels = rng.sample(vertices, min(ell + 1, n))
+    a_ell = [v for v in vertices if rng.random() < 0.4]
+    gl = [v for v in vertices if rng.random() < 0.3]
+    k, ell = len(x_labels), len(y_labels) - 1
+    x_mask = g.mask_of(x_labels)
+    roles = (x_mask, g.mask_of(a_ell), x_mask | g.mask_of(y_labels[-1:]), g.mask_of(gl), k, ell)
+    base = g.mask_of(y_labels[:-1])
+    free = [j for j in range(n) if not base >> j & 1]
+    order = [base | sum(1 << free[t] for t in range(len(free)) if i >> t & 1)
+             for i in range(1 << len(free))]
+    masks = list(g.edge_masks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_LANE_BITS", max(n, 1) * lanes)
+        checked, violation = kernels.scan_range(masks, free, base, *roles)
+        assert kernels.check_masks(masks, n, *roles, order) == (checked, violation)
+    naive = oracles.tower_violation(vertices, edges, x_labels, y_labels, a_ell, gl)
+    if naive is None:
+        assert violation is None and checked == len(order)
+    else:
+        subset, condition, observed, required = naive
+        u_mask, code, delta, bound = violation
+        assert set(g.labels_of_mask(u_mask)) == subset
+        assert f"Item{code}" == condition
+        assert (delta, bound) == (observed, required)
+        assert order[checked - 1] == u_mask
