@@ -5,37 +5,27 @@ Every command prints one canonical JSON report to stdout. Exit status is
 produced a counterexample or a search came up empty, and 1 for usage or
 input errors. Sampled checks require an explicit --seed.
 
-Only the verify handlers import sparsehg.niceness, at call time, so the
-other commands start without it; of those, only sampled checks import
-numpy.
+Each handler imports the modules its command runs, at call time, so a
+call loads only those: `import sparsehg.cli` loads core and jsonio, and
+e.g. `ramsey qquad` adds only ramsey. Only the verify handlers import
+sparsehg.niceness, and of those only sampled checks import numpy. main
+sets OPENBLAS_NUM_THREADS to 1 unless it is already set, so that numpy
+starts no BLAS worker threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from sparsehg import jsonio
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.extraction import extract
-from sparsehg.families import (
-    LabeledConfiguration,
-    f14,
-    factorial_family,
-    geometric_tower,
-    linear_three_cycle,
-    single_edge,
-)
-from sparsehg.projection import lift, project
-from sparsehg.ramsey import (
-    check_coloring,
-    coloring_to_4graph,
-    q_quad,
-    verify_implication,
-)
-from sparsehg.search import count_copies, find_configuration
+
+if TYPE_CHECKING:
+    from sparsehg.families import LabeledConfiguration
 
 PROG = "sparsehg"
 EXIT_OK = 0
@@ -62,6 +52,8 @@ def _witness_arg(text: str) -> tuple[str, ...]:
 
 
 def _tower_base(name: str) -> LabeledConfiguration:
+    from sparsehg.families import f14, single_edge
+
     if name == "f14":
         return f14()
     if name == "edge":
@@ -114,6 +106,8 @@ def _emit(report: dict, key: str, obj, out: Optional[str]) -> None:
 
 
 def _cmd_build(args) -> tuple[dict, int]:
+    from sparsehg.families import f14, factorial_family, geometric_tower, linear_three_cycle
+
     if args.what == "cycle":
         config = linear_three_cycle()
     elif args.what == "f14":
@@ -178,6 +172,7 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_claim63(args) -> tuple[dict, int]:
+    from sparsehg.families import linear_three_cycle
     from sparsehg.niceness import verify_cycle_bounds
 
     started = time.perf_counter()
@@ -197,6 +192,9 @@ def _cmd_verify_claim63(args) -> tuple[dict, int]:
 
 
 def _cmd_extract(args) -> tuple[dict, int]:
+    from sparsehg.extraction import extract
+    from sparsehg.families import geometric_tower
+
     chain = geometric_tower(
         _tower_base(args.base),
         args.ell,
@@ -223,6 +221,8 @@ def _cmd_extract(args) -> tuple[dict, int]:
 
 
 def _cmd_project(args) -> tuple[dict, int]:
+    from sparsehg.projection import project
+
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
     result = project(graph, args.k, args.e)
     report = {
@@ -240,6 +240,8 @@ def _cmd_project(args) -> tuple[dict, int]:
 
 
 def _cmd_lift(args) -> tuple[dict, int]:
+    from sparsehg.projection import lift
+
     result = jsonio.projection_from_obj(jsonio.read_json(args.proj))
     config3 = jsonio.graph_from_obj(jsonio.read_json(args.config))
     lifted = lift(result, config3)
@@ -254,6 +256,8 @@ def _cmd_lift(args) -> tuple[dict, int]:
 
 
 def _cmd_ramsey(args) -> tuple[dict, int]:
+    from sparsehg.ramsey import check_coloring, coloring_to_4graph, q_quad, verify_implication
+
     if args.ramsey_cmd == "qquad":
         return {
             "command": "ramsey qquad",
@@ -308,6 +312,8 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
+    from sparsehg.search import count_copies, find_configuration
+
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
     if args.search_cmd == "config":
         result = find_configuration(graph, args.v, args.e)
@@ -427,6 +433,11 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # The sampled draws (kernels._draw, _transpose and _draws) use only ufuncs
+    # and array reshaping, never BLAS, so OpenBLAS worker threads are pure
+    # start-up cost. Set here, not in kernels, to leave a library user's BLAS
+    # alone; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,12 +12,14 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.families import LabeledConfiguration
-from sparsehg.projection import HEAVY_TRIPLE, PROJECTED, ProjectedMap, ProjectionResult
-from sparsehg.ramsey import ColoringInstance
+
+if TYPE_CHECKING:
+    from sparsehg.families import LabeledConfiguration
+    from sparsehg.projection import ProjectionResult
+    from sparsehg.ramsey import ColoringInstance
 
 
 def canonical_json(obj: Any) -> str:
@@ -102,6 +104,8 @@ def config_to_obj(config: LabeledConfiguration) -> dict:
 
 
 def config_from_obj(obj: Any) -> LabeledConfiguration:
+    from sparsehg.families import LabeledConfiguration
+
     graph = graph_from_obj(obj)
     known = set(graph.vertices)
     roles_raw = _expect(obj, "roles", dict, "configuration")
@@ -153,6 +157,8 @@ def coloring_to_obj(coloring: ColoringInstance) -> dict:
 
 
 def coloring_from_obj(obj: Any) -> ColoringInstance:
+    from sparsehg.ramsey import ColoringInstance
+
     n = _expect(obj, "n", int, "coloring")
     raw = _expect(obj, "colors", dict, "coloring")
     colors = {}
@@ -198,6 +204,8 @@ def projection_to_obj(result: ProjectionResult) -> dict:
 
 
 def projection_from_obj(obj: Any) -> ProjectionResult:
+    from sparsehg.projection import HEAVY_TRIPLE, PROJECTED, ProjectedMap, ProjectionResult
+
     r = _expect(obj, "r", int, "projection")
     k = _expect(obj, "k", int, "projection")
     e = _expect(obj, "e", int, "projection")

@@ -127,6 +127,7 @@ def _check(
     free bits; otherwise `samples` seeded uniform subsets are drawn with
     `base` ORed in and, when none violates, the masks `extra()` returns are
     checked too; `seed` is read only then. Violations are named by `names`.
+    A sampled check raises HypergraphError where numpy is not installed.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
@@ -143,10 +144,18 @@ def _check(
         raise HypergraphError("samples must be positive")
     if seed is None:
         raise HypergraphError("a sampled check needs a seed")
-    checked, vio = kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
-    if vio is None and (masks := extra()):
-        s_checked, vio = kernels.check_masks(edge_masks, n, *roles, masks)
-        checked += s_checked
+    try:
+        checked, vio = kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
+        if vio is None and (masks := extra()):
+            s_checked, vio = kernels.check_masks(edge_masks, n, *roles, masks)
+            checked += s_checked
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise HypergraphError(
+            "sampled checks need numpy, which is not installed; "
+            "exhaustive checks run without it"
+        ) from exc
     return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, names, seed)
 
 
@@ -216,14 +225,14 @@ def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor
     masks: list[int] = []
     for size in range(1, min(_STRATIFIED_SIZE_LIMIT, len(pool)) + 1):
         if math.comb(len(pool), size) <= _STRATIFIED_DRAWS:
-            for combo in itertools.combinations(range(len(pool)), size):
-                masks.append(sum(bits[i] for i in combo))
+            masks.extend(map(sum, itertools.combinations(bits, size)))
         else:
             for _ in range(_STRATIFIED_DRAWS):
-                chosen: set[int] = set()
+                # a draw needs at least `size` indices; one at a time only after a repeat
+                chosen = set(itertools.islice(draws, size))
                 while len(chosen) < size:
                     chosen.add(next(draws))
-                masks.append(sum(bits[i] for i in chosen))
+                masks.append(sum(map(bits.__getitem__, chosen)))
     return masks
 
 

@@ -15,7 +15,6 @@ from math import comb
 from typing import Optional
 
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.search import find_configuration
 
 _CHECK_VERTEX_LIMIT = 14
 _IMPLICATION_VERTEX_LIMIT = 12
@@ -134,6 +133,8 @@ def verify_implication(coloring: ColoringInstance, p: int, q: int) -> bool:
     then some p-clique sees at most q - 1 colors. True iff that holds on
     this instance (vacuously when no configuration exists).
     """
+    from sparsehg.search import find_configuration
+
     if coloring.n > _IMPLICATION_VERTEX_LIMIT:
         raise HypergraphError(
             f"implication check limited to n <= {_IMPLICATION_VERTEX_LIMIT}, "

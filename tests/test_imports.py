@@ -1,7 +1,9 @@
-"""What importing the package costs: numpy is loaded only by the sampled
-subset scans, exhaustive verification runs where numpy cannot be
-imported at all, no scan loads a thread pool, and the lazily re-exported
-niceness names still behave like ordinary package attributes."""
+"""What importing the package costs: each CLI command loads only the
+package modules it runs, numpy is loaded only by the sampled subset scans,
+exhaustive verification runs where numpy cannot be imported at all and a
+sampled one fails there with one error line, no scan loads a thread pool
+or starts OpenBLAS worker threads, and the lazily resolved package names
+still behave like ordinary package attributes."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import sparsehg
 import sparsehg.cli as cli
@@ -43,13 +47,14 @@ print(json.dumps(seen))
 """
 
 
-def _child(script, *args):
-    """Run `script` in a fresh interpreter that imports this sparsehg."""
+def _child(script, *args, environ=os.environ):
+    """Run `script` in a fresh interpreter that imports this sparsehg, with
+    `environ` as its environment apart from PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=dict(environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -71,7 +76,7 @@ def test_only_subset_scans_import_numpy(tmp_path):
 
 
 # Runs in a fresh interpreter where `import numpy` raises ImportError: each
-# CLI call in turn, printing its exit code and report.
+# CLI call in turn, printing its exit code, stdout and stderr.
 _NO_NUMPY_CHILD = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
@@ -85,10 +90,10 @@ else:
     raise SystemExit("numpy is importable")
 seen = []
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    seen.append([code, json.loads(out.getvalue())])
+    seen.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(seen))
 """
 
@@ -108,10 +113,74 @@ def test_exhaustive_verification_runs_without_numpy(tmp_path, capsys):
         code = cli.main(argv)
         expected.append([code, json.loads(capsys.readouterr().out)])
     blocked = _child(_NO_NUMPY_CHILD, json.dumps(calls))
-    for (code, report), (want_code, want) in zip(blocked, expected, strict=True):
+    for (code, out, err), (want_code, want) in zip(blocked, expected, strict=True):
         assert code == want_code == 0
+        assert err == ""
+        report = json.loads(out)
         assert report.pop("timings").keys() == want.pop("timings").keys()
         assert report == want
+
+
+def test_sampled_verification_without_numpy_is_one_error_line(tmp_path):
+    f14 = str(tmp_path / "f14.json")
+    assert cli.main(["build", "f14", "-o", f14]) == 0
+    calls = [["verify", "nice", "--input", f14, "--samples", "10", "--seed", "1"]]
+    [[code, out, err]] = _child(_NO_NUMPY_CHILD, json.dumps(calls))
+    assert (code, out) == (1, "")
+    assert err.startswith("sparsehg: error: sampled checks need numpy")
+    assert len(err.splitlines()) == 1
+
+
+# Runs in a fresh interpreter: the CLI call in argv[1:], if any; then the
+# sorted package modules loaded so far.
+_MODULES_CHILD = """
+import contextlib, io, json, sys
+import sparsehg.cli as cli
+
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sparsehg")))
+"""
+_LOADED_BY_CLI = ["sparsehg", "sparsehg.cli", "sparsehg.core", "sparsehg.jsonio"]
+
+
+@pytest.mark.parametrize("argv, adds", [
+    ([], []),
+    (["ramsey", "qquad", "--p", "8"], ["ramsey"]),
+    (["build", "f-k", "--k", "5"], ["families"]),
+    (["search", "config", "--input", "{dir}/f14.json", "--v", "7", "--e", "3"], ["search"]),
+    (["extract", "--ell", "1", "--t", "1"], ["extraction", "families"]),
+    (["verify", "claim63"], ["families", "kernels", "niceness"]),
+    (["verify", "nice", "--input", "{dir}/f14.json"], ["families", "kernels", "niceness"]),
+], ids=["import sparsehg.cli", "ramsey qquad", "build f-k", "search config", "extract",
+        "verify claim63", "verify nice"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, adds):
+    assert cli.main(["build", "f14", "-o", str(tmp_path / "f14.json")]) == 0
+    loaded = _child(_MODULES_CHILD, *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert loaded == sorted(_LOADED_BY_CLI + [f"sparsehg.{m}" for m in adds])
+
+
+# Runs in a fresh interpreter: a sampled CLI call, which imports numpy, then
+# its exit code, this process's thread count and OPENBLAS_NUM_THREADS.
+_THREADS_CHILD = """
+import contextlib, io, json, os, sys
+import sparsehg.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "nice", "--input", sys.argv[1], "--samples", "100", "--seed", "1"])
+print(json.dumps([code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_starts_no_openblas_threads_unless_asked(tmp_path):
+    f14 = str(tmp_path / "f14.json")
+    assert cli.main(["build", "f14", "-o", f14]) == 0
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _child(_THREADS_CHILD, f14, environ=unset) == [0, 1, "1"]
+    code, _, preset = _child(_THREADS_CHILD, f14, environ=dict(unset, OPENBLAS_NUM_THREADS="2"))
+    assert (code, preset) == (0, "2")
 
 
 def test_every_exported_name_resolves_and_is_listed():
