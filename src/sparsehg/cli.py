@@ -314,8 +314,10 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     from sparsehg.search import count_copies, find_configuration
 
+    started = time.perf_counter()
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
     if args.search_cmd == "config":
+        loaded = time.perf_counter()
         result = find_configuration(graph, args.v, args.e)
         report = {
             "command": "search config",
@@ -327,9 +329,11 @@ def _cmd_search(args) -> tuple[dict, int]:
             if result.witness is None
             else [list(edge) for edge in result.witness],
             "nodes_explored": result.nodes_explored,
+            "timings": _phase_timings(started, loaded),
         }
         return report, EXIT_OK if result.found else EXIT_REFUTED
     pattern = jsonio.graph_from_obj(jsonio.read_json(args.pattern))
+    loaded = time.perf_counter()
     result = count_copies(graph, pattern, induced=args.induced)
     report = {
         "command": "search copies",
@@ -338,6 +342,7 @@ def _cmd_search(args) -> tuple[dict, int]:
         "copies": result.copies,
         "induced": args.induced,
         "nodes_explored": result.nodes_explored,
+        "timings": _phase_timings(started, loaded),
     }
     return report, EXIT_OK
 

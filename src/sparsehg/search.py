@@ -10,6 +10,20 @@ on backtracking. `nodes_explored` counts every candidate tried, pruned or
 not: idx - lo + 1 when a depth goes down at idx, and the rest of the
 depth's range when it is used up.
 
+The DFS is split by root edge, the edge picked at depth 0. Roots run in
+index order in this process until `_FORK_AFTER_NODES` nodes are
+explored, so small searches never fork. The remaining roots then go, one
+at a time and in increasing order, to min(CPUs, roots left) forked
+workers, where CPUs are those the process may run on. Each worker reports
+(root, nodes, witness) over a pipe, and this process only hands out roots
+and collects. The answer is fixed when every root is in, or when the
+lowest root with a witness has every lower root in; the busy workers are
+then killed and reaped. The result cannot depend on the CPU count:
+`nodes_explored` is the sum of the counts of the roots up to the answer's
+root, and the witness is the lowest root's first one, as in the unsplit
+loop. If a pipe or fork fails the search goes on in-process; a worker
+that dies before it reports raises `HypergraphError`.
+
 `count_copies` enumerates injective edge-onto-edge vertex maps;
 its `nodes_explored` counts the partial maps it visits.
 """
@@ -17,6 +31,9 @@ its `nodes_explored` counts the partial maps it visits.
 from __future__ import annotations
 
 import itertools
+import os
+import select
+import signal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +42,8 @@ from sparsehg.core import Hypergraph, HypergraphError
 _SEARCH_EDGE_LIMIT = 60
 _SEARCH_VERTEX_LIMIT = 20
 _PATTERN_VERTEX_LIMIT = 14
+# nodes explored in-process before the remaining roots go to forked workers
+_FORK_AFTER_NODES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -58,20 +77,27 @@ def _witness_from_masks(graph: Hypergraph, picked: tuple[int, ...]):
     return (graph.labels_of_mask(span), edges)
 
 
-def _dfs(graph: Hypergraph, v: int, e: int):
-    """First e-subset (lex order) spanning <= v, for 1 <= e <= edge count.
+def _subtree(masks: tuple[int, ...], v: int, e: int, root: int):
+    """First e-subset (lex order) spanning <= v whose lowest edge is `root`.
 
-    Depth d picks the (d+1)-th edge from idx in [lo, hi): lo is one past
-    the edge picked at depth d-1 (0 at the root), hi is m at the root and
-    m - e + d + 1 below it, so that e - d - 1 later edges remain. A loop,
-    not recursion: e may be as large as the guard's 1,140-edge hosts.
+    Returns (picked, nodes), where nodes counts the root and every candidate
+    tried below it. Depth d >= 1 picks the (d+1)-th edge from idx in
+    [lo, hi): lo is one past the edge picked at depth d-1 and hi is
+    m - e + d + 1, so that e - d - 1 later edges remain. A loop, not
+    recursion: e may be as large as the guard's 1,140-edge hosts.
     """
-    masks = graph.edge_masks
+    span = masks[root]
+    if span.bit_count() > v:
+        return (None, 1)
+    if e == 1:
+        return ((root,), 1)
     m = len(masks)
     spans = [0] * e
     picked = [0] * e
-    nodes = 0
-    d, lo, hi = 0, 0, m
+    picked[0], spans[1] = root, span
+    nodes = 1
+    # a root past m - e + 1 starts depth 1 with lo > hi
+    d, lo, hi = 1, root + 1, m - e + 2
     while True:
         span = spans[d]
         for idx in range(lo, hi):
@@ -79,14 +105,13 @@ def _dfs(graph: Hypergraph, v: int, e: int):
             if new_span.bit_count() <= v:
                 break
         else:
-            # every candidate at this depth tried and pruned: back up one;
-            # a root past m - e + 1 leaves depth 1 with lo > hi
+            # every candidate at this depth tried and pruned: back up one
             nodes += max(hi - lo, 0)
+            d -= 1
             if d == 0:
                 return (None, nodes)
-            d -= 1
             lo = picked[d] + 1
-            hi = m if d == 0 else m - e + d + 1
+            hi = m - e + d + 1
             continue
         nodes += idx - lo + 1
         picked[d] = idx
@@ -95,6 +120,143 @@ def _dfs(graph: Hypergraph, v: int, e: int):
             return (tuple(picked), nodes)
         spans[d] = new_span
         lo, hi = idx + 1, m - e + d + 1
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _dfs(masks: tuple[int, ...], v: int, e: int):
+    """First e-subset (lex order) spanning <= v, for 1 <= e <= edge count.
+
+    Roots in index order, in this process until _FORK_AFTER_NODES nodes are
+    explored, then split across forked workers when that is possible.
+    """
+    nodes = 0
+    may_fork = hasattr(os, "fork")
+    for root in range(len(masks)):
+        if may_fork and nodes >= _FORK_AFTER_NODES:
+            may_fork = False
+            split = _split(masks, v, e, root)
+            if split is not None:
+                picked, rest = split
+                return (picked, nodes + rest)
+        picked, count = _subtree(masks, v, e, root)
+        nodes += count
+        if picked is not None:
+            return (picked, nodes)
+    return (None, nodes)
+
+
+def _worker(masks: tuple[int, ...], v: int, e: int, tasks: int, results: int) -> None:
+    """Answer each root read from `tasks` with one "root nodes picked" line."""
+    with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
+        for line in inbox:
+            root = int(line)
+            picked, nodes = _subtree(masks, v, e, root)
+            witness = "" if picked is None else ",".join(map(str, picked))
+            outbox.write(f"{root} {nodes} {witness}\n".encode())
+            outbox.flush()
+
+
+def _split(masks: tuple[int, ...], v: int, e: int, first: int):
+    """Roots first..m-1 over forked workers; (picked, nodes) for those roots.
+
+    Each worker takes one root at a time, in increasing root order, and
+    reports (root, nodes, witness) on its own pipe; this process only hands
+    out roots and collects. The answer is fixed once every root is in, or
+    once the lowest root with a witness has every lower root in. None when
+    fewer than two workers would run or a pipe or fork fails, so the caller
+    goes on in-process.
+    """
+    m = len(masks)
+    count = min(_cpus(), m - first)
+    if count < 2:
+        return None
+    workers: dict[int, tuple[int, int, object]] = {}  # result fd -> (pid, task fd, reader)
+    alive: set[int] = set()
+    held: list[int] = []  # every descriptor this process holds
+    try:
+        try:
+            for _ in range(count):
+                task_r, task_w = os.pipe()
+                held += (task_r, task_w)
+                result_r, result_w = os.pipe()
+                held += (result_r, result_w)
+                pid = os.fork()
+                if pid == 0:  # the worker: never returns
+                    code = 1
+                    try:
+                        # an inherited end of another worker's pipe would
+                        # keep that pipe open after the worker dies
+                        for fd in held:
+                            if fd not in (task_r, result_w):
+                                os.close(fd)
+                        _worker(masks, v, e, task_r, result_w)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                alive.add(pid)
+                for fd in (task_r, result_w):
+                    os.close(fd)
+                    held.remove(fd)
+                workers[result_r] = (pid, task_w, os.fdopen(result_r, "rb", closefd=False))
+        except OSError:
+            return None
+
+        results: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
+        busy: dict[int, int] = {}  # result fd -> the root it works on
+        next_root, lowest, nodes, witnessed = first, first, 0, False
+        while True:
+            # hand out roots in order until one is known to have a witness:
+            # no later root can change the answer then
+            for fd, (pid, task_w, _) in workers.items():
+                if fd not in busy and next_root < m and not witnessed:
+                    try:
+                        os.write(task_w, b"%d\n" % next_root)
+                    except BrokenPipeError:
+                        _lost(pid, next_root, alive)
+                    busy[fd] = next_root
+                    next_root += 1
+            for fd in select.select(list(busy), [], [])[0]:
+                root = busy.pop(fd)
+                pid, _, reader = workers[fd]
+                line = reader.readline()
+                if not line.endswith(b"\n"):
+                    _lost(pid, root, alive)
+                _, explored, *picked = line.split()
+                witness = tuple(map(int, picked[0].split(b","))) if picked else None
+                results[root] = (int(explored), witness)
+                witnessed = witnessed or witness is not None
+            while lowest in results:
+                explored, witness = results.pop(lowest)
+                nodes += explored
+                lowest += 1
+                if witness is not None:
+                    return (witness, nodes)
+            if lowest == m:
+                return (None, nodes)
+    finally:
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, _, reader in workers.values():
+            reader.close()
+        for fd in held:
+            os.close(fd)
+
+
+def _lost(pid: int, root: int, alive: set[int]):
+    """Reap a worker that closed its pipe without answering, and fail."""
+    alive.discard(pid)
+    _, status = os.waitpid(pid, 0)
+    raise HypergraphError(
+        f"search worker for root edge {root} ended before reporting "
+        f"(exit status {os.waitstatus_to_exitcode(status)})"
+    )
 
 
 def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
@@ -111,7 +273,7 @@ def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
     m = graph.edge_count
     if e > m:
         return SearchResult(False, None, 0)
-    picked, nodes = _dfs(graph, v, e)
+    picked, nodes = _dfs(graph.edge_masks, v, e)
     if picked is None:
         return SearchResult(False, None, nodes)
     return SearchResult(True, _witness_from_masks(graph, picked), nodes)
@@ -143,7 +305,8 @@ def verify_embedding(
     missing = [u for u in pattern.vertices if u not in vmap]
     if missing:
         raise HypergraphError(f"incomplete map: no image for {missing[:3]}")
-    unknown = [w for w in vmap.values() if w not in set(host.vertices)]
+    host_vertices = set(host.vertices)
+    unknown = [w for w in vmap.values() if w not in host_vertices]
     if unknown:
         raise HypergraphError(f"map targets unknown vertices {unknown[:3]}")
     images = [vmap[u] for u in pattern.vertices]

@@ -619,7 +619,7 @@ def test_report_digest_stable_across_runs(capsys):
     assert without == without_b
 
 
-def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, tmp_path):
+def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, cycle_file, tmp_path):
     # load_s and check_s sit under "timings" next to wall_s, which the
     # digest drops: the digest is that of the report without them
     g0 = str(tmp_path / "g0.json")
@@ -629,6 +629,8 @@ def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, tmp_path)
         ["verify", "nice", "--input", f14_file, "--samples", "100", "--seed", "1"],
         ["verify", "gl-props", "--input", g0],
         ["verify", "claim63"],
+        ["search", "config", "--input", f14_file, "--v", "9", "--e", "5"],
+        ["search", "copies", "--input", f14_file, "--pattern", cycle_file],
     ):
         code, report = run(capsys, *argv)
         assert code == 0

@@ -1,9 +1,18 @@
 import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsehg
+from sparsehg import search
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import f14, linear_three_cycle
 from sparsehg.search import (
@@ -228,3 +237,131 @@ def test_nodes_explored_reported():
     ):
         result = find_configuration(g, v, e)
         assert (result.found, result.nodes_explored) == (found, nodes)
+
+
+# -- the root split over forked workers ----------------------------------------
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forking(cpus=2):
+    """Fork at the first root, with `cpus` workers whatever this host has."""
+    return mock.patch.multiple(search, _FORK_AFTER_NODES=0, _cpus=lambda: cpus)
+
+
+def linear_3graph(seed, n=60, m=60):
+    """Random 3-graph in which no two edges share two vertices."""
+    rng = random.Random(seed)
+    covered, edges = set(), []
+    while len(edges) < m:
+        edge = tuple(sorted(rng.sample(range(n), 3)))
+        pairs = set(itertools.combinations(edge, 2))
+        if not pairs & covered:
+            covered |= pairs
+            edges.append(edge)
+    verts = [f"v{i:02d}" for i in range(n)]
+    return Hypergraph(3, verts, [[verts[i] for i in edge] for edge in edges])
+
+
+def cycle_then_forest(k=8, leaves=46):
+    """Graph whose root 0 closes a (k+1)-cycle at once: k+1 edges on k+1
+    vertices. Without root 0 the graph is a forest, so no later root has
+    such a witness, and root 1's subtree alone is 73.6M nodes (about 17 s
+    of DFS on a 2-core x86 host)."""
+    path = [f"a{i}" for i in range(k + 1)]
+    star = [f"c{i:02d}" for i in range(leaves)]
+    edges = [(path[0], path[k])] + list(zip(path, path[1:])) + [("b", c) for c in star]
+    return Hypergraph(2, path + ["b"] + star, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hosts(), st.data())
+def test_forked_search_matches_stack_dfs(g, data):
+    e = data.draw(st.integers(min_value=1, max_value=max(1, min(7, g.edge_count))))
+    v = data.draw(st.integers(min_value=0, max_value=g.vertex_count))
+    cpus = data.draw(st.integers(min_value=2, max_value=4))
+    found, picked, nodes = oracles.search_nodes(g.edges, v, e)
+    with forking(cpus):
+        result = find_configuration(g, v, e)
+    assert (result.found, result.nodes_explored) == (found, nodes)
+    if found:
+        spanned = {u for edge in picked for u in edge}
+        assert result.witness == (tuple(u for u in g.vertices if u in spanned), picked)
+    else:
+        assert result.witness is None
+    assert_no_children()
+
+
+def test_forked_search_stops_at_the_first_witness_root():
+    g = cycle_then_forest()
+    t0 = time.perf_counter()
+    in_process = find_configuration(g, 9, 9)
+    t1 = time.perf_counter()
+    with forking():
+        forked = find_configuration(g, 9, 9)
+    t2 = time.perf_counter()
+    assert in_process.found and in_process.nodes_explored == 9
+    assert forked == in_process
+    # the worker still on root 1 is killed, not waited for
+    assert t2 - t1 < (t1 - t0) + 2.0
+    assert_no_children()
+
+
+def test_dead_worker_is_an_error():
+    parent = os.getpid()
+    real = search._subtree
+
+    def dies_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    g = linear_3graph(0, n=12, m=12)
+    with forking(), mock.patch.object(search, "_subtree", dies_in_worker):
+        with pytest.raises(HypergraphError, match="exit status 3"):
+            find_configuration(g, 5, 3)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_failed_fork_searches_in_process(call):
+    g = linear_3graph(1, n=12, m=12)
+    want = [find_configuration(g, v, e) for v, e in ((5, 3), (6, 3), (7, 4))]
+
+    def fails(*args):
+        raise OSError("no more processes")
+
+    with forking(), mock.patch.object(os, call, fails):
+        got = [find_configuration(g, v, e) for v, e in ((5, 3), (6, 3), (7, 4))]
+    assert got == want
+    assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_same_report_on_one_cpu_and_on_all(tmp_path):
+    g = linear_3graph(2)
+    host = tmp_path / "host.json"
+    host.write_text(json.dumps({"r": 3, "vertices": list(g.vertices),
+                                "edges": [list(edge) for edge in g.edges]}))
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "sparsehg.cli", "search", "config",
+            "--input", str(host), "--v", "8", "--e", "6"]
+
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    reports = []
+    for preexec in (one_cpu, None):
+        proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=preexec,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        # enough nodes that a process with two CPUs splits the search
+        assert report["nodes_explored"] > search._FORK_AFTER_NODES
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
