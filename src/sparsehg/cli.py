@@ -438,8 +438,9 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # The sampled draws (kernels._draw, _transpose and _draws) use only ufuncs
-    # and array reshaping, never BLAS, so OpenBLAS worker threads are pure
+    # Sampled checks use numpy only in kernels._draw, _pack and _transpose,
+    # through which every sampled batch and stratified draw goes: ufuncs and
+    # array reshaping, never BLAS, so OpenBLAS worker threads are pure
     # start-up cost. Set here, not in kernels, to leave a library user's BLAS
     # alone; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

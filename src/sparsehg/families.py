@@ -198,18 +198,17 @@ _TOWER_VERTEX_LIMIT = 10_000
 def geometric_tower(
     base: LabeledConfiguration,
     ell: int,
-    y0: Optional[str] = None,
     allow_edge_base: bool = False,
 ) -> LabeledConfiguration:
-    """Level-ell tower over `base`, whose witness A splits as x1..xk, y0.
+    """Level-ell tower over `base`, whose witness A splits as x1..xk and y0,
+    its last vertex.
 
     Level m glues k copies of level m-1 and one base copy onto its spine
     (layout: module docstring). The returned value's `levels` tuple holds
     every level, index 0 up to ell.
 
-    `y0` names which witness element plays the distinguished role; default
-    is the last one in the stored witness order. `allow_edge_base` admits
-    the single-edge base (anchor set of size 3, not independent).
+    `allow_edge_base` admits the single-edge base (anchor set of size 3, not
+    independent).
     """
     if not isinstance(ell, int) or ell < 0:
         raise HypergraphError(f"ell must be a non-negative integer, got {ell!r}")
@@ -223,10 +222,7 @@ def geometric_tower(
         )
     if not allow_edge_base and not base.graph.is_independent(a):
         raise HypergraphError("base witness is not independent")
-    if y0 is None:
-        y0 = a[-1]
-    if y0 not in a:
-        raise HypergraphError(f"designated y0 {y0!r} is not in the witness")
+    y0 = a[-1]
     x_split = tuple(v for v in a if v != y0)
 
     # stop at the first level over the limit: the count grows like k^m

@@ -48,7 +48,7 @@ def read_json(path: Union[str, Path]) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise HypergraphError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also int digit limit, deep nesting
         raise HypergraphError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -26,13 +26,14 @@ conditions; its difference and bound are recomputed for that one subset.
 A batch holds about `_LANE_BITS` lane bits (vertices times subsets)
 whatever the host width.
 
-Each kernel builds its lanes its own way. `scan_range` takes fixed
-periodic bit patterns for the low bits of the scan index and all-ones or
-all-zero lanes for the high ones; `check_masks` sets each mask's bits into
-one bytearray per vertex; `sample_scan` draws whole subsets and transposes
-each 64 x 64 bit block of them with six delta swaps. Only `sample_scan`
-and the stratified draws of sparsehg.niceness use numpy, and they import
-it when called, so exhaustive checks run without it.
+Lanes are built two ways. `scan_range` takes fixed periodic bit patterns
+for the low bits of the scan index and all-ones or all-zero lanes for the
+high ones. Every other batch is a (words, count) uint64 array of whole
+subsets, drawn by `sample_scan` or packed from `check_masks`' list, and
+`_transpose` turns each 64 x 64 bit block of it into lanes with six delta
+swaps. Only `sample_scan`, `check_masks` and the stratified draws of
+sparsehg.niceness use numpy, and they import it when called, so
+exhaustive checks run without it.
 
 The sampling stream is splitmix64: word w of sample i is
 mix64(seed + (i * words + w + 1) * GAMMA), words = max(1, ceil(n / 64)),
@@ -255,22 +256,12 @@ def scan_range(
 def check_masks(
     edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, masks
 ) -> ScanResult:
-    """Check an explicit list of subset masks over n vertices, in order."""
-    width, full = _width(n), (1 << n) - 1
-
-    def batches():
-        for lo in range(0, len(masks), width):
-            count = min(width, len(masks) - lo)
-            rows = [bytearray((count + 7) // 8) for _ in range(n)]
-            for i in range(count):
-                byte, bit, m = i >> 3, 1 << (i & 7), masks[lo + i] & full
-                while m:
-                    j = m.bit_length() - 1
-                    rows[j][byte] |= bit
-                    m ^= 1 << j
-            yield [int.from_bytes(row, "little") for row in rows], count
-
-    return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
+    """Check an explicit list of subset masks over n vertices, in order. Needs
+    numpy; only sampled checks call it."""
+    width = _width(n)
+    chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
+    batches = ((_transpose(_pack(batch, n), n), len(batch)) for batch in chunks)
+    return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches)
 
 
 def sample_scan(
@@ -315,6 +306,17 @@ def _draw(seed: int, start: int, count: int, words: int):
     return _mix_vec(z)
 
 
+def _pack(masks: Sequence[int], n: int):
+    """The masks, cut to n bits, as a (words, count) array like `_draw`'s."""
+    import numpy as np
+
+    size, full = 8 * max(1, (n + 63) // 64), (1 << n) - 1
+    packed = bytearray()
+    for m in masks:
+        packed += (m & full).to_bytes(size, "little")
+    return np.frombuffer(packed, "<u8").reshape(len(masks), -1).T
+
+
 def _mix_vec(z):
     """splitmix64 finalizer over a fresh uint64 array, in place."""
     u64 = z.dtype.type
@@ -357,9 +359,6 @@ def _transpose(drawn, n: int) -> list[int]:
 def _draws(seed: int, start: int, modulus: int) -> Iterator[int]:
     """The splitmix64 stream at indices start, start + 1, ..., each draw
     reduced mod `modulus`; computed a block at a time."""
-    import numpy as np
-
-    for lo in itertools.count(start, _DRAW_BLOCK):
-        idx = np.arange(lo, lo + _DRAW_BLOCK, dtype=np.uint64)
-        z = _mix_vec(np.uint64(seed & MASK64) + idx * np.uint64(GAMMA))
-        yield from (z % np.uint64(modulus)).tolist()
+    # stream index i is counter i, which _draw gives one-word sample i - 1
+    for lo in itertools.count(start - 1, _DRAW_BLOCK):
+        yield from (_draw(seed, lo, _DRAW_BLOCK, 1)[0] % modulus).tolist()

@@ -557,6 +557,28 @@ def test_non_utf8_input_exits_one(capsys, f14_file, command):
     assert len(lines) == 1 and "not UTF-8" in lines[0]
 
 
+# json.loads raises RecursionError on the first and a ValueError that is not
+# a JSONDecodeError on the second: 5,000 digits exceed the int conversion limit
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"r": ' + "9" * 5000 + "}"], ids=["deep", "bigint"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "config", "--v", "9", "--e", "5"],
+        ["verify", "nice"],
+        ["ramsey", "check", "--p", "8", "--q", "27"],
+    ],
+    ids=["search", "verify", "ramsey"],
+)
+def test_hostile_json_exits_one(capsys, tmp_path, argv, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    assert main(argv + ["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if line.startswith("sparsehg: error:")]
+    assert len(lines) == 1 and "not valid JSON" in lines[0]
+
+
 # JSON values of every type; a mutation sets a key to one whose type differs
 # from the valid value's, so every mutated document is invalid
 _JSON_VALUES = [None, True, False, 0, 7, 1.5, "s", [], ["x"], [1], {}, {"k": "x"}]

@@ -154,18 +154,25 @@ def test_stratified_masks_match_scalar_oracle(k, seed):
     assert _stratified_masks(cfg.graph, cfg.witness, seed, 1000) == expected
 
 
-@pytest.mark.parametrize("host_seed", range(8))
-def test_stratified_masks_match_scalar_oracle_on_random_hosts(host_seed):
+@pytest.mark.parametrize(
+    "host_seed, block",
+    [pytest.param(h, None, id=str(h)) for h in range(8)]
+    + [pytest.param(h, b, id=f"{h}-block{b}") for h, b in [(0, 3), (4, 5), (5, 7)]],
+)
+def test_stratified_masks_match_scalar_oracle_on_random_hosts(monkeypatch, host_seed, block):
     # hosts 0 and 4-7 have pools large enough for drawn sizes, with all three
-    # kinds of seed
+    # kinds of seed; a small _DRAW_BLOCK puts block boundaries inside draws
+    if block:
+        monkeypatch.setattr(kernels, "_DRAW_BLOCK", block)
     rng = random.Random(host_seed)
     vertices = [f"t{i}" for i in range(rng.randint(12, 22))]
     edges = {tuple(sorted(rng.sample(vertices, 3))) for _ in range(2 * len(vertices))}
     g = Hypergraph(3, vertices, edges)
     wit = tuple(rng.sample(vertices, rng.randint(1, 8)))
     seed = [0, -rng.getrandbits(70), 2**63 + rng.getrandbits(70)][host_seed % 3]
-    cursor = rng.randrange(10**7)
-    assert _stratified_masks(g, wit, seed, cursor) == oracles.stratified_masks(g, wit, seed, cursor)
+    for cursor in (0, rng.randrange(10**7)):
+        expected = oracles.stratified_masks(g, wit, seed, cursor)
+        assert _stratified_masks(g, wit, seed, cursor) == expected
 
 
 def test_stratified_stream_follows_the_uniform_counters_on_wide_hosts(monkeypatch):
