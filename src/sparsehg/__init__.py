@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "core": ("DifferenceReport", "Hypergraph", "HypergraphError", "VertexSubset",
-                 "subgraph_from_edges"),
+        "core": ("DifferenceReport", "Hypergraph", "HypergraphError", "subgraph_from_edges"),
         "extraction": ("ExtractionResult", "extract", "locate_subcopy"),
         "families": ("LabeledConfiguration", "f14", "factorial_family", "geometric_tower",
                      "linear_three_cycle", "single_edge"),

@@ -51,14 +51,14 @@ def _witness_arg(text: str) -> tuple[str, ...]:
     return labels
 
 
-def _tower_base(name: str) -> LabeledConfiguration:
-    from sparsehg.families import f14, single_edge
+def _tower(base: str, ell: int) -> LabeledConfiguration:
+    from sparsehg.families import f14, geometric_tower, single_edge
 
-    if name == "f14":
-        return f14()
-    if name == "edge":
-        return single_edge()
-    raise HypergraphError(f"unknown tower base {name!r}")
+    if base == "f14":
+        return geometric_tower(f14(), ell)
+    if base == "edge":
+        return geometric_tower(single_edge(), ell, allow_edge_base=True)
+    raise HypergraphError(f"unknown tower base {base!r}")
 
 
 def _load_config(path: str) -> LabeledConfiguration:
@@ -106,7 +106,7 @@ def _emit(report: dict, key: str, obj, out: Optional[str]) -> None:
 
 
 def _cmd_build(args) -> tuple[dict, int]:
-    from sparsehg.families import f14, factorial_family, geometric_tower, linear_three_cycle
+    from sparsehg.families import f14, factorial_family, linear_three_cycle
 
     if args.what == "cycle":
         config = linear_three_cycle()
@@ -115,11 +115,7 @@ def _cmd_build(args) -> tuple[dict, int]:
     elif args.what == "f-k":
         config = factorial_family(args.k)
     else:
-        config = geometric_tower(
-            _tower_base(args.base),
-            args.ell,
-            allow_edge_base=args.base == "edge",
-        )
+        config = _tower(args.base, args.ell)
     report = {"command": f"build {args.what}", **_config_summary(config)}
     _emit(report, "configuration", jsonio.config_to_obj(config), args.output)
     return report, EXIT_OK
@@ -193,13 +189,8 @@ def _cmd_verify_claim63(args) -> tuple[dict, int]:
 
 def _cmd_extract(args) -> tuple[dict, int]:
     from sparsehg.extraction import extract
-    from sparsehg.families import geometric_tower
 
-    chain = geometric_tower(
-        _tower_base(args.base),
-        args.ell,
-        allow_edge_base=args.base == "edge",
-    )
+    chain = _tower(args.base, args.ell)
     result = extract(chain, args.t)
     report = {
         "command": "extract",

@@ -5,19 +5,21 @@ not lexicographic: bit i of every subset mask refers to ``vertices[i]``, and
 recursive builders rely on anchor vertices keeping their positions across
 rebuilds. Edges carry two representations: sorted label tuples (the
 interchange form) and bitmasks over the vertex order (the computation form).
-Masks are plain Python integers, so hosts with more than 64 vertices work
-unchanged; the subset kernels check them as bit-sliced lanes, one Python int
-per vertex with one bit per subset.
+Vertex subsets take the same two forms: callers name them by labels, and
+`difference` and `is_independent` turn the labels into a mask. Masks are
+plain Python integers, so hosts with more than 64 vertices work unchanged;
+the subset kernels check them as bit-sliced lanes, one Python int per vertex
+with one bit per subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class HypergraphError(ValueError):
-    """Malformed construction or mismatched operands."""
+    """Malformed input: a bad construction, an unknown label or an out-of-range argument."""
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,7 @@ class Hypergraph:
     """An immutable r-uniform hypergraph over distinct string labels.
 
     Construction validates everything up front: arity, label existence,
-    duplicate vertices, duplicate edges. Duplicate edges are an error here;
-    `union` merges them silently because gluing constructions legitimately
-    overlap.
+    duplicate vertices, duplicate edges.
     """
 
     __slots__ = ("r", "vertices", "edges", "_index", "_edge_masks")
@@ -102,9 +102,6 @@ class Hypergraph:
     def edge_masks(self) -> tuple[int, ...]:
         return self._edge_masks
 
-    def full_mask(self) -> int:
-        return (1 << len(self.vertices)) - 1
-
     # -- subsets -----------------------------------------------------------
 
     def index_of(self, label: str) -> int:
@@ -119,15 +116,6 @@ class Hypergraph:
             mask |= 1 << self.index_of(label)
         return mask
 
-    def subset(self, labels: Iterable[str]) -> "VertexSubset":
-        return VertexSubset(self, self.mask_of(labels))
-
-    def subset_from_mask(self, mask: int) -> "VertexSubset":
-        return VertexSubset(self, mask)
-
-    def full_subset(self) -> "VertexSubset":
-        return VertexSubset(self, self.full_mask())
-
     def labels_of_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(v for i, v in enumerate(self.vertices) if (mask >> i) & 1)
 
@@ -136,47 +124,24 @@ class Hypergraph:
     def induced_edge_count(self, mask: int) -> int:
         return sum(1 for m in self._edge_masks if m & mask == m)
 
-    def difference(self, subset: "VertexSubset") -> DifferenceReport:
-        """delta(U) = |U| - e(U) for a subset of this graph's vertices."""
-        if subset.host is not self and subset.host != self:
-            raise HypergraphError("subset belongs to a different hypergraph")
-        size = subset.mask.bit_count()
-        induced = self.induced_edge_count(subset.mask)
+    def difference(self, labels: Iterable[str]) -> DifferenceReport:
+        """delta(U) = |U| - e(U) for the set U of the given vertex labels.
+
+        A repeated label counts once; an unknown one raises HypergraphError.
+        """
+        mask = self.mask_of(labels)
+        size = mask.bit_count()
+        induced = self.induced_edge_count(mask)
         return DifferenceReport(subset_size=size, induced_edges=induced, delta=size - induced)
 
-    def is_independent(self, subset: "VertexSubset | Iterable[str]") -> bool:
-        """True iff no edge lies entirely inside the given vertex set.
+    def is_independent(self, labels: Iterable[str]) -> bool:
+        """True iff no edge lies entirely inside the set of the given labels.
 
         An edge meeting the set in fewer than r vertices does not count;
         only full containment breaks independence.
         """
-        if isinstance(subset, VertexSubset):
-            if subset.host is not self and subset.host != self:
-                raise HypergraphError("subset belongs to a different hypergraph")
-            mask = subset.mask
-        else:
-            mask = self.mask_of(subset)
+        mask = self.mask_of(labels)
         return all(m & mask != m for m in self._edge_masks)
-
-    # -- combination --------------------------------------------------------
-
-    def union(self, other: "Hypergraph") -> "Hypergraph":
-        """Union by shared labels; duplicate edges merge silently here."""
-        if self.r != other.r:
-            raise HypergraphError(f"uniformity mismatch: {self.r} vs {other.r}")
-        verts = list(self.vertices)
-        known = set(verts)
-        for label in other.vertices:
-            if label not in known:
-                verts.append(label)
-                known.add(label)
-        merged = sorted(set(self.edges) | set(other.edges))
-        return Hypergraph(self.r, verts, merged)
-
-    def edge_disjoint(self, other: "Hypergraph") -> bool:
-        if self.r != other.r:
-            raise HypergraphError(f"uniformity mismatch: {self.r} vs {other.r}")
-        return not (set(self.edges) & set(other.edges))
 
     # -- value semantics -----------------------------------------------------
 
@@ -194,53 +159,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(r={self.r}, v={len(self.vertices)}, e={len(self.edges)})"
-
-
-class VertexSubset:
-    """A subset of a host hypergraph's vertices, stored as a bitmask.
-
-    Bit i corresponds to ``host.vertices[i]``. The mask is a Python int, so
-    any host size is representable; masks must not address bits beyond the
-    host's vertex count.
-    """
-
-    __slots__ = ("host", "mask")
-
-    def __init__(self, host: Hypergraph, mask: int):
-        if mask < 0 or mask >> len(host.vertices):
-            raise HypergraphError(
-                f"mask {mask:#x} out of range for host with {len(host.vertices)} vertices"
-            )
-        self.host = host
-        self.mask = mask
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def labels(self) -> tuple[str, ...]:
-        return self.host.labels_of_mask(self.mask)
-
-    def __contains__(self, label: str) -> bool:
-        return bool((self.mask >> self.host.index_of(label)) & 1)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels())
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VertexSubset):
-            return NotImplemented
-        return self.host == other.host and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        # by value, as __eq__ compares hosts: equal subsets of equal hosts hash equal
-        return hash((self.host, self.mask))
-
-    def __repr__(self) -> str:
-        return f"VertexSubset({self.labels()!r})"
 
 
 def subgraph_from_edges(

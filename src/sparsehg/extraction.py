@@ -146,5 +146,5 @@ def extract(chain: LabeledConfiguration, t: int) -> ExtractionResult:
                 f"extraction dropped anchor vertices {missing} on the full branch"
             )
     sub = subgraph_from_edges(chain.graph, verts, edges)
-    verified = chain.graph.difference(chain.graph.subset(sub.vertices))
+    verified = chain.graph.difference(sub.vertices)
     return ExtractionResult(subgraph=sub, trace=tuple(trace), verified=verified)

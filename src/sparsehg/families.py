@@ -293,7 +293,8 @@ def _level_ratio(k: int, m: int) -> int:
 
 
 def _tower_shape(config: LabeledConfiguration) -> tuple[int, int]:
-    """(k, ell) of a tower level, read from its x1..xk and y0..y(ell) roles."""
+    """(k, ell) of a tower level, read from its x1..xk and y0..y(ell) roles,
+    each of which must name exactly one vertex."""
     if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "g-ell":
         raise HypergraphError("expected a tower configuration (family 'g-ell')")
     k = 0
@@ -304,4 +305,7 @@ def _tower_shape(config: LabeledConfiguration) -> tuple[int, int]:
         ell += 1
     if k < 2 or ell < 0:
         raise HypergraphError("tower configuration is missing x/y roles")
+    for name in [f"x{j}" for j in range(1, k + 1)] + [f"y{j}" for j in range(ell + 1)]:
+        if len(config.roles[name]) != 1:
+            raise HypergraphError(f"tower role {name!r} must name exactly one vertex")
     return k, ell

@@ -96,14 +96,15 @@ def _report(
     if vio is None:
         return NicenessReport(clean_verdict, checked, None, seed=seed)
     u_mask, code, delta, bound = vio
-    observed = graph.difference(graph.subset_from_mask(u_mask)).delta
+    labels = graph.labels_of_mask(u_mask)
+    observed = graph.difference(labels).delta
     if observed != delta or observed >= bound:
         raise HypergraphError(
             f"scan reported a false violation: subset of difference {observed}, "
             f"kernel said {delta} against bound {bound}"
         )
     ce = Counterexample(
-        subset=graph.labels_of_mask(u_mask),
+        subset=labels,
         condition=names[code],
         observed_delta=delta,
         required_bound=bound,
@@ -180,7 +181,7 @@ def _check_nice(
         ce = Counterexample(
             subset=wit,
             condition="Independence",
-            observed_delta=graph.difference(graph.subset(wit)).delta,
+            observed_delta=graph.difference(wit).delta,
             required_bound=len(wit),
         )
         return NicenessReport(NOT_NICE, 0, ce, seed=seed)

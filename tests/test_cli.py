@@ -628,6 +628,28 @@ def test_mutated_f14_documents_exit_one(mutation, command):
     assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
 
 
+_G0_DOC = jsonio.config_to_obj(geometric_tower(f14(), 0))
+
+
+@pytest.mark.parametrize(
+    "role,labels",
+    [("x1", []), ("y0", []), ("x1", _G0_DOC["roles"]["x1"] + _G0_DOC["roles"]["x2"])],
+    ids=["empty-x1", "empty-y0", "two-label-x1"],
+)
+def test_malformed_tower_roles_exit_one(capsys, tmp_path, role, labels):
+    # each tower role x1..xk, y0..y(ell) names exactly one vertex
+    doc = copy.deepcopy(_G0_DOC)
+    doc["roles"][role] = labels
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "gl-props", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
+    assert f"tower role {role!r}" in lines[0]
+
+
 def test_missing_input_file_exits_one(capsys):
     assert main(["verify", "nice", "--input", "/nonexistent/g.json"]) == 1
 

@@ -63,37 +63,25 @@ def test_uniformity_guard():
 
 def test_delta_of_empty_subset_is_zero():
     g = Hypergraph(3, ["a", "b", "c"], [("a", "b", "c")])
-    rep = g.difference(g.subset([]))
+    rep = g.difference([])
     assert rep == DifferenceReport(subset_size=0, induced_edges=0, delta=0)
 
 
 def test_difference_full_graph():
     g = Hypergraph(3, [f"v{i}" for i in range(6)], [("v0", "v1", "v2"), ("v2", "v3", "v4")])
     assert g.delta == 4
-    assert g.difference(g.full_subset()).delta == 4
+    assert g.difference(g.vertices).delta == 4
+    # a repeated label counts once; an unknown one is refused
+    assert g.difference(["v0", "v1", "v2", "v2", "v0"]) == DifferenceReport(3, 1, 2)
+    with pytest.raises(HypergraphError, match="unknown vertex label 'v9'"):
+        g.difference(["v0", "v9"])
 
 
 def test_masks_round_trip():
     g = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
     mask = g.mask_of(["d", "a"])
     assert g.labels_of_mask(mask) == ("a", "d")
-    assert g.subset_from_mask(mask).labels() == ("a", "d")
-    assert g.full_mask() == (1 << 4) - 1
-
-
-def test_subset_membership_and_iteration():
-    g = Hypergraph(3, ["a", "b", "c"], [])
-    s = g.subset(["c", "a"])
-    assert "a" in s and "b" not in s
-    assert list(s) == ["a", "c"]
-    assert len(s) == 2
-
-
-def test_subset_from_wrong_host_rejected():
-    g1 = Hypergraph(3, ["a", "b", "c"], [])
-    g2 = Hypergraph(3, ["a", "b", "c"], [("a", "b", "c")])
-    with pytest.raises(HypergraphError, match="different hypergraph"):
-        g1.difference(g2.subset(["a"]))
+    assert g.mask_of(g.vertices) == (1 << 4) - 1
 
 
 @settings(max_examples=60)
@@ -101,12 +89,11 @@ def test_subset_from_wrong_host_rejected():
 def test_difference_matches_naive(data, pick):
     vertices, edges = data
     g = Hypergraph(3, vertices, edges)
-    mask = pick & g.full_mask()
-    sub = g.subset_from_mask(mask)
-    rep = g.difference(sub)
-    assert rep.delta == oracles.difference(edges, sub.labels())
-    assert rep.induced_edges == len(oracles.induced_edges(edges, sub.labels()))
-    assert rep.subset_size == len(sub)
+    labels = g.labels_of_mask(pick)
+    rep = g.difference(labels)
+    assert rep.delta == oracles.difference(edges, labels)
+    assert rep.induced_edges == len(oracles.induced_edges(edges, labels))
+    assert rep.subset_size == len(labels)
 
 
 @settings(max_examples=40)
@@ -122,30 +109,9 @@ def test_induced_count_agrees_on_every_subset(data):
 def test_is_independent_both_input_kinds():
     g = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
     assert g.is_independent(["a", "b", "d"])
-    assert not g.is_independent(g.subset(["a", "b", "c"]))
-
-
-def test_union_merges_and_dedupes():
-    g1 = Hypergraph(3, ["a", "b", "c"], [("a", "b", "c")])
-    g2 = Hypergraph(3, ["a", "b", "c", "d"], [("b", "c", "d"), ("c", "b", "a")])
-    u = g1.union(g2)
-    assert set(u.vertices) == {"a", "b", "c", "d"}
-    assert u.edges == (("a", "b", "c"), ("b", "c", "d"))
-
-
-def test_union_uniformity_mismatch():
-    g1 = Hypergraph(3, ["a", "b", "c"], [])
-    g2 = Hypergraph(4, ["a", "b", "c", "d"], [])
-    with pytest.raises(HypergraphError, match="uniformity mismatch"):
-        g1.union(g2)
-
-
-def test_edge_disjoint():
-    g1 = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
-    g2 = Hypergraph(3, ["a", "b", "c", "d"], [("b", "c", "d")])
-    g3 = Hypergraph(3, ["c", "b", "a"], [("c", "b", "a")])
-    assert g1.edge_disjoint(g2)
-    assert not g1.edge_disjoint(g3)
+    assert not g.is_independent(v for v in "abc")
+    with pytest.raises(HypergraphError, match="unknown vertex label 'z'"):
+        g.is_independent(["a", "z"])
 
 
 def test_equality_ignores_construction_order_of_edges():
@@ -155,15 +121,6 @@ def test_equality_ignores_construction_order_of_edges():
     assert hash(g1) == hash(g2)
     g3 = Hypergraph(3, ["b", "a", "c", "d"], [("a", "b", "c"), ("b", "c", "d")])
     assert g1 != g3  # vertex order is part of identity
-
-
-def test_subset_hash_agrees_with_equality_across_equal_hosts():
-    g1 = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
-    g2 = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
-    sa, sb = g1.subset(["a", "d"]), g2.subset(["a", "d"])
-    assert g1 is not g2 and sa == sb
-    assert hash(sa) == hash(sb)
-    assert sb in {sa}
 
 
 def test_subgraph_from_edges_keeps_host_order():

@@ -207,7 +207,7 @@ def test_stratified_stream_follows_the_uniform_counters_on_wide_hosts(monkeypatc
 def test_forged_violation_is_rechecked(monkeypatch, delta, bound):
     # full f14 has difference 4: the first forgery misstates it, the
     # second states it but against a bound it meets
-    full = f14().graph.full_mask()
+    full = (1 << f14().graph.vertex_count) - 1
 
     def forged(*args):
         return 1, (full, 1, delta, bound)
