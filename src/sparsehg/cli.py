@@ -5,6 +5,10 @@ Every command prints one canonical JSON report to stdout. Exit status is
 produced a counterexample or a search came up empty, and 1 for usage or
 input errors. Sampled checks require an explicit --seed.
 
+Each subcommand's parser names its handler with set_defaults(run=...),
+and main calls args.run(args). A report holds the library's values as
+they are: JSON writes a tuple as an array.
+
 Each handler imports the modules its command runs, at call time, so a
 call loads only those: `import sparsehg.cli` loads core and jsonio, and
 e.g. `ramsey qquad` adds only ramsey. Only the verify handlers import
@@ -19,6 +23,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional
 
 from sparsehg import jsonio
@@ -68,17 +73,6 @@ def _load_config(path: str) -> LabeledConfiguration:
     return loaded
 
 
-def _counterexample_obj(counterexample) -> Optional[dict]:
-    if counterexample is None:
-        return None
-    return {
-        "subset": list(counterexample.subset),
-        "condition": counterexample.condition,
-        "observed_delta": counterexample.observed_delta,
-        "required_bound": counterexample.required_bound,
-    }
-
-
 def _inputs_obj(**paths: Optional[str]) -> dict:
     return {
         name: {"path": path, "sha256": jsonio.file_digest(path)}
@@ -89,7 +83,7 @@ def _inputs_obj(**paths: Optional[str]) -> dict:
 
 def _config_summary(config: LabeledConfiguration) -> dict:
     return {
-        "family": dict(config.family),
+        "family": config.family,
         "v": config.graph.vertex_count,
         "e": config.graph.edge_count,
         "delta": config.graph.delta,
@@ -159,7 +153,7 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
         "method": "sampled" if sampled else "exhaustive",
         "verdict": result.verdict,
         "checked_subsets": result.checked_subsets,
-        "counterexample": _counterexample_obj(result.counterexample),
+        "counterexample": None if result.counterexample is None else asdict(result.counterexample),
         "seed": result.seed,
         "timings": _phase_timings(started, loaded),
     }
@@ -200,7 +194,7 @@ def _cmd_extract(args) -> tuple[dict, int]:
         "v": result.subgraph.vertex_count,
         "e": result.subgraph.edge_count,
         "delta": result.verified.delta,
-        "trace": [dict(step) for step in result.trace],
+        "trace": result.trace,
     }
     if args.output is not None:
         jsonio.write_json(args.output, jsonio.graph_to_obj(result.subgraph))
@@ -220,7 +214,7 @@ def _cmd_project(args) -> tuple[dict, int]:
         "command": "project",
         "inputs": _inputs_obj(input=args.input),
         "case": result.case_tag,
-        "anchors": list(result.anchors),
+        "anchors": result.anchors,
         "kept_links": None if result.projected is None else len(result.projected.pairs),
         "heavy_edges": None
         if result.heavy_config is None
@@ -267,7 +261,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
             "q_quad": result.q_quad_value,
             "min_colors_on_some_kp": result.min_colors_on_some_kp,
             "valid": result.valid,
-            "witness_kp": list(result.witness_kp),
+            "witness_kp": result.witness_kp,
         }
         return report, EXIT_OK if result.valid else EXIT_REFUTED
     if args.ramsey_cmd == "to4":
@@ -278,16 +272,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
             "v": shadow.vertex_count,
             "e": shadow.edge_count,
             "collisions": sum(1 for entry in log if not entry["fresh"]),
-            "log": [
-                {
-                    "color": entry["color"],
-                    "pair1": list(entry["pair1"]),
-                    "pair2": list(entry["pair2"]),
-                    "edge": list(entry["edge"]),
-                    "fresh": entry["fresh"],
-                }
-                for entry in log
-            ],
+            "log": log,
         }
         _emit(report, "graph", jsonio.graph_to_obj(shadow), args.output)
         return report, EXIT_OK
@@ -316,9 +301,7 @@ def _cmd_search(args) -> tuple[dict, int]:
             "v": args.v,
             "e": args.e,
             "found": result.found,
-            "witness": None
-            if result.witness is None
-            else [list(edge) for edge in result.witness],
+            "witness": result.witness,
             "nodes_explored": result.nodes_explored,
             "timings": _phase_timings(started, loaded),
         }
@@ -353,6 +336,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_build = sub.add_parser("build", help="construct a named configuration")
+    p_build.set_defaults(run=_cmd_build)
     sb = p_build.add_subparsers(dest="what", required=True)
     sb.add_parser("cycle", parents=[output])
     sb.add_parser("f14", parents=[output])
@@ -365,31 +349,37 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="check a structural property")
     sv = p_verify.add_subparsers(dest="verify_cmd", required=True)
     p_nice = sv.add_parser("nice", parents=[scan])
+    p_nice.set_defaults(run=_cmd_verify_scan)
     p_nice.add_argument("--input", required=True, help="graph or configuration JSON")
     p_nice.add_argument(
         "--witness", type=_witness_arg, default=None,
         help="comma-separated witness labels (default: role A)",
     )
-    sv.add_parser("claim63")
+    sv.add_parser("claim63").set_defaults(run=_cmd_verify_claim63)
     p_glp = sv.add_parser("gl-props", parents=[scan])
+    p_glp.set_defaults(run=_cmd_verify_scan)
     p_glp.add_argument("--input", required=True, help="tower configuration JSON")
 
     p_extract = sub.add_parser("extract", parents=[output], help="subgraph with 10t edges")
+    p_extract.set_defaults(run=_cmd_extract)
     p_extract.add_argument("--base", default="f14", help="tower base: f14 or edge")
     p_extract.add_argument("--ell", type=int, required=True, help="tower height")
     p_extract.add_argument("--t", type=int, required=True, help="edge multiple")
     p_extract.add_argument("--trace", dest="trace_out", default=None, help="write the descent trace here")
 
     p_project = sub.add_parser("project", parents=[output], help="anchor and reduce to 3-uniform")
+    p_project.set_defaults(run=_cmd_project)
     p_project.add_argument("--input", required=True, help="r-uniform graph JSON")
     p_project.add_argument("--k", type=int, required=True)
     p_project.add_argument("--e", type=int, required=True)
 
     p_lift = sub.add_parser("lift", parents=[output], help="pull a 3-uniform hit back up")
+    p_lift.set_defaults(run=_cmd_lift)
     p_lift.add_argument("--proj", required=True, help="projection JSON from `project`")
     p_lift.add_argument("--config", required=True, help="3-uniform configuration JSON")
 
     p_ramsey = sub.add_parser("ramsey", help="edge colorings and the 4-graph shadow")
+    p_ramsey.set_defaults(run=_cmd_ramsey)
     sr = p_ramsey.add_subparsers(dest="ramsey_cmd", required=True)
     p_qq = sr.add_parser("qquad")
     p_qq.add_argument("--p", type=int, required=True)
@@ -405,6 +395,7 @@ def build_parser() -> _Parser:
     p_impl.add_argument("--q", type=int, required=True)
 
     p_search = sub.add_parser("search", help="brute-force oracles")
+    p_search.set_defaults(run=_cmd_search)
     ss = p_search.add_subparsers(dest="search_cmd", required=True)
     p_cfg = ss.add_parser("config")
     p_cfg.add_argument("--input", required=True, help="graph JSON")
@@ -416,16 +407,6 @@ def build_parser() -> _Parser:
     p_cp.add_argument("--induced", action="store_true")
 
     return parser
-
-
-_DISPATCH = {
-    "build": _cmd_build,
-    "extract": _cmd_extract,
-    "project": _cmd_project,
-    "lift": _cmd_lift,
-    "ramsey": _cmd_ramsey,
-    "search": _cmd_search,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -443,25 +424,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if args.cmd == "verify":
-            handler = {
-                "nice": _cmd_verify_scan,
-                "claim63": _cmd_verify_claim63,
-                "gl-props": _cmd_verify_scan,
-            }[args.verify_cmd]
-        else:
-            handler = _DISPATCH[args.cmd]
-        report, code = handler(args)
-    except HypergraphError as exc:
-        print(f"sparsehg: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+        report, code = args.run(args)
+    except (HypergraphError, OSError) as exc:
         print(f"sparsehg: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report.setdefault("timings", {})["wall_s"] = round(time.perf_counter() - started, 6)
-    report["report_sha256"] = jsonio.report_digest(
-        {k: v for k, v in report.items() if k != "report_sha256"}
-    )
+    report["report_sha256"] = jsonio.report_digest(report)
     sys.stdout.write(jsonio.canonical_json(report))
     return code
 

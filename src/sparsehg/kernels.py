@@ -167,8 +167,6 @@ def _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -
     xs = [j for j in _positions(x_mask) if j < n]
     xy = _positions(xy_mask)
     glx = [j for j in _positions(gl_mask & ~x_mask) if j < n]
-    # Item 3 compares P + AU + lift with E + k + ell - lift, both sides >= 0
-    lift = max(0, -(k + ell))
 
     def first_violation(lanes, ones):
         # a function of its own, so that a batch's temporaries are freed
@@ -185,8 +183,8 @@ def _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -
             bad |= few_x & reduce(or_, p, 0) & _less(p, e, ones, ones)
         if glx:
             meets = reduce(or_, map(lane, glx))
-            s = _add(_add(p, au), _planes(lift, ones))
-            r = _add(e, _planes(k + ell + lift, ones))
+            s = _add(p, au)
+            r = _add(e, _planes(k + ell, ones))
             bad |= (few_x ^ ones) & meets & _less(s, r, 0, ones)
         return (bad & -bad).bit_length() - 1
 

@@ -3,8 +3,10 @@
 `project` anchors a (k-2)-subset of maximum link size, collects the link
 sets, and either finds a heavy triple (yielding a small configuration in
 the r-graph directly) or retains a pairwise-nearly-disjoint subfamily and
-represents each retained link by one triple. `lift` pulls a 3-uniform
-configuration found in the projection back to the r-graph.
+represents each retained link by one triple. The anchors and the heavy
+triple are found by counting the subsets each edge or link holds, not by
+scanning every vertex subset. `lift` pulls a 3-uniform configuration
+found in the projection back to the r-graph.
 """
 
 from __future__ import annotations
@@ -41,19 +43,23 @@ class ProjectionResult:
     projected: Optional[ProjectedMap]
 
 
+def _holders(sets, s: int) -> dict[tuple[int, ...], list[int]]:
+    """Each s-subset of vertex indices lying in one of `sets`, mapped to the
+    positions of the sets that hold it, in order."""
+    held: dict[tuple[int, ...], list[int]] = {}
+    for i, members in enumerate(sets):
+        for sub in itertools.combinations(sorted(members), s):
+            held.setdefault(sub, []).append(i)
+    return held
+
+
 def _pick_anchors(graph: Hypergraph, k: int) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """(k-2)-subset contained in the most edges; ties go to the first in index order."""
-    if k == 2:
-        anchors: tuple[str, ...] = ()
-        return anchors, list(graph.edges)
-    best = None
-    best_links = None
-    for combo in itertools.combinations(graph.vertices, k - 2):
-        cset = set(combo)
-        links = [edge for edge in graph.edges if cset <= set(edge)]
-        if best is None or len(links) > len(best_links):
-            best, best_links = combo, links
-    return best, best_links
+    held = _holders([map(graph.index_of, edge) for edge in graph.edges], k - 2)
+    if not held:  # no edges: every subset is held by none, so the first wins
+        return graph.vertices[: k - 2], []
+    best = min(held, key=lambda sub: (-len(held[sub]), sub))
+    return tuple(graph.vertices[i] for i in best), [graph.edges[i] for i in held[best]]
 
 
 def project(graph: Hypergraph, k: int, e: int) -> ProjectionResult:
@@ -75,35 +81,36 @@ def project(graph: Hypergraph, k: int, e: int) -> ProjectionResult:
             f"projection limited to {_PROJECT_VERTEX_LIMIT} vertices; "
             f"graph has {graph.vertex_count}"
         )
+    if graph.vertex_count < k - 2:
+        raise HypergraphError(f"need k-2={k - 2} anchor vertices, graph has {graph.vertex_count}")
     anchors, link_edges = _pick_anchors(graph, k)
     anchor_set = set(anchors)
     links = [tuple(u for u in edge if u not in anchor_set) for edge in link_edges]
 
     # heavy triple: first vertex triple (index order) lying in >= e links
-    link_sets = [set(y) for y in links]
-    for triple in itertools.combinations(graph.vertices, 3):
-        tset = set(triple)
-        holders = [i for i, ys in enumerate(link_sets) if tset <= ys]
-        if len(holders) >= e:
-            chosen = holders[:e]
-            union: set[str] = set(anchors)
-            for i in chosen:
-                union.update(links[i])
-            bound = (r - k) * e + k
-            if len(union) > bound:
-                raise HypergraphError(
-                    f"heavy-triple union has {len(union)} vertices, over the bound {bound}"
-                )
-            verts = [v for v in graph.vertices if v in union]
-            heavy = Hypergraph(r, verts, [link_edges[i] for i in chosen])
-            return ProjectionResult(
-                r=r, k=k, e=e, anchors=anchors, case_tag=HEAVY_TRIPLE,
-                heavy_config=heavy, projected=None,
+    held = _holders([map(graph.index_of, y) for y in links], 3)
+    heavy_triples = [triple for triple, holders in held.items() if len(holders) >= e]
+    if heavy_triples:
+        chosen = held[min(heavy_triples)][:e]
+        union: set[str] = set(anchors)
+        for i in chosen:
+            union.update(links[i])
+        bound = (r - k) * e + k
+        if len(union) > bound:
+            raise HypergraphError(
+                f"heavy-triple union has {len(union)} vertices, over the bound {bound}"
             )
+        verts = [v for v in graph.vertices if v in union]
+        heavy = Hypergraph(r, verts, [link_edges[i] for i in chosen])
+        return ProjectionResult(
+            r=r, k=k, e=e, anchors=anchors, case_tag=HEAVY_TRIPLE,
+            heavy_config=heavy, projected=None,
+        )
 
     kept: list[tuple[str, ...]] = []
     kept_sets: list[set] = []
-    for y, ys in zip(links, link_sets):
+    for y in links:
+        ys = set(y)
         if all(len(ys & other) <= 2 for other in kept_sets):
             kept.append(y)
             kept_sets.append(ys)

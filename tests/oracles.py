@@ -217,6 +217,27 @@ def q_quad(p):
     return comb(p, 2) - p // 2 + 2
 
 
+def projection_anchors(vertices, edges, k):
+    """The (k-2)-subset of `vertices` lying in the most edges, the first in
+    index order on ties, and those edges in order; scans every subset."""
+    best, best_edges = None, None
+    for combo in itertools.combinations(vertices, k - 2):
+        held = [edge for edge in edges if set(combo) <= set(edge)]
+        if best is None or len(held) > len(best_edges):
+            best, best_edges = combo, held
+    return best, best_edges
+
+
+def heavy_triple_links(vertices, links, e):
+    """Positions of the first e links holding the first vertex triple (index
+    order) that lies in at least e links, or None; scans every triple."""
+    for triple in itertools.combinations(vertices, 3):
+        holders = [i for i, link in enumerate(links) if set(triple) <= set(link)]
+        if len(holders) >= e:
+            return holders[:e]
+    return None
+
+
 def random_3graph(seed, max_n=10, max_m=12):
     """Small random 3-graph as (vertices, edges); distinct edges, seeded."""
     rng = random.Random(seed)

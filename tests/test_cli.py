@@ -212,29 +212,99 @@ def test_workers_is_a_usage_error_everywhere(capsys, f14_file):
         assert "--workers" in lines[0]
 
 
-def test_verify_reports_name_their_method(capsys, f14_file, tmp_path):
-    scan_keys = {"command", "inputs", "method", "verdict", "checked_subsets",
-                 "counterexample", "seed", "timings", "report_sha256"}
-    code, report = run(capsys, "verify", "nice", "--input", f14_file)
-    assert code == 0 and set(report) == scan_keys
-    assert report["method"] == "exhaustive"
-    code, report = run(capsys, "verify", "nice", "--input", f14_file,
-                       "--samples", "100", "--seed", "1")
-    assert code == 0 and set(report) == scan_keys
-    assert report["method"] == "sampled"
-    g0 = str(tmp_path / "g0.json")
-    assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
-    for extra, method in (([], "exhaustive"), (["--samples", "100", "--seed", "1"], "sampled")):
-        code, report = run(capsys, "verify", "gl-props", "--input", g0, *extra)
-        assert code == 0 and set(report) == scan_keys
-        assert report["method"] == method
-    code, report = run(capsys, "verify", "claim63")
-    assert code == 0
-    assert set(report) == {"command", "holds", "method", "passes", "checked_subsets",
-                           "timings", "report_sha256"}
-    assert (report["method"], report["passes"], report["checked_subsets"]) == (
-        "exhaustive", 2, 64,
-    )
+# One call per leaf of build_parser(), in order (lift reads project's
+# output), run where _write_report_inputs wrote its inputs, and the keys of
+# its report besides "timings" and "report_sha256".
+_SUMMARY = {"command", "family", "v", "e", "delta"}
+_SCAN = {"command", "inputs", "method", "verdict", "checked_subsets", "counterexample", "seed"}
+_EXTRACT = {"command", "base", "ell", "t", "v", "e", "delta", "trace"}
+_COLORING = ["--input", "coloring.json", "--p", "8", "--q", "27"]
+_REPORT_KEYS = [
+    (("build", "cycle"), [], _SUMMARY | {"configuration"}),
+    (("build", "f14"), ["-o", "out.json"], _SUMMARY | {"output"}),
+    (("build", "f-k"), ["--k", "5"], _SUMMARY | {"configuration"}),
+    (("build", "g-ell"), ["--ell", "0", "-o", "out.json"], _SUMMARY | {"output"}),
+    (("verify", "nice"), ["--input", "f14.json"], _SCAN),
+    (("verify", "nice"), ["--input", "f14.json", "--samples", "100", "--seed", "1"], _SCAN),
+    (("verify", "nice"), ["--input", "cycle.json"], _SCAN),
+    (("verify", "claim63"), [], {"command", "holds", "method", "passes", "checked_subsets"}),
+    (("verify", "gl-props"), ["--input", "g0.json"], _SCAN),
+    (("verify", "gl-props"), ["--input", "g0.json", "--samples", "100", "--seed", "1"], _SCAN),
+    (("extract",), ["--ell", "1", "--t", "1"], _EXTRACT),
+    (("extract",), ["--ell", "1", "--t", "1", "-o", "sub.json", "--trace", "trace.json"],
+     _EXTRACT | {"output", "trace_output"}),
+    (("project",), ["--input", "h4.json", "--k", "2", "--e", "3", "-o", "proj.json"],
+     {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "output"}),
+    (("project",), ["--input", "h4.json", "--k", "2", "--e", "3"],
+     {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "projection"}),
+    (("lift",), ["--proj", "proj.json", "--config", "cfg3.json"],
+     {"command", "inputs", "v", "e", "lifted"}),
+    (("ramsey", "qquad"), ["--p", "8"], {"command", "p", "q_quad"}),
+    (("ramsey", "check"), _COLORING,
+     {"command", "inputs", "p", "q", "q_quad", "min_colors_on_some_kp", "valid", "witness_kp"}),
+    (("ramsey", "to4"), ["--input", "coloring.json"],
+     {"command", "inputs", "v", "e", "collisions", "log", "graph"}),
+    (("ramsey", "implication"), _COLORING, {"command", "inputs", "p", "q", "implication_holds"}),
+    (("search", "config"), ["--input", "f14.json", "--v", "9", "--e", "5"],
+     {"command", "inputs", "v", "e", "found", "witness", "nodes_explored"}),
+    (("search", "copies"), ["--input", "f14.json", "--pattern", "cycle.json"],
+     {"command", "inputs", "embeddings", "copies", "induced", "nodes_explored"}),
+]
+
+
+def _write_report_inputs(capsys):
+    for name, argv in (("f14.json", ["f14"]), ("cycle.json", ["cycle"]),
+                       ("g0.json", ["g-ell", "--ell", "0"])):
+        assert run(capsys, "build", *argv, "-o", name)[0] == 0
+    jsonio.write_json("coloring.json", jsonio.coloring_to_obj(packed_coloring(8, 8)))
+    labels = [f"u{i}" for i in range(9)]
+    jsonio.write_json("h4.json", {"r": 4, "vertices": labels, "edges": [
+        ["u0", "u1", "u2", "u3"], ["u3", "u4", "u5", "u6"], ["u0", "u4", "u7", "u8"]]})
+    # the first triple the projection of h4.json records
+    jsonio.write_json("cfg3.json", {"r": 3, "vertices": labels, "edges": [["u0", "u1", "u2"]]})
+
+
+def test_verify_reports_name_their_method(capsys, tmp_path, monkeypatch):
+    """Every command's report keys, with the method of each verify report,
+    the nested shapes of counterexamples, logs, traces and witnesses, and
+    a report_sha256 that digests the rest of the report."""
+    assert {leaf for leaf, _, _ in _REPORT_KEYS} == set(_leaf_commands(build_parser()))
+    monkeypatch.chdir(tmp_path)
+    _write_report_inputs(capsys)
+    reports = {}
+    for leaf, extra, keys in _REPORT_KEYS:
+        code, report = run(capsys, *leaf, *extra)
+        assert code in (0, 2), (leaf, extra)
+        assert set(report) == keys | {"timings", "report_sha256"}, (leaf, extra)
+        rest = {k: v for k, v in report.items() if k != "report_sha256"}
+        assert report["report_sha256"] == jsonio.report_digest(rest)
+        if "method" in keys:
+            sampled = "--samples" in extra
+            assert report["method"] == ("sampled" if sampled else "exhaustive")
+        reports[" ".join((*leaf, *extra))] = code, report
+
+    claim63 = reports["verify claim63"][1]
+    assert (claim63["passes"], claim63["checked_subsets"]) == (2, 64)
+    assert reports["verify nice --input f14.json"][1]["counterexample"] is None
+    code, refuted = reports["verify nice --input cycle.json"]
+    assert code == 2 and set(refuted["counterexample"]) == {
+        "subset", "condition", "observed_delta", "required_bound"}
+    assert all(isinstance(v, str) for v in refuted["counterexample"]["subset"])
+    log = reports["ramsey to4 --input coloring.json"][1]["log"]
+    assert log and all(
+        set(entry) == {"color", "pair1", "pair2", "edge", "fresh"}
+        and len(entry["pair1"]) == len(entry["pair2"]) == 2 and len(entry["edge"]) == 4
+        for entry in log)
+    trace = reports["extract --ell 1 --t 1"][1]["trace"]
+    assert trace and all(
+        set(step) == {"level", "t", "branch", "d", "t_residual", "descent_level"}
+        for step in trace)
+    assert jsonio.read_json("trace.json") == trace
+    code, found = reports["search config --input f14.json --v 9 --e 5"]
+    labels, edges = found["witness"]
+    assert code == 0 and (len(labels), len(edges)) == (9, 5)
+    assert all(isinstance(v, str) for v in labels)
+    assert all(len(edge) == 3 and set(edge) <= set(labels) for edge in edges)
 
 
 def test_repeated_witness_label_exits_one(capsys, f14_file, tmp_path):
@@ -367,6 +437,12 @@ _GUARDS = {
         {"h.json": lambda: {"r": 4, "vertices": [f"u{i}" for i in range(41)],
                             "edges": [["u0", "u1", "u2", "u3"]]}},
         ["project", "--input", "h.json", "--k", "2", "--e", "3"], "projection limited"),
+    "project-one-vertex": (
+        {"h.json": lambda: {"r": 5, "vertices": ["a"], "edges": []}},
+        ["project", "--input", "h.json", "--k", "4", "--e", "2"], "anchor vertices"),
+    "project-no-vertex": (
+        {"h.json": lambda: {"r": 4, "vertices": [], "edges": []}},
+        ["project", "--input", "h.json", "--k", "3", "--e", "2"], "anchor vertices"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -155,6 +156,33 @@ def test_roundtrip_heavy_or_lift_confirmed_by_oracle(seed):
     bound = cfg3.vertex_count + (g.r - 2 - 1) * cfg3.edge_count + 2 - 2
     assert lifted.vertex_count <= bound
     assert find_configuration(g, lifted.vertex_count, e).found
+
+
+def test_anchors_and_heavy_triple_match_the_subset_scans():
+    # random 4- and 5-graphs on at most 12 vertices, every k in [2, r)
+    # and e in 2..4, against the scans over every vertex subset
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(400):
+        r = rng.choice((4, 5))
+        n = rng.randint(r, 12)
+        vertices = [f"u{i}" for i in range(n)]
+        pool = list(itertools.combinations(vertices, r))
+        g = Hypergraph(r, vertices, rng.sample(pool, rng.randint(0, min(25, len(pool)))))
+        k, e = rng.randint(2, r - 1), rng.randint(2, 4)
+        result = project(g, k, e)
+        anchors, link_edges = oracles.projection_anchors(g.vertices, g.edges, k)
+        assert result.anchors == anchors
+        links = [tuple(u for u in edge if u not in anchors) for edge in link_edges]
+        chosen = oracles.heavy_triple_links(g.vertices, links, e)
+        if chosen is None:
+            assert result.case_tag == PROJECTED
+        else:
+            assert result.case_tag == HEAVY_TRIPLE
+            assert result.heavy_config.edges == tuple(link_edges[i] for i in chosen)
+        seen.add((result.case_tag, k > 2))
+    assert seen == {(HEAVY_TRIPLE, False), (HEAVY_TRIPLE, True),
+                    (PROJECTED, False), (PROJECTED, True)}
 
 
 def test_retention_bound_documented_in_result():
