@@ -30,7 +30,7 @@ def strip_timings(obj: Any) -> Any:
     """Copy with every dict key named "timings" dropped, at any depth."""
     if isinstance(obj, dict):
         return {k: strip_timings(v) for k, v in obj.items() if k != "timings"}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [strip_timings(v) for v in obj]
     return obj
 

@@ -213,41 +213,41 @@ def test_workers_is_a_usage_error_everywhere(capsys, f14_file):
 
 
 # One call per leaf of build_parser(), in order (lift reads project's
-# output), run where _write_report_inputs wrote its inputs, and the keys of
-# its report besides "timings" and "report_sha256".
+# output), run where _write_report_inputs wrote its inputs, with its exit
+# code and the keys of its report besides "timings" and "report_sha256".
 _SUMMARY = {"command", "family", "v", "e", "delta"}
 _SCAN = {"command", "inputs", "method", "verdict", "checked_subsets", "counterexample", "seed"}
 _EXTRACT = {"command", "base", "ell", "t", "v", "e", "delta", "trace"}
 _COLORING = ["--input", "coloring.json", "--p", "8", "--q", "27"]
 _REPORT_KEYS = [
-    (("build", "cycle"), [], _SUMMARY | {"configuration"}),
-    (("build", "f14"), ["-o", "out.json"], _SUMMARY | {"output"}),
-    (("build", "f-k"), ["--k", "5"], _SUMMARY | {"configuration"}),
-    (("build", "g-ell"), ["--ell", "0", "-o", "out.json"], _SUMMARY | {"output"}),
-    (("verify", "nice"), ["--input", "f14.json"], _SCAN),
-    (("verify", "nice"), ["--input", "f14.json", "--samples", "100", "--seed", "1"], _SCAN),
-    (("verify", "nice"), ["--input", "cycle.json"], _SCAN),
-    (("verify", "claim63"), [], {"command", "holds", "method", "passes", "checked_subsets"}),
-    (("verify", "gl-props"), ["--input", "g0.json"], _SCAN),
-    (("verify", "gl-props"), ["--input", "g0.json", "--samples", "100", "--seed", "1"], _SCAN),
-    (("extract",), ["--ell", "1", "--t", "1"], _EXTRACT),
-    (("extract",), ["--ell", "1", "--t", "1", "-o", "sub.json", "--trace", "trace.json"],
+    (("build", "cycle"), 0, [], _SUMMARY | {"configuration"}),
+    (("build", "f14"), 0, ["-o", "out.json"], _SUMMARY | {"output"}),
+    (("build", "f-k"), 0, ["--k", "5"], _SUMMARY | {"configuration"}),
+    (("build", "g-ell"), 0, ["--ell", "0", "-o", "out.json"], _SUMMARY | {"output"}),
+    (("verify", "nice"), 0, ["--input", "f14.json"], _SCAN),
+    (("verify", "nice"), 0, ["--input", "f14.json", "--samples", "100", "--seed", "1"], _SCAN),
+    (("verify", "nice"), 2, ["--input", "cycle.json"], _SCAN),
+    (("verify", "claim63"), 0, [], {"command", "holds", "method", "passes", "checked_subsets"}),
+    (("verify", "gl-props"), 0, ["--input", "g0.json"], _SCAN),
+    (("verify", "gl-props"), 0, ["--input", "g0.json", "--samples", "100", "--seed", "1"], _SCAN),
+    (("extract",), 0, ["--ell", "1", "--t", "1"], _EXTRACT),
+    (("extract",), 0, ["--ell", "1", "--t", "1", "-o", "sub.json", "--trace", "trace.json"],
      _EXTRACT | {"output", "trace_output"}),
-    (("project",), ["--input", "h4.json", "--k", "2", "--e", "3", "-o", "proj.json"],
+    (("project",), 0, ["--input", "h4.json", "--k", "2", "--e", "3", "-o", "proj.json"],
      {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "output"}),
-    (("project",), ["--input", "h4.json", "--k", "2", "--e", "3"],
+    (("project",), 0, ["--input", "h4.json", "--k", "2", "--e", "3"],
      {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "projection"}),
-    (("lift",), ["--proj", "proj.json", "--config", "cfg3.json"],
+    (("lift",), 0, ["--proj", "proj.json", "--config", "cfg3.json"],
      {"command", "inputs", "v", "e", "lifted"}),
-    (("ramsey", "qquad"), ["--p", "8"], {"command", "p", "q_quad"}),
-    (("ramsey", "check"), _COLORING,
+    (("ramsey", "qquad"), 0, ["--p", "8"], {"command", "p", "q_quad"}),
+    (("ramsey", "check"), 2, _COLORING,
      {"command", "inputs", "p", "q", "q_quad", "min_colors_on_some_kp", "valid", "witness_kp"}),
-    (("ramsey", "to4"), ["--input", "coloring.json"],
+    (("ramsey", "to4"), 0, ["--input", "coloring.json"],
      {"command", "inputs", "v", "e", "collisions", "log", "graph"}),
-    (("ramsey", "implication"), _COLORING, {"command", "inputs", "p", "q", "implication_holds"}),
-    (("search", "config"), ["--input", "f14.json", "--v", "9", "--e", "5"],
+    (("ramsey", "implication"), 0, _COLORING, {"command", "inputs", "p", "q", "implication_holds"}),
+    (("search", "config"), 0, ["--input", "f14.json", "--v", "9", "--e", "5"],
      {"command", "inputs", "v", "e", "found", "witness", "nodes_explored"}),
-    (("search", "copies"), ["--input", "f14.json", "--pattern", "cycle.json"],
+    (("search", "copies"), 0, ["--input", "f14.json", "--pattern", "cycle.json"],
      {"command", "inputs", "embeddings", "copies", "induced", "nodes_explored"}),
 ]
 
@@ -268,41 +268,40 @@ def test_verify_reports_name_their_method(capsys, tmp_path, monkeypatch):
     """Every command's report keys, with the method of each verify report,
     the nested shapes of counterexamples, logs, traces and witnesses, and
     a report_sha256 that digests the rest of the report."""
-    assert {leaf for leaf, _, _ in _REPORT_KEYS} == set(_leaf_commands(build_parser()))
+    assert {leaf for leaf, *_ in _REPORT_KEYS} == set(_leaf_commands(build_parser()))
     monkeypatch.chdir(tmp_path)
     _write_report_inputs(capsys)
     reports = {}
-    for leaf, extra, keys in _REPORT_KEYS:
+    for leaf, expected, extra, keys in _REPORT_KEYS:
         code, report = run(capsys, *leaf, *extra)
-        assert code in (0, 2), (leaf, extra)
+        assert code == expected, (leaf, extra)
         assert set(report) == keys | {"timings", "report_sha256"}, (leaf, extra)
         rest = {k: v for k, v in report.items() if k != "report_sha256"}
         assert report["report_sha256"] == jsonio.report_digest(rest)
         if "method" in keys:
             sampled = "--samples" in extra
             assert report["method"] == ("sampled" if sampled else "exhaustive")
-        reports[" ".join((*leaf, *extra))] = code, report
+        reports[" ".join((*leaf, *extra))] = report
 
-    claim63 = reports["verify claim63"][1]
+    claim63 = reports["verify claim63"]
     assert (claim63["passes"], claim63["checked_subsets"]) == (2, 64)
-    assert reports["verify nice --input f14.json"][1]["counterexample"] is None
-    code, refuted = reports["verify nice --input cycle.json"]
-    assert code == 2 and set(refuted["counterexample"]) == {
+    assert reports["verify nice --input f14.json"]["counterexample"] is None
+    refuted = reports["verify nice --input cycle.json"]
+    assert set(refuted["counterexample"]) == {
         "subset", "condition", "observed_delta", "required_bound"}
     assert all(isinstance(v, str) for v in refuted["counterexample"]["subset"])
-    log = reports["ramsey to4 --input coloring.json"][1]["log"]
+    log = reports["ramsey to4 --input coloring.json"]["log"]
     assert log and all(
         set(entry) == {"color", "pair1", "pair2", "edge", "fresh"}
         and len(entry["pair1"]) == len(entry["pair2"]) == 2 and len(entry["edge"]) == 4
         for entry in log)
-    trace = reports["extract --ell 1 --t 1"][1]["trace"]
+    trace = reports["extract --ell 1 --t 1"]["trace"]
     assert trace and all(
         set(step) == {"level", "t", "branch", "d", "t_residual", "descent_level"}
         for step in trace)
     assert jsonio.read_json("trace.json") == trace
-    code, found = reports["search config --input f14.json --v 9 --e 5"]
-    labels, edges = found["witness"]
-    assert code == 0 and (len(labels), len(edges)) == (9, 5)
+    labels, edges = reports["search config --input f14.json --v 9 --e 5"]["witness"]
+    assert (len(labels), len(edges)) == (9, 5)
     assert all(isinstance(v, str) for v in labels)
     assert all(len(edge) == 3 and set(edge) <= set(labels) for edge in edges)
 

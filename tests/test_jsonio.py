@@ -135,8 +135,9 @@ def test_canonical_json_is_sorted_and_newline_terminated():
 
 
 def test_strip_timings_recursive():
-    obj = {"timings": 1, "keep": {"timings": [2], "x": 3}, "list": [{"timings": 4}]}
-    assert jsonio.strip_timings(obj) == {"keep": {"x": 3}, "list": [{}]}
+    obj = {"timings": 1, "keep": {"timings": [2], "x": 3}, "list": [{"timings": 4}],
+           "tuple": ({"timings": 5, "y": 6},)}
+    assert jsonio.strip_timings(obj) == {"keep": {"x": 3}, "list": [{}], "tuple": [{"y": 6}]}
 
 
 def test_report_digest_ignores_timings_only():
