@@ -102,6 +102,7 @@ def _emit(report: dict, key: str, obj, out: Optional[str]) -> None:
 def _cmd_build(args) -> tuple[dict, int]:
     from sparsehg.families import f14, factorial_family, linear_three_cycle
 
+    started = time.perf_counter()
     if args.what == "cycle":
         config = linear_three_cycle()
     elif args.what == "f14":
@@ -110,8 +111,15 @@ def _cmd_build(args) -> tuple[dict, int]:
         config = factorial_family(args.k)
     else:
         config = _tower(args.base, args.ell)
+    built = time.perf_counter()
     report = {"command": f"build {args.what}", **_config_summary(config)}
     _emit(report, "configuration", jsonio.config_to_obj(config), args.output)
+    # build_s constructs the configuration, write_s serializes it (and
+    # writes the file with -o); main adds wall_s
+    report["timings"] = {
+        "build_s": round(built - started, 6),
+        "write_s": round(time.perf_counter() - built, 6),
+    }
     return report, EXIT_OK
 
 

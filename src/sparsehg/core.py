@@ -5,11 +5,14 @@ not lexicographic: bit i of every subset mask refers to ``vertices[i]``, and
 recursive builders rely on anchor vertices keeping their positions across
 rebuilds. Edges carry two representations: sorted label tuples (the
 interchange form) and bitmasks over the vertex order (the computation form).
-Vertex subsets take the same two forms: callers name them by labels, and
-`difference` and `is_independent` turn the labels into a mask. Masks are
-plain Python integers, so hosts with more than 64 vertices work unchanged;
-the subset kernels check them as bit-sliced lanes, one Python int per vertex
-with one bit per subset.
+The masks are built on first use of `edge_masks` and kept: each is an n-bit
+int, so a host's masks take O(n * m) bits, and construction, the family
+builders and JSON I/O never read them. Vertex subsets take the same two
+forms: callers name them by labels; `difference` turns the labels into a
+mask, and `is_independent` tests them edge by edge. Masks are plain Python
+integers, so hosts with more than 64 vertices work unchanged; the subset
+kernels check them as bit-sliced lanes, one Python int per vertex with one
+bit per subset.
 """
 
 from __future__ import annotations
@@ -54,14 +57,15 @@ class Hypergraph:
 
         canon: list[tuple[str, ...]] = []
         seen: set[tuple[str, ...]] = set()
-        masks: list[int] = []
         for raw in edges:
-            members = set(raw)
+            given = tuple(raw)
+            members = set(given)
             if len(members) != r:
                 raise HypergraphError(
                     f"edge {sorted(members)!r} has {len(members)} distinct members, expected {r}"
                 )
-            for label in members:
+            # in the given order, so the error names the same label on every run
+            for label in given:
                 if label not in index:
                     raise HypergraphError(f"edge uses unknown label {label!r}")
             edge = tuple(sorted(members))
@@ -71,17 +75,11 @@ class Hypergraph:
             canon.append(edge)
 
         canon.sort()
-        for edge in canon:
-            mask = 0
-            for label in edge:
-                mask |= 1 << index[label]
-            masks.append(mask)
-
         self.r = r
         self.vertices = verts
         self.edges = tuple(canon)
         self._index = index
-        self._edge_masks = tuple(masks)
+        self._edge_masks = None
 
     # -- basic counts ------------------------------------------------------
 
@@ -100,6 +98,9 @@ class Hypergraph:
 
     @property
     def edge_masks(self) -> tuple[int, ...]:
+        """One bitmask per edge, in edge order; built on first use."""
+        if self._edge_masks is None:
+            self._edge_masks = tuple(map(self.mask_of, self.edges))
         return self._edge_masks
 
     # -- subsets -----------------------------------------------------------
@@ -122,7 +123,7 @@ class Hypergraph:
     # -- difference arithmetic ---------------------------------------------
 
     def induced_edge_count(self, mask: int) -> int:
-        return sum(1 for m in self._edge_masks if m & mask == m)
+        return sum(1 for m in self.edge_masks if m & mask == m)
 
     def difference(self, labels: Iterable[str]) -> DifferenceReport:
         """delta(U) = |U| - e(U) for the set U of the given vertex labels.
@@ -138,10 +139,14 @@ class Hypergraph:
         """True iff no edge lies entirely inside the set of the given labels.
 
         An edge meeting the set in fewer than r vertices does not count;
-        only full containment breaks independence.
+        only full containment breaks independence. Labels are tested edge by
+        edge, so no edge mask is built.
         """
-        mask = self.mask_of(labels)
-        return all(m & mask != m for m in self._edge_masks)
+        chosen = set()
+        for label in labels:
+            self.index_of(label)
+            chosen.add(label)
+        return not any(chosen.issuperset(edge) for edge in self.edges)
 
     # -- value semantics -----------------------------------------------------
 

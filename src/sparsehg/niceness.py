@@ -11,7 +11,9 @@ then reported.
 Niceness, the tower bounds and claim 6.3 run through one scan function,
 `_check`, and the one bound checker in sparsehg.kernels; niceness is the
 tower check with x = A_ell = xy = A, no G^ell copy, k + 1 in place of k and
-ell = 0.
+ell = 0. The stratified pass of sampled niceness runs that checker on the
+induced sub-hypergraph of A and its edge neighbourhood, where all of its
+subsets lie, so its lanes are as wide as that pool, not the host.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError
@@ -120,15 +122,14 @@ def _check(
     base: int = 0,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    extra: Callable[[], list[int]] = list,
 ) -> NicenessReport:
     """Check the bounds under `roles` (x, A_ell, xy, G, k, ell) on supersets of `base`.
 
     With samples=None every superset is scanned, in increasing order of its
     free bits; otherwise `samples` seeded uniform subsets are drawn with
-    `base` ORed in and, when none violates, the masks `extra()` returns are
-    checked too; `seed` is read only then. Violations are named by `names`.
-    A sampled check raises HypergraphError where numpy is not installed.
+    `base` ORed in, and `seed` is read only then. Violations are named by
+    `names`. A sampled check raises HypergraphError where numpy is not
+    installed.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
@@ -147,9 +148,6 @@ def _check(
         raise HypergraphError("a sampled check needs a seed")
     try:
         checked, vio = kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
-        if vio is None and (masks := extra()):
-            s_checked, vio = kernels.check_masks(edge_masks, n, *roles, masks)
-            checked += s_checked
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
@@ -167,9 +165,9 @@ def _check_nice(
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> NicenessReport:
-    """Niceness of the witness (default: role "A") through `_check`, the
-    stratified pass after a sampled scan; a witness that spans an edge is
-    refuted before any scan."""
+    """Niceness of the witness (default: role "A") through `_check`, then,
+    when a sampled scan found nothing, `_stratified_pass`; a witness that
+    spans an edge is refuted before any scan."""
     graph = _as_graph(config)
     wit = _resolve_witness(config, witness)
     k = graph.delta
@@ -185,12 +183,17 @@ def _check_nice(
             required_bound=len(wit),
         )
         return NicenessReport(NOT_NICE, 0, ce, seed=seed)
+    report = _check(
+        graph, _nice_roles(graph.mask_of(wit), k), _CONDITION_NAMES, samples=samples, seed=seed
+    )
+    if report.verdict != SAMPLED_NO_VIOLATION:
+        return report
     # the uniform pass uses stream counters 1 .. samples * words
     words = max(1, (graph.vertex_count + 63) // 64)
-    return _check(
-        graph, _nice_roles(graph.mask_of(wit), k), _CONDITION_NAMES,
-        samples=samples, seed=seed,
-        extra=lambda: _stratified_masks(graph, wit, seed, samples * words),
+    checked, vio = _stratified_pass(graph, wit, k, seed, samples * words)
+    return _report(
+        graph, SAMPLED_NO_VIOLATION, report.checked_subsets + checked, vio,
+        _CONDITION_NAMES, seed,
     )
 
 
@@ -205,8 +208,25 @@ def verify_nice(
     return _check_nice(config, witness)
 
 
-def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor: int):
-    """Small subsets drawn from A and its edge neighbourhood.
+def _pool(graph: Hypergraph, wit: tuple[str, ...]) -> tuple[list[str], list[int]]:
+    """The stratified pass's pool, the witness first, then the vertices that
+    share an edge with it in host order, and the host's edges inside the
+    pool as masks over pool positions: bit i is pool[i]."""
+    a_set = set(wit)
+    touched = set()
+    for edge in graph.edges:
+        if not a_set.isdisjoint(edge):
+            touched.update(edge)
+    pool = list(wit) + [v for v in graph.vertices if v in touched and v not in a_set]
+    bit = {v: 1 << i for i, v in enumerate(pool)}
+    edges = [
+        sum(map(bit.__getitem__, edge)) for edge in graph.edges if all(u in bit for u in edge)
+    ]
+    return pool, edges
+
+
+def _stratified_masks(size: int, seed: int, cursor: int) -> list[int]:
+    """Small subsets of a pool of `size` vertices, as masks over its positions.
 
     Enumerates every subset of each size up to 8 when that is cheap,
     otherwise takes 4096 seeded draws per size, rejecting a repeated index
@@ -214,27 +234,44 @@ def _stratified_masks(graph: Hypergraph, wit: tuple[str, ...], seed: int, cursor
     counters cursor + 1, cursor + 2, ...; `cursor` is the last counter the
     caller used.
     """
-    a_set = set(wit)
-    touched = set()
-    for edge in graph.edges:
-        if any(u in a_set for u in edge):
-            touched.update(u for u in edge if u not in a_set)
-    # witness first, then its edge neighbourhood in canonical order
-    pool = list(wit) + [v for v in graph.vertices if v in touched]
-    bits = [1 << graph.index_of(v) for v in pool]
-    draws = kernels._draws(seed, cursor + 1, len(pool))
+    bits = [1 << i for i in range(size)]
+    draws = kernels._draws(seed, cursor + 1, size)
     masks: list[int] = []
-    for size in range(1, min(_STRATIFIED_SIZE_LIMIT, len(pool)) + 1):
-        if math.comb(len(pool), size) <= _STRATIFIED_DRAWS:
-            masks.extend(map(sum, itertools.combinations(bits, size)))
+    for want in range(1, min(_STRATIFIED_SIZE_LIMIT, size) + 1):
+        if math.comb(size, want) <= _STRATIFIED_DRAWS:
+            masks.extend(map(sum, itertools.combinations(bits, want)))
         else:
             for _ in range(_STRATIFIED_DRAWS):
-                # a draw needs at least `size` indices; one at a time only after a repeat
-                chosen = set(itertools.islice(draws, size))
-                while len(chosen) < size:
-                    chosen.add(next(draws))
-                masks.append(sum(map(bits.__getitem__, chosen)))
+                # a draw needs at least `want` indices; one at a time only after a repeat
+                mask = 0
+                for i in itertools.islice(draws, want):
+                    mask |= 1 << i
+                while mask.bit_count() < want:
+                    mask |= 1 << next(draws)
+                masks.append(mask)
     return masks
+
+
+def _stratified_pass(
+    graph: Hypergraph, wit: tuple[str, ...], k: int, seed: int, cursor: int
+) -> kernels.ScanResult:
+    """Check the stratified masks of witness `wit` (difference k), drawn
+    after stream counter `cursor`.
+
+    The masks lie in the pool, the witness and its edge neighbourhood, so
+    they are checked on the pool's induced sub-hypergraph over the pool's
+    own bit positions: P, e(U), |U ∩ A| and so every verdict are those on
+    the host, in the same order. A violation comes back lifted to host bits.
+    """
+    pool, pool_edges = _pool(graph, wit)
+    masks = _stratified_masks(len(pool), seed, cursor)
+    roles = _nice_roles((1 << len(wit)) - 1, k)
+    checked, vio = kernels.check_masks(pool_edges, len(pool), *roles, masks)
+    if vio is None:
+        return checked, None
+    u_mask, code, delta, bound = vio
+    lifted = graph.mask_of(v for i, v in enumerate(pool) if u_mask >> i & 1)
+    return checked, (lifted, code, delta, bound)
 
 
 def sample_nice(
@@ -252,7 +289,9 @@ def sample_nice(
     counters 1 .. samples * words. The stratified pass continues the same
     stream at counter samples * words + 1, so the two passes share no
     counter and results are a pure function of (graph, witness, samples,
-    seed).
+    seed). It draws small subsets of the witness and its edge
+    neighbourhood and checks them on that pool's induced sub-hypergraph,
+    whose width is the pool's, not the host's.
     """
     return _check_nice(config, witness, samples=samples, seed=seed)
 

@@ -739,27 +739,52 @@ def test_report_digest_stable_across_runs(capsys):
 
 
 def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, cycle_file, tmp_path):
-    # load_s and check_s sit under "timings" next to wall_s, which the
-    # digest drops: the digest is that of the report without them
+    # the phase timings (load_s and check_s; build_s and write_s for a
+    # build) sit under "timings" next to wall_s, which the digest drops:
+    # the digest is that of the report without them
     g0 = str(tmp_path / "g0.json")
     assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
-    for argv in (
-        ["verify", "nice", "--input", f14_file],
-        ["verify", "nice", "--input", f14_file, "--samples", "100", "--seed", "1"],
-        ["verify", "gl-props", "--input", g0],
-        ["verify", "claim63"],
-        ["search", "config", "--input", f14_file, "--v", "9", "--e", "5"],
-        ["search", "copies", "--input", f14_file, "--pattern", cycle_file],
+    checks = ("load_s", "check_s")
+    for argv, phases in (
+        (["verify", "nice", "--input", f14_file], checks),
+        (["verify", "nice", "--input", f14_file, "--samples", "100", "--seed", "1"], checks),
+        (["verify", "gl-props", "--input", g0], checks),
+        (["verify", "claim63"], checks),
+        (["search", "config", "--input", f14_file, "--v", "9", "--e", "5"], checks),
+        (["search", "copies", "--input", f14_file, "--pattern", cycle_file], checks),
+        (["build", "f-k", "--k", "5", "-o", str(tmp_path / "f5.json")], ("build_s", "write_s")),
     ):
         code, report = run(capsys, *argv)
         assert code == 0
         timings = report["timings"]
-        assert set(timings) == {"load_s", "check_s", "wall_s"}
-        assert 0 <= timings["load_s"] + timings["check_s"] <= timings["wall_s"] + 1e-5
+        assert set(timings) == {*phases, "wall_s"}
+        assert 0 <= sum(timings[p] for p in phases) <= timings["wall_s"] + 1e-5
         digest = report.pop("report_sha256")
         assert digest == jsonio.report_digest({k: v for k, v in report.items() if k != "timings"})
         report["timings"] = {"wall_s": 0.0}
         assert digest == jsonio.report_digest(report)
+
+
+def test_unknown_label_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # the edge's labels are checked in the given order, so 'b' is named first
+    # whatever order a set of the labels would take
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"r": 3, "vertices": ["a"], "edges": [["a", "b", "c"]]}))
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    errors = set()
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsehg.cli", "search", "config",
+             "--input", str(bad), "--v", "3", "--e", "1"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("sparsehg: error:")]
+        assert len(lines) == 1
+        errors.add(lines[0])
+    assert errors == {"sparsehg: error: edge uses unknown label 'b'"}
 
 
 def test_console_script_entry_point():

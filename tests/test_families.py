@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,19 @@ def test_factorial_counts(k, e):
     wit = cfg.witness
     assert len(wit) == k + 1
     assert g.is_independent(wit)
+
+
+def test_factorial_build_holds_no_edge_masks():
+    # F_8 has 16,800 edges on 16,808 vertices: n-bit edge masks alone would
+    # take about 18 MB, and no build reads them
+    tracemalloc.start()
+    try:
+        cfg = factorial_family(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.graph.edge_count == 16_800
+    assert peak < 12 << 20
 
 
 def test_factorial_k4_is_f14():

@@ -21,6 +21,8 @@ from sparsehg.niceness import (
     NICE,
     NOT_NICE,
     SAMPLED_NO_VIOLATION,
+    _STRATIFIED_DRAWS,
+    _nice_roles,
     _stratified_masks,
     find_witness,
     sample_nice,
@@ -145,13 +147,22 @@ def test_sample_counterexample_is_sound():
 _family = functools.lru_cache(maxsize=None)(factorial_family)
 
 
+def _stratified_host_masks(graph, wit, seed, cursor):
+    # the stratified masks, drawn over pool positions, lifted to host bits
+    pool, _ = niceness._pool(graph, wit)
+    return [
+        graph.mask_of(v for i, v in enumerate(pool) if m >> i & 1)
+        for m in _stratified_masks(len(pool), seed, cursor)
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, -977, 2**63 + 11])
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_stratified_masks_match_scalar_oracle(k, seed):
     # F_5..F_7 pools are large enough that every size from 3 or 4 up is drawn
     cfg = _family(k)
     expected = oracles.stratified_masks(cfg.graph, cfg.witness, seed, 1000)
-    assert _stratified_masks(cfg.graph, cfg.witness, seed, 1000) == expected
+    assert _stratified_host_masks(cfg.graph, cfg.witness, seed, 1000) == expected
 
 
 @pytest.mark.parametrize(
@@ -172,7 +183,34 @@ def test_stratified_masks_match_scalar_oracle_on_random_hosts(monkeypatch, host_
     seed = [0, -rng.getrandbits(70), 2**63 + rng.getrandbits(70)][host_seed % 3]
     for cursor in (0, rng.randrange(10**7)):
         expected = oracles.stratified_masks(g, wit, seed, cursor)
-        assert _stratified_masks(g, wit, seed, cursor) == expected
+        assert _stratified_host_masks(g, wit, seed, cursor) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=99_999),
+    st.integers(min_value=0, max_value=90),
+    st.sampled_from([_STRATIFIED_DRAWS, 20]),
+)
+def test_pool_width_pass_matches_host_width_check(seed, pad, draws):
+    # a random host of at most 12 vertices after `pad` isolated ones, so that
+    # past 52 its edges sit beyond bit 64; 20 draws per size make the small
+    # pools draw their larger sizes too. The pass at the pool's width and
+    # check_masks on the whole host over the lifted masks agree, violation
+    # included: with witnesses of 1-6 random vertices many hosts are NOT_NICE
+    vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
+    g = Hypergraph(3, [f"pad{i}" for i in range(pad)] + list(vertices), edges)
+    rng = random.Random(seed)
+    wit = tuple(rng.sample(vertices, rng.randint(1, min(6, len(vertices)))))
+    k, cursor = len(wit) - 1, rng.randrange(10**6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(niceness, "_STRATIFIED_DRAWS", draws)
+        pooled = niceness._stratified_pass(g, wit, k, seed, cursor)
+        lifted = _stratified_host_masks(g, wit, seed, cursor)
+    host = kernels.check_masks(
+        list(g.edge_masks), g.vertex_count, *_nice_roles(g.mask_of(wit), k), lifted
+    )
+    assert pooled == host
 
 
 def test_stratified_stream_follows_the_uniform_counters_on_wide_hosts(monkeypatch):
