@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional
 
 from sparsehg import jsonio
@@ -114,12 +113,7 @@ def _cmd_build(args) -> tuple[dict, int]:
     built = time.perf_counter()
     report = {"command": f"build {args.what}", **_config_summary(config)}
     _emit(report, "configuration", jsonio.config_to_obj(config), args.output)
-    # build_s constructs the configuration, write_s serializes it (and
-    # writes the file with -o); main adds wall_s
-    report["timings"] = {
-        "build_s": round(built - started, 6),
-        "write_s": round(time.perf_counter() - built, 6),
-    }
+    report["timings"] = _build_timings(started, built)
     return report, EXIT_OK
 
 
@@ -129,6 +123,16 @@ def _phase_timings(started: float, loaded: float) -> dict:
     return {
         "load_s": round(loaded - started, 6),
         "check_s": round(time.perf_counter() - loaded, 6),
+    }
+
+
+def _build_timings(started: float, built: float) -> dict:
+    """For a call that reads no input: build_s from `started` to `built`
+    (construct the result), write_s from `built` to now (serialize it, and
+    write any file); main adds wall_s."""
+    return {
+        "build_s": round(built - started, 6),
+        "write_s": round(time.perf_counter() - built, 6),
     }
 
 
@@ -146,6 +150,9 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
         raise HypergraphError("--samples requires --seed")
     if not sampled and args.seed is not None:
         raise HypergraphError("--seed requires --samples")
+    # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
+    if sampled and not 0 <= args.seed < 1 << 64:
+        raise HypergraphError(f"--seed must be in [0, 2^64), got {args.seed}")
     loaded = time.perf_counter()
     if args.verify_cmd == "gl-props":
         result = verify_tower_bounds(
@@ -161,7 +168,7 @@ def _cmd_verify_scan(args) -> tuple[dict, int]:
         "method": "sampled" if sampled else "exhaustive",
         "verdict": result.verdict,
         "checked_subsets": result.checked_subsets,
-        "counterexample": None if result.counterexample is None else asdict(result.counterexample),
+        "counterexample": None if result.counterexample is None else result.counterexample._asdict(),
         "seed": result.seed,
         "timings": _phase_timings(started, loaded),
     }
@@ -192,8 +199,10 @@ def _cmd_verify_claim63(args) -> tuple[dict, int]:
 def _cmd_extract(args) -> tuple[dict, int]:
     from sparsehg.extraction import extract
 
+    started = time.perf_counter()
     chain = _tower(args.base, args.ell)
     result = extract(chain, args.t)
+    built = time.perf_counter()
     report = {
         "command": "extract",
         "base": args.base,
@@ -210,13 +219,16 @@ def _cmd_extract(args) -> tuple[dict, int]:
     if args.trace_out is not None:
         jsonio.write_json(args.trace_out, report["trace"])
         report["trace_output"] = args.trace_out
+    report["timings"] = _build_timings(started, built)
     return report, EXIT_OK
 
 
 def _cmd_project(args) -> tuple[dict, int]:
     from sparsehg.projection import project
 
+    started = time.perf_counter()
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
+    loaded = time.perf_counter()
     result = project(graph, args.k, args.e)
     report = {
         "command": "project",
@@ -229,14 +241,17 @@ def _cmd_project(args) -> tuple[dict, int]:
         else result.heavy_config.edge_count,
     }
     _emit(report, "projection", jsonio.projection_to_obj(result), args.output)
+    report["timings"] = _phase_timings(started, loaded)
     return report, EXIT_OK
 
 
 def _cmd_lift(args) -> tuple[dict, int]:
     from sparsehg.projection import lift
 
+    started = time.perf_counter()
     result = jsonio.projection_from_obj(jsonio.read_json(args.proj))
     config3 = jsonio.graph_from_obj(jsonio.read_json(args.config))
+    loaded = time.perf_counter()
     lifted = lift(result, config3)
     report = {
         "command": "lift",
@@ -245,19 +260,23 @@ def _cmd_lift(args) -> tuple[dict, int]:
         "e": lifted.edge_count,
     }
     _emit(report, "lifted", jsonio.graph_to_obj(lifted), args.output)
+    report["timings"] = _phase_timings(started, loaded)
     return report, EXIT_OK
 
 
 def _cmd_ramsey(args) -> tuple[dict, int]:
     from sparsehg.ramsey import check_coloring, coloring_to_4graph, q_quad, verify_implication
 
+    started = time.perf_counter()
     if args.ramsey_cmd == "qquad":
         return {
             "command": "ramsey qquad",
             "p": args.p,
             "q_quad": q_quad(args.p),
+            "timings": _build_timings(started, time.perf_counter()),
         }, EXIT_OK
     coloring = jsonio.coloring_from_obj(jsonio.read_json(args.input))
+    loaded = time.perf_counter()
     inputs = _inputs_obj(input=args.input)
     if args.ramsey_cmd == "check":
         result = check_coloring(coloring, args.p, args.q)
@@ -270,6 +289,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
             "min_colors_on_some_kp": result.min_colors_on_some_kp,
             "valid": result.valid,
             "witness_kp": result.witness_kp,
+            "timings": _phase_timings(started, loaded),
         }
         return report, EXIT_OK if result.valid else EXIT_REFUTED
     if args.ramsey_cmd == "to4":
@@ -283,6 +303,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
             "log": log,
         }
         _emit(report, "graph", jsonio.graph_to_obj(shadow), args.output)
+        report["timings"] = _phase_timings(started, loaded)
         return report, EXIT_OK
     holds = verify_implication(coloring, args.p, args.q)
     report = {
@@ -291,6 +312,7 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
         "p": args.p,
         "q": args.q,
         "implication_holds": holds,
+        "timings": _phase_timings(started, loaded),
     }
     return report, EXIT_OK if holds else EXIT_REFUTED
 
@@ -329,34 +351,37 @@ def _cmd_search(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def build_parser() -> _Parser:
+def _add_output(parser: _Parser) -> None:
     # only the commands that write a file take -o
-    output = _Parser(add_help=False)
-    output.add_argument("-o", "--output", default=None, help="write the result here")
+    parser.add_argument("-o", "--output", default=None, help="write the result here")
+
+
+def _add_scan(parser: _Parser) -> None:
     # only the subset scans sample
-    scan = _Parser(add_help=False)
-    scan.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    group = scan.add_mutually_exclusive_group()
+    parser.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
+    group = parser.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="scan every subset (default)")
     group.add_argument("--samples", type=int, default=None, help="sampled scan size")
 
-    parser = _Parser(prog=PROG, description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_build = sub.add_parser("build", help="construct a named configuration")
+def _add_build(p_build: _Parser) -> None:
     p_build.set_defaults(run=_cmd_build)
     sb = p_build.add_subparsers(dest="what", required=True)
-    sb.add_parser("cycle", parents=[output])
-    sb.add_parser("f14", parents=[output])
-    p_fk = sb.add_parser("f-k", parents=[output])
+    _add_output(sb.add_parser("cycle"))
+    _add_output(sb.add_parser("f14"))
+    p_fk = sb.add_parser("f-k")
+    _add_output(p_fk)
     p_fk.add_argument("--k", type=int, required=True, help="witness size, 4..8")
-    p_gl = sb.add_parser("g-ell", parents=[output])
+    p_gl = sb.add_parser("g-ell")
+    _add_output(p_gl)
     p_gl.add_argument("--base", default="f14", help="tower base: f14 or edge")
     p_gl.add_argument("--ell", type=int, required=True, help="tower height, >= 0")
 
-    p_verify = sub.add_parser("verify", help="check a structural property")
+
+def _add_verify(p_verify: _Parser) -> None:
     sv = p_verify.add_subparsers(dest="verify_cmd", required=True)
-    p_nice = sv.add_parser("nice", parents=[scan])
+    p_nice = sv.add_parser("nice")
+    _add_scan(p_nice)
     p_nice.set_defaults(run=_cmd_verify_scan)
     p_nice.add_argument("--input", required=True, help="graph or configuration JSON")
     p_nice.add_argument(
@@ -364,29 +389,37 @@ def build_parser() -> _Parser:
         help="comma-separated witness labels (default: role A)",
     )
     sv.add_parser("claim63").set_defaults(run=_cmd_verify_claim63)
-    p_glp = sv.add_parser("gl-props", parents=[scan])
+    p_glp = sv.add_parser("gl-props")
+    _add_scan(p_glp)
     p_glp.set_defaults(run=_cmd_verify_scan)
     p_glp.add_argument("--input", required=True, help="tower configuration JSON")
 
-    p_extract = sub.add_parser("extract", parents=[output], help="subgraph with 10t edges")
+
+def _add_extract(p_extract: _Parser) -> None:
+    _add_output(p_extract)
     p_extract.set_defaults(run=_cmd_extract)
     p_extract.add_argument("--base", default="f14", help="tower base: f14 or edge")
     p_extract.add_argument("--ell", type=int, required=True, help="tower height")
     p_extract.add_argument("--t", type=int, required=True, help="edge multiple")
     p_extract.add_argument("--trace", dest="trace_out", default=None, help="write the descent trace here")
 
-    p_project = sub.add_parser("project", parents=[output], help="anchor and reduce to 3-uniform")
+
+def _add_project(p_project: _Parser) -> None:
+    _add_output(p_project)
     p_project.set_defaults(run=_cmd_project)
     p_project.add_argument("--input", required=True, help="r-uniform graph JSON")
     p_project.add_argument("--k", type=int, required=True)
     p_project.add_argument("--e", type=int, required=True)
 
-    p_lift = sub.add_parser("lift", parents=[output], help="pull a 3-uniform hit back up")
+
+def _add_lift(p_lift: _Parser) -> None:
+    _add_output(p_lift)
     p_lift.set_defaults(run=_cmd_lift)
     p_lift.add_argument("--proj", required=True, help="projection JSON from `project`")
     p_lift.add_argument("--config", required=True, help="3-uniform configuration JSON")
 
-    p_ramsey = sub.add_parser("ramsey", help="edge colorings and the 4-graph shadow")
+
+def _add_ramsey(p_ramsey: _Parser) -> None:
     p_ramsey.set_defaults(run=_cmd_ramsey)
     sr = p_ramsey.add_subparsers(dest="ramsey_cmd", required=True)
     p_qq = sr.add_parser("qquad")
@@ -395,14 +428,16 @@ def build_parser() -> _Parser:
     p_check.add_argument("--input", required=True, help="coloring JSON")
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument("--q", type=int, required=True)
-    p_to4 = sr.add_parser("to4", parents=[output])
+    p_to4 = sr.add_parser("to4")
+    _add_output(p_to4)
     p_to4.add_argument("--input", required=True, help="coloring JSON")
     p_impl = sr.add_parser("implication")
     p_impl.add_argument("--input", required=True, help="coloring JSON")
     p_impl.add_argument("--p", type=int, required=True)
     p_impl.add_argument("--q", type=int, required=True)
 
-    p_search = sub.add_parser("search", help="brute-force oracles")
+
+def _add_search(p_search: _Parser) -> None:
     p_search.set_defaults(run=_cmd_search)
     ss = p_search.add_subparsers(dest="search_cmd", required=True)
     p_cfg = ss.add_parser("config")
@@ -414,6 +449,34 @@ def build_parser() -> _Parser:
     p_cp.add_argument("--pattern", required=True, help="pattern graph JSON")
     p_cp.add_argument("--induced", action="store_true")
 
+
+# command -> (its help line, the function that fills in its parser), in
+# the order usage and --help list them
+_COMMANDS = {
+    "build": ("construct a named configuration", _add_build),
+    "verify": ("check a structural property", _add_verify),
+    "extract": ("subgraph with 10t edges", _add_extract),
+    "project": ("anchor and reduce to 3-uniform", _add_project),
+    "lift": ("pull a 3-uniform hit back up", _add_lift),
+    "ramsey": ("edge colorings and the 4-graph shadow", _add_ramsey),
+    "search": ("brute-force oracles", _add_search),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every command, or of `command` alone.
+
+    The one-command parser parses that command's arguments to the same
+    Namespace and prints the same help and usage errors; it only rejects the
+    other commands. main builds it for a call that names its command first.
+    """
+    parser = _Parser(prog=PROG, description=__doc__)
+    # the usage line of a one-command parser still names every command
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name, (help_line, add) in _COMMANDS.items():
+        if command is None or name == command:
+            add(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -424,7 +487,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     # start-up cost. Set here, not in kernels, to leave a library user's BLAS
     # alone; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,7 +17,6 @@ bit per subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -25,8 +24,70 @@ class HypergraphError(ValueError):
     """Malformed input: a bad construction, an unknown label or an out-of-range argument."""
 
 
-@dataclass(frozen=True)
-class DifferenceReport:
+class Record:
+    """Base of the package's frozen result types.
+
+    A subclass lists its fields as annotations, in positional order, and a
+    field's default as a class attribute of that name. An instance takes
+    its fields positionally or by name; it equals another of the same class
+    with equal fields, and its hash and repr are those of a frozen dataclass
+    with these fields. Assigning or deleting an attribute raises
+    AttributeError. Nothing is generated or exec'd when a subclass is made.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)} arguments")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+            values[name] = value
+        state = self.__dict__
+        for name in fields:
+            if name in values:
+                state[name] = values[name]
+            elif hasattr(cls, name):
+                state[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DifferenceReport(Record):
     """Difference bookkeeping for one vertex subset: delta = |U| - e(U)."""
 
     subset_size: int

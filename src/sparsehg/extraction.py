@@ -11,14 +11,11 @@ copy, found by composing the k-th child copy maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from sparsehg.core import DifferenceReport, Hypergraph, HypergraphError, subgraph_from_edges
+from sparsehg.core import DifferenceReport, Hypergraph, HypergraphError, Record, subgraph_from_edges
 from sparsehg.families import LabeledConfiguration, _level_ratio, _tower_shape
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Record):
     subgraph: Hypergraph
     trace: tuple
     verified: DifferenceReport

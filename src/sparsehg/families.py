@@ -27,26 +27,49 @@ first, then each copy's new labels in copy order and template order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from sparsehg.core import Hypergraph, HypergraphError
 
 
-@dataclass
 class LabeledConfiguration:
     """A hypergraph with named vertex roles and a child-copy index.
 
     `levels` is populated only on tower builds: item m is the level-m
     configuration, the last item being this one. It is derived data and
-    never serialized or compared.
+    never serialized or compared. Configurations are mutable, so they
+    compare by value but do not hash.
     """
 
-    graph: Hypergraph
-    roles: dict[str, tuple[str, ...]]
-    family: dict
-    subcopies: dict[str, dict[str, str]] = field(default_factory=dict)
-    levels: Optional[tuple] = field(default=None, compare=False, repr=False)
+    def __init__(
+        self,
+        graph: Hypergraph,
+        roles: dict[str, tuple[str, ...]],
+        family: dict,
+        subcopies: Optional[dict[str, dict[str, str]]] = None,
+        levels: Optional[tuple] = None,
+    ):
+        self.graph = graph
+        self.roles = roles
+        self.family = family
+        self.subcopies = {} if subcopies is None else subcopies
+        self.levels = levels
+
+    def _values(self) -> tuple:
+        return (self.graph, self.roles, self.family, self.subcopies)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(graph={self.graph!r}, roles={self.roles!r}, "
+            f"family={self.family!r}, subcopies={self.subcopies!r})"
+        )
 
     def role(self, name: str) -> tuple[str, ...]:
         if name not in self.roles:

@@ -354,9 +354,9 @@ def _transpose(drawn, n: int) -> list[int]:
     return [int.from_bytes(raw[j * size : (j + 1) * size], "little") for j in range(n)]
 
 
-def _draws(seed: int, start: int, modulus: int) -> Iterator[int]:
+def _draws(seed: int, start: int, modulus: int) -> Iterator[list[int]]:
     """The splitmix64 stream at indices start, start + 1, ..., each draw
-    reduced mod `modulus`; computed a block at a time."""
+    reduced mod `modulus`, in lists of `_DRAW_BLOCK` draws."""
     # stream index i is counter i, which _draw gives one-word sample i - 1
     for lo in itertools.count(start - 1, _DRAW_BLOCK):
-        yield from (_draw(seed, lo, _DRAW_BLOCK, 1)[0] % modulus).tolist()
+        yield (_draw(seed, lo, _DRAW_BLOCK, 1)[0] % modulus).tolist()

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError, Record
 from sparsehg.families import LabeledConfiguration, _tower_shape
 
 NICE = "NICE"
@@ -40,16 +39,14 @@ _CONDITION_NAMES = {1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     subset: tuple[str, ...]
     condition: str
     observed_delta: int
     required_bound: int
 
 
-@dataclass(frozen=True)
-class NicenessReport:
+class NicenessReport(Record):
     verdict: str
     checked_subsets: int
     counterexample: Optional[Counterexample]
@@ -235,20 +232,29 @@ def _stratified_masks(size: int, seed: int, cursor: int) -> list[int]:
     caller used.
     """
     bits = [1 << i for i in range(size)]
-    draws = kernels._draws(seed, cursor + 1, size)
+    blocks = kernels._draws(seed, cursor + 1, size)
+    stream = iter(())  # the rest of the current block, as bits
     masks: list[int] = []
     for want in range(1, min(_STRATIFIED_SIZE_LIMIT, size) + 1):
         if math.comb(size, want) <= _STRATIFIED_DRAWS:
             masks.extend(map(sum, itertools.combinations(bits, want)))
-        else:
-            for _ in range(_STRATIFIED_DRAWS):
-                # a draw needs at least `want` indices; one at a time only after a repeat
-                mask = 0
-                for i in itertools.islice(draws, want):
-                    mask |= 1 << i
-                while mask.bit_count() < want:
-                    mask |= 1 << next(draws)
-                masks.append(mask)
+            continue
+        # a draw ends at the first stream index where it holds `want`
+        # distinct indices, and the next draw starts after it
+        left, mask, count = _STRATIFIED_DRAWS, 0, 0
+        while left:
+            for bit in stream:
+                if not mask & bit:
+                    mask |= bit
+                    count += 1
+                    if count == want:
+                        masks.append(mask)
+                        mask = count = 0
+                        left -= 1
+                        if not left:
+                            break
+            else:
+                stream = map(bits.__getitem__, next(blocks))
     return masks
 
 

@@ -12,11 +12,10 @@ found in the projection back to the r-graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError, Record
 
 _PROJECT_VERTEX_LIMIT = 40
 
@@ -24,16 +23,14 @@ HEAVY_TRIPLE = "HeavyTriple"
 PROJECTED = "Projected"
 
 
-@dataclass(frozen=True)
-class ProjectedMap:
+class ProjectedMap(Record):
     graph3: Hypergraph
     # (triple, link) pairs in retention order; the triple is the edge of
     # graph3 standing for link ∪ anchors in the source graph
     pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(Record):
     r: int
     k: int
     e: int

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError, Record
 
 _CHECK_VERTEX_LIMIT = 14
 _IMPLICATION_VERTEX_LIMIT = 12
@@ -22,14 +21,14 @@ _IMPLICATION_VERTEX_LIMIT = 12
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ColoringInstance:
+class ColoringInstance(Record):
     """A full edge coloring of the complete graph on vertices 1..n."""
 
     n: int
     colors: dict[Pair, int]
 
-    def __post_init__(self):
+    def __init__(self, n: int, colors: dict[Pair, int]):
+        super().__init__(n, colors)
         if not isinstance(self.n, int) or self.n < 2:
             raise HypergraphError(f"n must be an integer >= 2, got {self.n!r}")
         expected = {
@@ -43,8 +42,7 @@ class ColoringInstance:
             )
 
 
-@dataclass(frozen=True)
-class RamseyReport:
+class RamseyReport(Record):
     p: int
     q: int
     q_quad_value: Optional[int]

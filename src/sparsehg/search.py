@@ -34,10 +34,9 @@ import itertools
 import os
 import select
 import signal
-from dataclasses import dataclass
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError, Record
 
 _SEARCH_EDGE_LIMIT = 60
 _SEARCH_VERTEX_LIMIT = 20
@@ -46,15 +45,13 @@ _PATTERN_VERTEX_LIMIT = 14
 _FORK_AFTER_NODES = 1 << 17
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     found: bool
     witness: Optional[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class CopyCount:
+class CopyCount(Record):
     embeddings: int
     copies: int
     nodes_explored: int

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import sparsehg
 from sparsehg import jsonio
+import sparsehg.cli as cli
 from sparsehg.cli import build_parser, main
 from sparsehg.core import Hypergraph
 from sparsehg.families import f14, factorial_family, geometric_tower
@@ -94,6 +95,11 @@ def test_build_fk_and_tower(capsys, tmp_path):
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["build", "whatever"]) == 1
     assert main(["frobnicate"]) == 1
+    # the full parser's errors name the command argument `cmd`
+    assert error_lines(capsys)[-1].startswith(
+        "sparsehg: error: argument cmd: invalid choice: 'frobnicate'")
+    assert main([]) == 1
+    assert error_lines(capsys) == ["sparsehg: error: the following arguments are required: cmd"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,6 +163,23 @@ def test_seed_without_samples_exits_one(capsys, f14_file, tmp_path):
         assert "--seed requires --samples" in lines[0]
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 63)])
+@pytest.mark.parametrize("command", ["nice", "gl-props"])
+def test_seed_outside_64_bits_exits_one(capsys, tmp_path, command, seed):
+    # the stream reads seeds mod 2^64: -1 would draw what 2^64 - 1 draws
+    g0 = str(tmp_path / "g0.json")
+    assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
+    argv = ["verify", command, "--input", g0, "--samples", "10"]
+    assert main(argv + ["--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"sparsehg: error: --seed must be in [0, 2^64), got {seed}"]
+    for edge in (0, (1 << 64) - 1):
+        code, report = run(capsys, *argv, "--seed", str(edge))
+        assert code == 0 and report["seed"] == edge
+
+
 def test_verify_nice_sampled(capsys, f14_file):
     code, report = run(
         capsys, "verify", "nice", "--input", f14_file,
@@ -214,41 +237,50 @@ def test_workers_is_a_usage_error_everywhere(capsys, f14_file):
 
 # One call per leaf of build_parser(), in order (lift reads project's
 # output), run where _write_report_inputs wrote its inputs, with its exit
-# code and the keys of its report besides "timings" and "report_sha256".
+# code, the keys of its report besides "timings" and "report_sha256", and
+# its phases under "timings" besides "wall_s": load_s and check_s where the
+# call reads input, else build_s and write_s.
 _SUMMARY = {"command", "family", "v", "e", "delta"}
 _SCAN = {"command", "inputs", "method", "verdict", "checked_subsets", "counterexample", "seed"}
 _EXTRACT = {"command", "base", "ell", "t", "v", "e", "delta", "trace"}
 _COLORING = ["--input", "coloring.json", "--p", "8", "--q", "27"]
+_READS = {"load_s", "check_s"}
+_BUILDS = {"build_s", "write_s"}
 _REPORT_KEYS = [
-    (("build", "cycle"), 0, [], _SUMMARY | {"configuration"}),
-    (("build", "f14"), 0, ["-o", "out.json"], _SUMMARY | {"output"}),
-    (("build", "f-k"), 0, ["--k", "5"], _SUMMARY | {"configuration"}),
-    (("build", "g-ell"), 0, ["--ell", "0", "-o", "out.json"], _SUMMARY | {"output"}),
-    (("verify", "nice"), 0, ["--input", "f14.json"], _SCAN),
-    (("verify", "nice"), 0, ["--input", "f14.json", "--samples", "100", "--seed", "1"], _SCAN),
-    (("verify", "nice"), 2, ["--input", "cycle.json"], _SCAN),
-    (("verify", "claim63"), 0, [], {"command", "holds", "method", "passes", "checked_subsets"}),
-    (("verify", "gl-props"), 0, ["--input", "g0.json"], _SCAN),
-    (("verify", "gl-props"), 0, ["--input", "g0.json", "--samples", "100", "--seed", "1"], _SCAN),
-    (("extract",), 0, ["--ell", "1", "--t", "1"], _EXTRACT),
+    (("build", "cycle"), 0, [], _SUMMARY | {"configuration"}, _BUILDS),
+    (("build", "f14"), 0, ["-o", "out.json"], _SUMMARY | {"output"}, _BUILDS),
+    (("build", "f-k"), 0, ["--k", "5"], _SUMMARY | {"configuration"}, _BUILDS),
+    (("build", "g-ell"), 0, ["--ell", "0", "-o", "out.json"], _SUMMARY | {"output"}, _BUILDS),
+    (("verify", "nice"), 0, ["--input", "f14.json"], _SCAN, _READS),
+    (("verify", "nice"), 0, ["--input", "f14.json", "--samples", "100", "--seed", "1"], _SCAN,
+     _READS),
+    (("verify", "nice"), 2, ["--input", "cycle.json"], _SCAN, _READS),
+    (("verify", "claim63"), 0, [], {"command", "holds", "method", "passes", "checked_subsets"},
+     _READS),
+    (("verify", "gl-props"), 0, ["--input", "g0.json"], _SCAN, _READS),
+    (("verify", "gl-props"), 0, ["--input", "g0.json", "--samples", "100", "--seed", "1"], _SCAN,
+     _READS),
+    (("extract",), 0, ["--ell", "1", "--t", "1"], _EXTRACT, _BUILDS),
     (("extract",), 0, ["--ell", "1", "--t", "1", "-o", "sub.json", "--trace", "trace.json"],
-     _EXTRACT | {"output", "trace_output"}),
+     _EXTRACT | {"output", "trace_output"}, _BUILDS),
     (("project",), 0, ["--input", "h4.json", "--k", "2", "--e", "3", "-o", "proj.json"],
-     {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "output"}),
+     {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "output"}, _READS),
     (("project",), 0, ["--input", "h4.json", "--k", "2", "--e", "3"],
-     {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "projection"}),
+     {"command", "inputs", "case", "anchors", "kept_links", "heavy_edges", "projection"}, _READS),
     (("lift",), 0, ["--proj", "proj.json", "--config", "cfg3.json"],
-     {"command", "inputs", "v", "e", "lifted"}),
-    (("ramsey", "qquad"), 0, ["--p", "8"], {"command", "p", "q_quad"}),
+     {"command", "inputs", "v", "e", "lifted"}, _READS),
+    (("ramsey", "qquad"), 0, ["--p", "8"], {"command", "p", "q_quad"}, _BUILDS),
     (("ramsey", "check"), 2, _COLORING,
-     {"command", "inputs", "p", "q", "q_quad", "min_colors_on_some_kp", "valid", "witness_kp"}),
+     {"command", "inputs", "p", "q", "q_quad", "min_colors_on_some_kp", "valid", "witness_kp"},
+     _READS),
     (("ramsey", "to4"), 0, ["--input", "coloring.json"],
-     {"command", "inputs", "v", "e", "collisions", "log", "graph"}),
-    (("ramsey", "implication"), 0, _COLORING, {"command", "inputs", "p", "q", "implication_holds"}),
+     {"command", "inputs", "v", "e", "collisions", "log", "graph"}, _READS),
+    (("ramsey", "implication"), 0, _COLORING, {"command", "inputs", "p", "q", "implication_holds"},
+     _READS),
     (("search", "config"), 0, ["--input", "f14.json", "--v", "9", "--e", "5"],
-     {"command", "inputs", "v", "e", "found", "witness", "nodes_explored"}),
+     {"command", "inputs", "v", "e", "found", "witness", "nodes_explored"}, _READS),
     (("search", "copies"), 0, ["--input", "f14.json", "--pattern", "cycle.json"],
-     {"command", "inputs", "embeddings", "copies", "induced", "nodes_explored"}),
+     {"command", "inputs", "embeddings", "copies", "induced", "nodes_explored"}, _READS),
 ]
 
 
@@ -265,17 +297,20 @@ def _write_report_inputs(capsys):
 
 
 def test_verify_reports_name_their_method(capsys, tmp_path, monkeypatch):
-    """Every command's report keys, with the method of each verify report,
-    the nested shapes of counterexamples, logs, traces and witnesses, and
-    a report_sha256 that digests the rest of the report."""
+    """Every command's report keys and timing phases, with the method of
+    each verify report, the nested shapes of counterexamples, logs, traces
+    and witnesses, and a report_sha256 that digests the rest of the report."""
     assert {leaf for leaf, *_ in _REPORT_KEYS} == set(_leaf_commands(build_parser()))
     monkeypatch.chdir(tmp_path)
     _write_report_inputs(capsys)
     reports = {}
-    for leaf, expected, extra, keys in _REPORT_KEYS:
+    for leaf, expected, extra, keys, phases in _REPORT_KEYS:
         code, report = run(capsys, *leaf, *extra)
         assert code == expected, (leaf, extra)
         assert set(report) == keys | {"timings", "report_sha256"}, (leaf, extra)
+        timings = report["timings"]
+        assert set(timings) == phases | {"wall_s"}, (leaf, extra)
+        assert 0 <= sum(timings[p] for p in phases) <= timings["wall_s"] + 1e-5
         rest = {k: v for k, v in report.items() if k != "report_sha256"}
         assert report["report_sha256"] == jsonio.report_digest(rest)
         if "method" in keys:
@@ -378,6 +413,45 @@ def test_options_only_on_commands_that_read_them(capsys, tmp_path, monkeypatch, 
     lines = [line for line in err.splitlines() if line.startswith("sparsehg: error:")]
     assert len(lines) == 1 and "unrecognized arguments" in lines[0]
     assert not (tmp_path / "out.json").exists()
+
+
+def _parse(parser, argv):
+    """The Namespace parser.parse_args(argv) returns, or the exit code it
+    raises; with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_PREFIXES = sorted({leaf[:i] for leaf in _REQUIRED for i in range(1, len(leaf) + 1)})
+
+
+@pytest.mark.parametrize("argv", [
+    *([*leaf, *_REQUIRED[leaf]] for leaf in sorted(_REQUIRED)),
+    *([*leaf, *_REQUIRED[leaf], "--bogus"] for leaf in sorted(_REQUIRED)),
+    *(list(prefix) for prefix in _PREFIXES),
+    *([*prefix, "--help"] for prefix in _PREFIXES),
+    *([command, "frobnicate"] for command in sorted({leaf[0] for leaf in _REQUIRED if leaf[1:]})),
+], ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(argv):
+    # the same Namespace, or the same help or usage error byte for byte
+    full = _parse(build_parser(), argv)
+    assert _parse(build_parser(argv[0]), argv) == full
+    assert full[0] != 0 or full[1]
+
+
+def test_main_builds_the_parser_of_the_named_command_only(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    for argv in (["ramsey", "qquad", "--p", "8"], ["--help"], ["frobnicate"], []):
+        main(argv)
+    assert built == ["ramsey", None, None, None]
+    assert {leaf[0] for leaf in _leaf_commands(real("ramsey"))} == {"ramsey"}
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -10,6 +11,12 @@ from sparsehg.core import (
     HypergraphError,
     subgraph_from_edges,
 )
+from sparsehg.extraction import ExtractionResult
+from sparsehg.families import LabeledConfiguration
+from sparsehg.niceness import Counterexample, NicenessReport
+from sparsehg.projection import ProjectedMap, ProjectionResult
+from sparsehg.ramsey import ColoringInstance, RamseyReport
+from sparsehg.search import CopyCount, SearchResult
 
 import oracles
 
@@ -148,3 +155,89 @@ def test_edge_masks_cover_exactly_three_bits():
     g = Hypergraph(3, [f"v{i}" for i in range(5)], list(itertools.combinations([f"v{i}" for i in range(5)], 3))[:4])
     for m in g.edge_masks:
         assert bin(m).count("1") == 3
+
+
+# Each result type of the package, its fields in positional order, one
+# value per field and another value of its last field. The dataclass twin
+# of a type is the dataclass of that name and those fields, as the type was
+# defined before it became a plain class.
+_GRAPH = Hypergraph(3, ["a", "b", "c", "d"], [("a", "b", "c")])
+_COUNTEREXAMPLE = Counterexample(("a", "b"), "Cond1", 0, 1)
+_RECORDS = [
+    (DifferenceReport, ("subset_size", "induced_edges", "delta"), (3, 1, 2), 3),
+    (Counterexample, ("subset", "condition", "observed_delta", "required_bound"),
+     (("a", "b"), "Cond1", 0, 1), 2),
+    (NicenessReport, ("verdict", "checked_subsets", "counterexample", "seed"),
+     ("NOT_NICE", 5, _COUNTEREXAMPLE, 7), None),
+    (SearchResult, ("found", "witness", "nodes_explored"),
+     (True, (("a", "b", "c"), (("a", "b", "c"),)), 9), 10),
+    (CopyCount, ("embeddings", "copies", "nodes_explored"), (6, 1, 40), 41),
+    (ProjectedMap, ("graph3", "pairs"), (_GRAPH, ((("a", "b", "c"), ("a", "b", "c", "d")),)), ()),
+    (ProjectionResult, ("r", "k", "e", "anchors", "case_tag", "heavy_config", "projected"),
+     (4, 2, 3, ("u0",), "HeavyTriple", _GRAPH, None), ProjectedMap(_GRAPH, ())),
+    (ColoringInstance, ("n", "colors"), (3, {(1, 2): 0, (1, 3): 1, (2, 3): 2}),
+     {(1, 2): 1, (1, 3): 1, (2, 3): 2}),
+    (RamseyReport, ("p", "q", "q_quad_value", "min_colors_on_some_kp", "valid", "witness_kp"),
+     (8, 27, 26, 25, False, (1, 2, 3, 4, 5, 6, 7, 8)), None),
+    (ExtractionResult, ("subgraph", "trace", "verified"),
+     (_GRAPH, ({"level": 0, "t": 1},), DifferenceReport(4, 1, 3)), DifferenceReport(4, 1, 2)),
+]
+
+
+def _twin(cls, fields, **kwargs):
+    return dataclasses.make_dataclass(cls.__name__, fields, **kwargs)
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cls, fields, values, last", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_records_behave_like_their_frozen_dataclass_twins(cls, fields, values, last):
+    twin = _twin(cls, fields, frozen=True)
+    record = cls(*values)
+    assert repr(record) == repr(twin(*values))
+    assert cls(**dict(zip(fields, values))) == record
+    assert _hash_or_error(cls(*values)) == _hash_or_error(record) == _hash_or_error(twin(*values))
+    assert record != twin(*values)
+    assert cls(*values[:-1], last) != record
+    for name in (fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert getattr(record, fields[0]) is values[0]
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{fields[0]: values[0]})
+
+
+def test_record_defaults_and_missing_fields():
+    assert NicenessReport("NICE", 8, None) == NicenessReport("NICE", 8, None, None)
+    assert repr(NicenessReport("NICE", 8, None)) == (
+        "NicenessReport(verdict='NICE', checked_subsets=8, counterexample=None, seed=None)"
+    )
+    with pytest.raises(TypeError, match="'checked_subsets'"):
+        NicenessReport("NICE")
+
+
+def test_labeled_configuration_is_mutable_and_compares_without_levels():
+    twin = _twin(LabeledConfiguration, [
+        "graph", "roles", "family",
+        ("subcopies", dict, dataclasses.field(default_factory=dict)),
+        ("levels", object, dataclasses.field(default=None, compare=False, repr=False)),
+    ])
+    args = (_GRAPH, {"A": ("a", "d")}, {"name": "test"})
+    config, other = LabeledConfiguration(*args), LabeledConfiguration(*args)
+    assert repr(config) == repr(twin(*args))
+    assert config.subcopies == {} and config.subcopies is not other.subcopies
+    config.levels = (config,)
+    assert config == other and repr(config) == repr(other)
+    config.subcopies["G^0"] = {"a": "a"}
+    assert config != other
+    with pytest.raises(TypeError):
+        hash(other)

@@ -1,9 +1,10 @@
 """What importing the package costs: each CLI command loads only the
 package modules it runs, numpy is loaded only by the sampled subset scans,
-exhaustive verification runs where numpy cannot be imported at all and a
-sampled one fails there with one error line, no scan loads a thread pool
-or starts OpenBLAS worker threads, and the lazily resolved package names
-still behave like ordinary package attributes."""
+no command loads dataclasses or inspect, exhaustive verification runs
+where numpy cannot be imported at all and a sampled one fails there with
+one error line, no scan loads a thread pool or starts OpenBLAS worker
+threads, and the lazily resolved package names still behave like ordinary
+package attributes."""
 
 from __future__ import annotations
 
@@ -17,11 +18,14 @@ import pytest
 import sparsehg
 import sparsehg.cli as cli
 
-# Runs in a fresh interpreter: each CLI call in turn, then whether numpy has
-# been imported so far; after the last call, also whether the thread pool
-# module concurrent.futures has.
+# Runs in a fresh interpreter: each CLI call in turn, then which of the
+# modules named in argv[2] (comma-separated) have been imported so far. With
+# argv[3] == "no-numpy", importing numpy raises ImportError.
 _CHILD = """
 import contextlib, io, json, os, sys
+watched = sys.argv[2].split(",")
+if sys.argv[3:] == ["no-numpy"]:
+    sys.modules["numpy"] = None
 import sparsehg.cli as cli
 
 f14 = os.path.join(sys.argv[1], "f14.json")
@@ -37,23 +41,24 @@ calls = [
     ["verify", "gl-props", "--input", g0],
     ["verify", "nice", "--input", f14, "--samples", "100", "--seed", "1"],
 ]
-seen = [["import sparsehg.cli", None, "numpy" in sys.modules]]
+seen = [["import sparsehg.cli", None, [m for m in watched if m in sys.modules]]]
 for argv in calls:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    seen.append([" ".join(a for a in argv[:2] if a[0] != "-"), code, "numpy" in sys.modules])
-seen[-1].append("concurrent.futures" in sys.modules)
+    label = " ".join(a for a in argv[:2] if a[0] != "-")
+    seen.append([label, code, [m for m in watched if m in sys.modules]])
 print(json.dumps(seen))
 """
 
 
-def _child(script, *args, environ=os.environ):
-    """Run `script` in a fresh interpreter that imports this sparsehg, with
-    `environ` as its environment apart from PYTHONPATH."""
+def _child(script, *args, environ=os.environ, flags=()):
+    """Run `script` in a fresh interpreter, started with `flags`, that
+    imports this sparsehg, with `environ` as its environment apart from
+    PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         capture_output=True, text=True, env=dict(environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
@@ -61,18 +66,27 @@ def _child(script, *args, environ=os.environ):
 
 
 def test_only_subset_scans_import_numpy(tmp_path):
-    assert _child(_CHILD, str(tmp_path)) == [
-        ["import sparsehg.cli", None, False],
-        ["build f14", 0, False],
-        ["build g-ell", 0, False],
-        ["ramsey qquad", 0, False],
-        ["search config", 0, False],
-        ["extract", 0, False],
-        ["verify nice", 0, False],
-        ["verify claim63", 0, False],
-        ["verify gl-props", 0, False],
-        ["verify nice", 0, True, False],
+    assert _child(_CHILD, str(tmp_path), "numpy,concurrent.futures") == [
+        ["import sparsehg.cli", None, []],
+        ["build f14", 0, []],
+        ["build g-ell", 0, []],
+        ["ramsey qquad", 0, []],
+        ["search config", 0, []],
+        ["extract", 0, []],
+        ["verify nice", 0, []],
+        ["verify claim63", 0, []],
+        ["verify gl-props", 0, []],
+        ["verify nice", 0, ["numpy"]],
     ]
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    # -S: no site hook may load either module first. numpy imports inspect
+    # itself, so it is blocked, and the sampled call fails after loading
+    # the package's own modules.
+    seen = _child(_CHILD, str(tmp_path), "dataclasses,inspect", "no-numpy", flags=["-S"])
+    assert [code for _, code, _ in seen] == [None] + [0] * 8 + [1]
+    assert all(loaded == [] for _, _, loaded in seen), seen
 
 
 # Runs in a fresh interpreter where `import numpy` raises ImportError: each

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -334,7 +333,7 @@ def test_repeated_witness_label_is_rejected():
     with pytest.raises(HypergraphError, match="witness repeats label 'w4'"):
         sample_nice(f14(), wit, samples=100, seed=1)
     cfg = f14()
-    doubled = dataclasses.replace(cfg, roles={**cfg.roles, "A": wit})
+    doubled = LabeledConfiguration(cfg.graph, {**cfg.roles, "A": wit}, cfg.family, cfg.subcopies)
     with pytest.raises(HypergraphError, match="witness repeats label 'w4'"):
         verify_nice(doubled)
 
