@@ -459,7 +459,7 @@ _COMMANDS = {
     "project": ("anchor and reduce to 3-uniform", _add_project),
     "lift": ("pull a 3-uniform hit back up", _add_lift),
     "ramsey": ("edge colorings and the 4-graph shadow", _add_ramsey),
-    "search": ("brute-force oracles", _add_search),
+    "search": ("exact configuration search and copy counting", _add_search),
 }
 
 

@@ -4,25 +4,29 @@
 by a DFS over edge subsets in lexicographic index order with exact
 pruning, so its witness equals the one the unpruned scan
 (`find_configuration_unpruned`) returns. The DFS walks one depth at a
-time: each depth scans its candidate edges in index order and goes down
-at the first one that keeps the span within v, and resumes one past it
-on backtracking. `nodes_explored` counts every candidate tried, pruned or
-not: idx - lo + 1 when a depth goes down at idx, and the rest of the
-depth's range when it is used up.
+time: each depth scans its candidate edges in index order, goes down at
+the first one that keeps the span within v, and on backtracking resumes
+the same scan one past it. `nodes_explored` counts every candidate tried,
+pruned or not, once per visit (one span at one depth): the whole range
+when the scan is used up, and up to the pick at each depth when a witness
+completes.
 
-The DFS is split by root edge, the edge picked at depth 0. Roots run in
-index order in this process until `_FORK_AFTER_NODES` nodes are
-explored, so small searches never fork. The remaining roots then go, one
-at a time and in increasing order, to min(CPUs, roots left) forked
-workers, where CPUs are those the process may run on. Each worker reports
-(root, nodes, witness) over a pipe, and this process only hands out roots
-and collects. The answer is fixed when every root is in, or when the
-lowest root with a witness has every lower root in; the busy workers are
-then killed and reaped. The result cannot depend on the CPU count:
-`nodes_explored` is the sum of the counts of the roots up to the answer's
-root, and the witness is the lowest root's first one, as in the unsplit
-loop. If a pipe or fork fails the search goes on in-process; a worker
-that dies before it reports raises `HypergraphError`.
+The DFS is split into tasks, each an edge prefix: a root (the edge picked
+at depth 0) or a (root, second edge) pair. This process tries the roots
+in order and runs each one's pair tasks in lex order until
+`_FORK_AFTER_NODES` nodes are explored, so small searches never fork.
+The rest of the current root's pairs and then every later root, whole,
+go one at a time and in that order to min(CPUs, tasks left) forked
+workers, where CPUs are those the process may run on. Each worker
+reports (task, nodes, witness) over a pipe, and this process only hands
+out tasks and collects. The answer is fixed when every task is in,
+or when the first task with a witness has every earlier task in; the busy
+workers are then killed and reaped, also when SIGTERM (at its default
+action) ends the search. The result cannot depend on the CPU count:
+`nodes_explored` is the sum of the counts of the tasks up to the
+answer's, and the witness is the first task's first one, as in the
+unsplit DFS. If a pipe or fork fails the search goes on in-process; a
+worker that dies before it reports raises `HypergraphError`.
 
 `count_copies` enumerates injective edge-onto-edge vertex maps;
 its `nodes_explored` counts the partial maps it visits.
@@ -41,7 +45,7 @@ from sparsehg.core import Hypergraph, HypergraphError, Record
 _SEARCH_EDGE_LIMIT = 60
 _SEARCH_VERTEX_LIMIT = 20
 _PATTERN_VERTEX_LIMIT = 14
-# nodes explored in-process before the remaining roots go to forked workers
+# nodes explored in-process before the remaining tasks go to forked workers
 _FORK_AFTER_NODES = 1 << 17
 
 
@@ -74,49 +78,61 @@ def _witness_from_masks(graph: Hypergraph, picked: tuple[int, ...]):
     return (graph.labels_of_mask(span), edges)
 
 
-def _subtree(masks: tuple[int, ...], v: int, e: int, root: int):
-    """First e-subset (lex order) spanning <= v whose lowest edge is `root`.
+def _subtree(masks: tuple[int, ...], v: int, e: int, prefix: tuple[int, ...]):
+    """First e-subset (lex order) spanning <= v that starts with `prefix`.
 
-    Returns (picked, nodes), where nodes counts the root and every candidate
-    tried below it. Depth d >= 1 picks the (d+1)-th edge from idx in
-    [lo, hi): lo is one past the edge picked at depth d-1 and hi is
-    m - e + d + 1, so that e - d - 1 later edges remain. A loop, not
-    recursion: e may be as large as the guard's 1,140-edge hosts.
+    The caller has tried every shorter prefix, so this tries the last edge
+    of `prefix` and then the subsets below it. Returns (picked, nodes),
+    where nodes counts that edge and every candidate tried below it. Depth
+    d picks the (d+1)-th edge from idx in [lo, hi): lo is one past the edge
+    picked at depth d-1 and hi is m - e + d + 1, so that e - d - 1 later
+    edges remain. Each depth keeps one iterator over its range while the
+    depths below it run, so a visit scans [lo, hi) once and counts its
+    nodes once: hi - lo when the range is used up, or up to its pick when
+    a witness completes. A loop, not recursion: e may be as large as the
+    guard's 1,140-edge hosts.
     """
-    span = masks[root]
+    span = 0
+    for idx in prefix:
+        span |= masks[idx]
     if span.bit_count() > v:
         return (None, 1)
-    if e == 1:
-        return ((root,), 1)
-    m = len(masks)
+    k = len(prefix)
+    if k == e:
+        return (prefix, 1)
+    top = len(masks) - e + 1  # hi at depth d is top + d
+    picked = list(prefix) + [0] * (e - k)
     spans = [0] * e
-    picked = [0] * e
-    picked[0], spans[1] = root, span
+    starts = [0] * e  # lo of each depth's current visit
+    scans = [None] * e
+    d = k
+    spans[k] = span
+    # a prefix that ends past hi leaves its first depth an empty range
+    starts[k] = min(prefix[-1] + 1, top + k)
+    scan = scans[k] = iter(range(starts[k], top + k))
     nodes = 1
-    # a root past m - e + 1 starts depth 1 with lo > hi
-    d, lo, hi = 1, root + 1, m - e + 2
     while True:
-        span = spans[d]
-        for idx in range(lo, hi):
+        for idx in scan:
             new_span = span | masks[idx]
             if new_span.bit_count() <= v:
                 break
         else:
-            # every candidate at this depth tried and pruned: back up one
-            nodes += max(hi - lo, 0)
+            # every candidate at this depth tried: back up one
+            nodes += top + d - starts[d]
             d -= 1
-            if d == 0:
+            if d < k:
                 return (None, nodes)
-            lo = picked[d] + 1
-            hi = m - e + d + 1
+            span, scan = spans[d], scans[d]
             continue
-        nodes += idx - lo + 1
         picked[d] = idx
         d += 1
         if d == e:
+            for j in range(k, e):
+                nodes += picked[j] - starts[j] + 1
             return (tuple(picked), nodes)
-        spans[d] = new_span
-        lo, hi = idx + 1, m - e + d + 1
+        spans[d] = span = new_span
+        starts[d] = idx + 1
+        scan = scans[d] = iter(range(idx + 1, top + d))
 
 
 def _cpus() -> int:
@@ -129,54 +145,80 @@ def _cpus() -> int:
 def _dfs(masks: tuple[int, ...], v: int, e: int):
     """First e-subset (lex order) spanning <= v, for 1 <= e <= edge count.
 
-    Roots in index order, in this process until _FORK_AFTER_NODES nodes are
-    explored, then split across forked workers when that is possible.
+    (root, second edge) tasks run in lex order in this process until
+    _FORK_AFTER_NODES nodes are explored; then the rest of the current
+    root's pairs and every later root, whole, go to forked workers when
+    that is possible.
     """
+    m = len(masks)
     nodes = 0
     may_fork = hasattr(os, "fork")
-    for root in range(len(masks)):
-        if may_fork and nodes >= _FORK_AFTER_NODES:
-            may_fork = False
-            split = _split(masks, v, e, root)
-            if split is not None:
-                picked, rest = split
-                return (picked, nodes + rest)
-        picked, count = _subtree(masks, v, e, root)
-        nodes += count
-        if picked is not None:
-            return (picked, nodes)
+    for root in range(m):
+        nodes += 1
+        if masks[root].bit_count() > v:
+            continue
+        if e == 1:
+            return ((root,), nodes)
+        for second in range(root + 1, m - e + 2):
+            if may_fork and nodes >= _FORK_AFTER_NODES:
+                may_fork = False
+                tasks = [(root, s) for s in range(second, m - e + 2)]
+                tasks += [(r,) for r in range(root + 1, m)]
+                split = _split(masks, v, e, tasks)
+                if split is not None:
+                    picked, rest = split
+                    return (picked, nodes + rest)
+            picked, count = _subtree(masks, v, e, (root, second))
+            nodes += count
+            if picked is not None:
+                return (picked, nodes)
     return (None, nodes)
 
 
-def _worker(masks: tuple[int, ...], v: int, e: int, tasks: int, results: int) -> None:
-    """Answer each root read from `tasks` with one "root nodes picked" line."""
-    with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
+def _worker(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]],
+            inbox_fd: int, outbox_fd: int) -> None:
+    """Answer each task number read from `inbox_fd` with a "task nodes picked" line."""
+    with open(inbox_fd, "rb") as inbox, open(outbox_fd, "wb") as outbox:
         for line in inbox:
-            root = int(line)
-            picked, nodes = _subtree(masks, v, e, root)
+            task = int(line)
+            picked, nodes = _subtree(masks, v, e, tasks[task])
             witness = "" if picked is None else ",".join(map(str, picked))
-            outbox.write(f"{root} {nodes} {witness}\n".encode())
+            outbox.write(f"{task} {nodes} {witness}\n".encode())
             outbox.flush()
 
 
-def _split(masks: tuple[int, ...], v: int, e: int, first: int):
-    """Roots first..m-1 over forked workers; (picked, nodes) for those roots.
+def _exit_on_sigterm(signum, frame) -> None:
+    # a second SIGTERM must not cut short the reaping of the workers
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
 
-    Each worker takes one root at a time, in increasing root order, and
-    reports (root, nodes, witness) on its own pipe; this process only hands
-    out roots and collects. The answer is fixed once every root is in, or
-    once the lowest root with a witness has every lower root in. None when
+
+def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]]):
+    """`tasks` (edge prefixes) over forked workers; (picked, nodes) for them.
+
+    Each worker takes one task at a time, in list order, and reports
+    (task, nodes, witness) on its own pipe; this process only hands out
+    tasks and collects. The answer is fixed once every task is in, or once
+    the first task with a witness has every earlier task in. None when
     fewer than two workers would run or a pipe or fork fails, so the caller
-    goes on in-process.
+    goes on in-process. While workers run, a SIGTERM left at its default
+    action exits this process with status 143 through the `finally` clause
+    that kills and reaps them.
     """
-    m = len(masks)
-    count = min(_cpus(), m - first)
+    count = min(_cpus(), len(tasks))
     if count < 2:
         return None
     workers: dict[int, tuple[int, int, object]] = {}  # result fd -> (pid, task fd, reader)
     alive: set[int] = set()
     held: list[int] = []  # every descriptor this process holds
+    trapped = False
     try:
+        if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
+            try:
+                signal.signal(signal.SIGTERM, _exit_on_sigterm)
+                trapped = True
+            except ValueError:  # not the main thread
+                pass
         try:
             for _ in range(count):
                 task_r, task_w = os.pipe()
@@ -192,7 +234,7 @@ def _split(masks: tuple[int, ...], v: int, e: int, first: int):
                         for fd in held:
                             if fd not in (task_r, result_w):
                                 os.close(fd)
-                        _worker(masks, v, e, task_r, result_w)
+                        _worker(masks, v, e, tasks, task_r, result_w)
                         code = 0
                     finally:
                         os._exit(code)
@@ -205,28 +247,28 @@ def _split(masks: tuple[int, ...], v: int, e: int, first: int):
             return None
 
         results: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
-        busy: dict[int, int] = {}  # result fd -> the root it works on
-        next_root, lowest, nodes, witnessed = first, first, 0, False
+        busy: dict[int, int] = {}  # result fd -> the task it works on
+        next_task, lowest, nodes, witnessed = 0, 0, 0, False
         while True:
-            # hand out roots in order until one is known to have a witness:
-            # no later root can change the answer then
+            # hand out tasks in order until one is known to have a witness:
+            # no later task can change the answer then
             for fd, (pid, task_w, _) in workers.items():
-                if fd not in busy and next_root < m and not witnessed:
+                if fd not in busy and next_task < len(tasks) and not witnessed:
                     try:
-                        os.write(task_w, b"%d\n" % next_root)
+                        os.write(task_w, b"%d\n" % next_task)
                     except BrokenPipeError:
-                        _lost(pid, next_root, alive)
-                    busy[fd] = next_root
-                    next_root += 1
+                        _lost(pid, tasks[next_task], alive)
+                    busy[fd] = next_task
+                    next_task += 1
             for fd in select.select(list(busy), [], [])[0]:
-                root = busy.pop(fd)
+                task = busy.pop(fd)
                 pid, _, reader = workers[fd]
                 line = reader.readline()
                 if not line.endswith(b"\n"):
-                    _lost(pid, root, alive)
+                    _lost(pid, tasks[task], alive)
                 _, explored, *picked = line.split()
                 witness = tuple(map(int, picked[0].split(b","))) if picked else None
-                results[root] = (int(explored), witness)
+                results[task] = (int(explored), witness)
                 witnessed = witnessed or witness is not None
             while lowest in results:
                 explored, witness = results.pop(lowest)
@@ -234,7 +276,7 @@ def _split(masks: tuple[int, ...], v: int, e: int, first: int):
                 lowest += 1
                 if witness is not None:
                     return (witness, nodes)
-            if lowest == m:
+            if lowest == len(tasks):
                 return (None, nodes)
     finally:
         for pid in alive:
@@ -244,15 +286,17 @@ def _split(masks: tuple[int, ...], v: int, e: int, first: int):
             reader.close()
         for fd in held:
             os.close(fd)
+        if trapped:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _lost(pid: int, root: int, alive: set[int]):
+def _lost(pid: int, prefix: tuple[int, ...], alive: set[int]):
     """Reap a worker that closed its pipe without answering, and fail."""
     alive.discard(pid)
     _, status = os.waitpid(pid, 0)
     raise HypergraphError(
-        f"search worker for root edge {root} ended before reporting "
-        f"(exit status {os.waitstatus_to_exitcode(status)})"
+        f"search worker for edge prefix ({', '.join(map(str, prefix))}) ended "
+        f"before reporting (exit status {os.waitstatus_to_exitcode(status)})"
     )
 
 

@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -247,9 +249,10 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def forking(cpus=2):
-    """Fork at the first root, with `cpus` workers whatever this host has."""
-    return mock.patch.multiple(search, _FORK_AFTER_NODES=0, _cpus=lambda: cpus)
+def forking(cpus=2, after=0):
+    """Fork once `after` nodes are explored (at the first task by default),
+    with `cpus` workers whatever this host has."""
+    return mock.patch.multiple(search, _FORK_AFTER_NODES=after, _cpus=lambda: cpus)
 
 
 def linear_3graph(seed, n=60, m=60):
@@ -284,7 +287,9 @@ def test_forked_search_matches_stack_dfs(g, data):
     v = data.draw(st.integers(min_value=0, max_value=g.vertex_count))
     cpus = data.draw(st.integers(min_value=2, max_value=4))
     found, picked, nodes = oracles.search_nodes(g.edges, v, e)
-    with forking(cpus):
+    # a fork point anywhere in the search, most often inside a root's pairs
+    after = data.draw(st.integers(min_value=0, max_value=nodes))
+    with forking(cpus, after):
         result = find_configuration(g, v, e)
     assert (result.found, result.nodes_explored) == (found, nodes)
     if found:
@@ -340,16 +345,21 @@ def test_failed_fork_searches_in_process(call):
     assert_no_children()
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_same_report_on_one_cpu_and_on_all(tmp_path):
-    g = linear_3graph(2)
+def search_argv(tmp_path, g, v, e):
+    """A `search config` CLI call on g, and the environment that finds the package."""
     host = tmp_path / "host.json"
-    host.write_text(json.dumps({"r": 3, "vertices": list(g.vertices),
+    host.write_text(json.dumps({"r": g.r, "vertices": list(g.vertices),
                                 "edges": [list(edge) for edge in g.edges]}))
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "sparsehg.cli", "search", "config",
-            "--input", str(host), "--v", "8", "--e", "6"]
+            "--input", str(host), "--v", str(v), "--e", str(e)]
+    return argv, dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_same_report_on_one_cpu_and_on_all(tmp_path):
+    argv, env = search_argv(tmp_path, linear_3graph(2), 8, 6)
 
     def one_cpu():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -357,7 +367,7 @@ def test_same_report_on_one_cpu_and_on_all(tmp_path):
     reports = []
     for preexec in (one_cpu, None):
         proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=preexec,
-                              env=dict(os.environ, PYTHONPATH=path))
+                              env=env)
         assert proc.returncode == 2, proc.stderr
         report = json.loads(proc.stdout)
         # enough nodes that a process with two CPUs splits the search
@@ -365,3 +375,40 @@ def test_same_report_on_one_cpu_and_on_all(tmp_path):
         del report["timings"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def children_of(pid):
+    """The pids of pid's children, from /proc (Linux)."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as f:
+            return f.read().split()
+    except FileNotFoundError:  # pid has exited
+        return []
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+                    reason="needs /proc child lists")
+@pytest.mark.skipif(search._cpus() < 2, reason="needs two CPUs to fork")
+def test_sigterm_kills_and_reaps_the_workers(tmp_path):
+    # over 10 s of search on a 2-core x86 host: the workers are busy when
+    # SIGTERM comes
+    argv, env = search_argv(tmp_path, linear_3graph(2), 15, 12)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(children_of(proc.pid)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert out == "" and "Traceback" not in err
+        # the call ran in its own session: its process group is empty
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
