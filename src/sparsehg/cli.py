@@ -5,9 +5,16 @@ Every command prints one canonical JSON report to stdout. Exit status is
 produced a counterexample or a search came up empty, and 1 for usage or
 input errors. Sampled checks require an explicit --seed.
 
-Each subcommand's parser names its handler with set_defaults(run=...),
-and main calls args.run(args). A report holds the library's values as
-they are: JSON writes a tuple as an array.
+Each subcommand's parser names its handler with set_defaults(run=...).
+main calls args.run(args, phase), and the handler returns its report's
+own keys, holding the library's values as they are (JSON writes a tuple
+as an array), with the exit status. It calls phase(name) as each of its
+phases ends: load_s then check_s where it reads input, else build_s then
+write_s. main adds what every report shares: "command", the command and
+its subcommand; "timings", the phases, each timed from the previous mark
+and the first from the handler's call, then report_s for assembly and
+digest, and wall_s, their sum; and "report_sha256", the digest of the
+report without its timings.
 
 Each handler imports the modules its command runs, at call time, so a
 call loads only those: `import sparsehg.cli` loads core and jsonio, and
@@ -98,113 +105,84 @@ def _emit(report: dict, key: str, obj, out: Optional[str]) -> None:
         report["output"] = out
 
 
-def _cmd_build(args) -> tuple[dict, int]:
+def _cmd_build(args, phase) -> tuple[dict, int]:
     from sparsehg.families import f14, factorial_family, linear_three_cycle
 
-    started = time.perf_counter()
-    if args.what == "cycle":
+    if args.subcommand == "cycle":
         config = linear_three_cycle()
-    elif args.what == "f14":
+    elif args.subcommand == "f14":
         config = f14()
-    elif args.what == "f-k":
+    elif args.subcommand == "f-k":
         config = factorial_family(args.k)
     else:
         config = _tower(args.base, args.ell)
-    built = time.perf_counter()
-    report = {"command": f"build {args.what}", **_config_summary(config)}
+    phase("build_s")
+    report = _config_summary(config)
     _emit(report, "configuration", jsonio.config_to_obj(config), args.output)
-    report["timings"] = _build_timings(started, built)
+    phase("write_s")
     return report, EXIT_OK
 
 
-def _phase_timings(started: float, loaded: float) -> dict:
-    """load_s from `started` to `loaded` (read and build the input), check_s
-    from `loaded` to now; main adds wall_s."""
-    return {
-        "load_s": round(loaded - started, 6),
-        "check_s": round(time.perf_counter() - loaded, 6),
-    }
-
-
-def _build_timings(started: float, built: float) -> dict:
-    """For a call that reads no input: build_s from `started` to `built`
-    (construct the result), write_s from `built` to now (serialize it, and
-    write any file); main adds wall_s."""
-    return {
-        "build_s": round(built - started, 6),
-        "write_s": round(time.perf_counter() - built, 6),
-    }
-
-
-def _cmd_verify_scan(args) -> tuple[dict, int]:
+def _cmd_verify_scan(args, phase) -> tuple[dict, int]:
     """verify nice and verify gl-props: one report over either subset scan."""
     from sparsehg.niceness import NOT_NICE, sample_nice, verify_nice, verify_tower_bounds
 
-    sampled = args.samples is not None
-    started = time.perf_counter()
-    if args.verify_cmd == "nice":
+    method = "exhaustive" if args.samples is None else "sampled"
+    if args.subcommand == "nice":
         config = jsonio.load_any(jsonio.read_json(args.input))
     else:
         config = _load_config(args.input)
-    if sampled and args.seed is None:
+    if method == "sampled" and args.seed is None:
         raise HypergraphError("--samples requires --seed")
-    if not sampled and args.seed is not None:
+    if method == "exhaustive" and args.seed is not None:
         raise HypergraphError("--seed requires --samples")
     # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
-    if sampled and not 0 <= args.seed < 1 << 64:
+    if method == "sampled" and not 0 <= args.seed < 1 << 64:
         raise HypergraphError(f"--seed must be in [0, 2^64), got {args.seed}")
-    loaded = time.perf_counter()
-    if args.verify_cmd == "gl-props":
+    phase("load_s")
+    if args.subcommand == "gl-props":
         result = verify_tower_bounds(
-            config, exhaustive=not sampled, samples=args.samples, seed=args.seed
+            config, exhaustive=method == "exhaustive", samples=args.samples, seed=args.seed
         )
-    elif sampled:
-        result = sample_nice(config, args.witness, samples=args.samples, seed=args.seed)
-    else:
+    elif method == "exhaustive":
         result = verify_nice(config, args.witness)
+    else:
+        result = sample_nice(config, args.witness, samples=args.samples, seed=args.seed)
+    phase("check_s")
+    ce = result.counterexample
     report = {
-        "command": f"verify {args.verify_cmd}",
         "inputs": _inputs_obj(input=args.input),
-        "method": "sampled" if sampled else "exhaustive",
-        "verdict": result.verdict,
-        "checked_subsets": result.checked_subsets,
-        "counterexample": None if result.counterexample is None else result.counterexample._asdict(),
-        "seed": result.seed,
-        "timings": _phase_timings(started, loaded),
+        "method": method,
+        **result._asdict(),
+        "counterexample": None if ce is None else ce._asdict(),
     }
-    code = EXIT_REFUTED if result.verdict == NOT_NICE else EXIT_OK
-    return report, code
+    return report, EXIT_REFUTED if result.verdict == NOT_NICE else EXIT_OK
 
 
-def _cmd_verify_claim63(args) -> tuple[dict, int]:
+def _cmd_verify_claim63(args, phase) -> tuple[dict, int]:
     from sparsehg.families import linear_three_cycle
     from sparsehg.niceness import verify_cycle_bounds
 
-    started = time.perf_counter()
     config = linear_three_cycle()
-    loaded = time.perf_counter()
+    phase("load_s")
     holds = verify_cycle_bounds(config)
+    phase("check_s")
     report = {
-        "command": "verify claim63",
         "holds": holds,
         "method": "exhaustive",
         # verify_cycle_bounds scans all 2^v subsets once per X role split
         "passes": 2,
         "checked_subsets": 1 << config.graph.vertex_count,
-        "timings": _phase_timings(started, loaded),
     }
     return report, EXIT_OK if holds else EXIT_REFUTED
 
 
-def _cmd_extract(args) -> tuple[dict, int]:
+def _cmd_extract(args, phase) -> tuple[dict, int]:
     from sparsehg.extraction import extract
 
-    started = time.perf_counter()
-    chain = _tower(args.base, args.ell)
-    result = extract(chain, args.t)
-    built = time.perf_counter()
+    result = extract(_tower(args.base, args.ell), args.t)
+    phase("build_s")
     report = {
-        "command": "extract",
         "base": args.base,
         "ell": args.ell,
         "t": args.t,
@@ -219,19 +197,17 @@ def _cmd_extract(args) -> tuple[dict, int]:
     if args.trace_out is not None:
         jsonio.write_json(args.trace_out, report["trace"])
         report["trace_output"] = args.trace_out
-    report["timings"] = _build_timings(started, built)
+    phase("write_s")
     return report, EXIT_OK
 
 
-def _cmd_project(args) -> tuple[dict, int]:
+def _cmd_project(args, phase) -> tuple[dict, int]:
     from sparsehg.projection import project
 
-    started = time.perf_counter()
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
-    loaded = time.perf_counter()
+    phase("load_s")
     result = project(graph, args.k, args.e)
     report = {
-        "command": "project",
         "inputs": _inputs_obj(input=args.input),
         "case": result.case_tag,
         "anchors": result.anchors,
@@ -241,47 +217,42 @@ def _cmd_project(args) -> tuple[dict, int]:
         else result.heavy_config.edge_count,
     }
     _emit(report, "projection", jsonio.projection_to_obj(result), args.output)
-    report["timings"] = _phase_timings(started, loaded)
+    phase("check_s")
     return report, EXIT_OK
 
 
-def _cmd_lift(args) -> tuple[dict, int]:
+def _cmd_lift(args, phase) -> tuple[dict, int]:
     from sparsehg.projection import lift
 
-    started = time.perf_counter()
     result = jsonio.projection_from_obj(jsonio.read_json(args.proj))
     config3 = jsonio.graph_from_obj(jsonio.read_json(args.config))
-    loaded = time.perf_counter()
+    phase("load_s")
     lifted = lift(result, config3)
     report = {
-        "command": "lift",
         "inputs": _inputs_obj(proj=args.proj, config=args.config),
         "v": lifted.vertex_count,
         "e": lifted.edge_count,
     }
     _emit(report, "lifted", jsonio.graph_to_obj(lifted), args.output)
-    report["timings"] = _phase_timings(started, loaded)
+    phase("check_s")
     return report, EXIT_OK
 
 
-def _cmd_ramsey(args) -> tuple[dict, int]:
+def _cmd_ramsey(args, phase) -> tuple[dict, int]:
     from sparsehg.ramsey import check_coloring, coloring_to_4graph, q_quad, verify_implication
 
-    started = time.perf_counter()
-    if args.ramsey_cmd == "qquad":
-        return {
-            "command": "ramsey qquad",
-            "p": args.p,
-            "q_quad": q_quad(args.p),
-            "timings": _build_timings(started, time.perf_counter()),
-        }, EXIT_OK
+    if args.subcommand == "qquad":
+        report = {"p": args.p, "q_quad": q_quad(args.p)}
+        phase("build_s")
+        phase("write_s")
+        return report, EXIT_OK
     coloring = jsonio.coloring_from_obj(jsonio.read_json(args.input))
-    loaded = time.perf_counter()
+    phase("load_s")
     inputs = _inputs_obj(input=args.input)
-    if args.ramsey_cmd == "check":
+    if args.subcommand == "check":
         result = check_coloring(coloring, args.p, args.q)
+        phase("check_s")
         report = {
-            "command": "ramsey check",
             "inputs": inputs,
             "p": result.p,
             "q": result.q,
@@ -289,13 +260,11 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
             "min_colors_on_some_kp": result.min_colors_on_some_kp,
             "valid": result.valid,
             "witness_kp": result.witness_kp,
-            "timings": _phase_timings(started, loaded),
         }
         return report, EXIT_OK if result.valid else EXIT_REFUTED
-    if args.ramsey_cmd == "to4":
+    if args.subcommand == "to4":
         shadow, log = coloring_to_4graph(coloring)
         report = {
-            "command": "ramsey to4",
             "inputs": inputs,
             "v": shadow.vertex_count,
             "e": shadow.edge_count,
@@ -303,51 +272,31 @@ def _cmd_ramsey(args) -> tuple[dict, int]:
             "log": log,
         }
         _emit(report, "graph", jsonio.graph_to_obj(shadow), args.output)
-        report["timings"] = _phase_timings(started, loaded)
+        phase("check_s")
         return report, EXIT_OK
     holds = verify_implication(coloring, args.p, args.q)
-    report = {
-        "command": "ramsey implication",
-        "inputs": inputs,
-        "p": args.p,
-        "q": args.q,
-        "implication_holds": holds,
-        "timings": _phase_timings(started, loaded),
-    }
+    phase("check_s")
+    report = {"inputs": inputs, "p": args.p, "q": args.q, "implication_holds": holds}
     return report, EXIT_OK if holds else EXIT_REFUTED
 
 
-def _cmd_search(args) -> tuple[dict, int]:
+def _cmd_search(args, phase) -> tuple[dict, int]:
     from sparsehg.search import count_copies, find_configuration
 
-    started = time.perf_counter()
     graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
-    if args.search_cmd == "config":
-        loaded = time.perf_counter()
+    if args.subcommand == "config":
+        phase("load_s")
         result = find_configuration(graph, args.v, args.e)
-        report = {
-            "command": "search config",
-            "inputs": _inputs_obj(input=args.input),
-            "v": args.v,
-            "e": args.e,
-            "found": result.found,
-            "witness": result.witness,
-            "nodes_explored": result.nodes_explored,
-            "timings": _phase_timings(started, loaded),
-        }
+        phase("check_s")
+        report = {"inputs": _inputs_obj(input=args.input), "v": args.v, "e": args.e,
+                  **result._asdict()}
         return report, EXIT_OK if result.found else EXIT_REFUTED
     pattern = jsonio.graph_from_obj(jsonio.read_json(args.pattern))
-    loaded = time.perf_counter()
+    phase("load_s")
     result = count_copies(graph, pattern, induced=args.induced)
-    report = {
-        "command": "search copies",
-        "inputs": _inputs_obj(input=args.input, pattern=args.pattern),
-        "embeddings": result.embeddings,
-        "copies": result.copies,
-        "induced": args.induced,
-        "nodes_explored": result.nodes_explored,
-        "timings": _phase_timings(started, loaded),
-    }
+    phase("check_s")
+    report = {"inputs": _inputs_obj(input=args.input, pattern=args.pattern),
+              "induced": args.induced, **result._asdict()}
     return report, EXIT_OK
 
 
@@ -366,7 +315,7 @@ def _add_scan(parser: _Parser) -> None:
 
 def _add_build(p_build: _Parser) -> None:
     p_build.set_defaults(run=_cmd_build)
-    sb = p_build.add_subparsers(dest="what", required=True)
+    sb = p_build.add_subparsers(dest="subcommand", required=True)
     _add_output(sb.add_parser("cycle"))
     _add_output(sb.add_parser("f14"))
     p_fk = sb.add_parser("f-k")
@@ -379,7 +328,7 @@ def _add_build(p_build: _Parser) -> None:
 
 
 def _add_verify(p_verify: _Parser) -> None:
-    sv = p_verify.add_subparsers(dest="verify_cmd", required=True)
+    sv = p_verify.add_subparsers(dest="subcommand", required=True)
     p_nice = sv.add_parser("nice")
     _add_scan(p_nice)
     p_nice.set_defaults(run=_cmd_verify_scan)
@@ -421,7 +370,7 @@ def _add_lift(p_lift: _Parser) -> None:
 
 def _add_ramsey(p_ramsey: _Parser) -> None:
     p_ramsey.set_defaults(run=_cmd_ramsey)
-    sr = p_ramsey.add_subparsers(dest="ramsey_cmd", required=True)
+    sr = p_ramsey.add_subparsers(dest="subcommand", required=True)
     p_qq = sr.add_parser("qquad")
     p_qq.add_argument("--p", type=int, required=True)
     p_check = sr.add_parser("check")
@@ -439,7 +388,7 @@ def _add_ramsey(p_ramsey: _Parser) -> None:
 
 def _add_search(p_search: _Parser) -> None:
     p_search.set_defaults(run=_cmd_search)
-    ss = p_search.add_subparsers(dest="search_cmd", required=True)
+    ss = p_search.add_subparsers(dest="subcommand", required=True)
     p_cfg = ss.add_parser("config")
     p_cfg.add_argument("--input", required=True, help="graph JSON")
     p_cfg.add_argument("--v", type=int, required=True)
@@ -495,14 +444,24 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse signals both --help and usage errors this way
         return int(exc.code or 0)
-    started = time.perf_counter()
+    marks = [time.perf_counter()]
+    timings: dict[str, float] = {}
+
+    def phase(name: str) -> None:
+        marks.append(time.perf_counter())
+        timings[name] = round(marks[-1] - marks[-2], 6)
+
     try:
-        report, code = args.run(args)
+        body, code = args.run(args, phase)
     except (HypergraphError, OSError) as exc:
         print(f"sparsehg: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report.setdefault("timings", {})["wall_s"] = round(time.perf_counter() - started, 6)
+    subcommand = getattr(args, "subcommand", None)
+    command = args.cmd if subcommand is None else f"{args.cmd} {subcommand}"
+    report = {"command": command, **body, "timings": timings}
     report["report_sha256"] = jsonio.report_digest(report)
+    phase("report_s")
+    timings["wall_s"] = round(marks[-1] - marks[0], 6)
     sys.stdout.write(jsonio.canonical_json(report))
     return code
 

@@ -8,10 +8,11 @@ stream plus a stratified pass over small subsets near A). The first
 violation in scan order is re-checked through Hypergraph.difference,
 then reported.
 
-Niceness, the tower bounds and claim 6.3 run through one scan function,
-`_check`, and the one bound checker in sparsehg.kernels; niceness is the
-tower check with x = A_ell = xy = A, no G^ell copy, k + 1 in place of k and
-ell = 0. The stratified pass of sampled niceness runs that checker on the
+Niceness, the tower bounds and claim 6.3 run through one scan driver,
+`_check`, which is given the method and returns the raw scan, one report
+builder, `_report`, and the one bound checker in sparsehg.kernels;
+niceness is the tower check with x = A_ell = xy = A, no G^ell copy,
+k + 1 in place of k and ell = 0. The stratified pass of sampled niceness runs that checker on the
 induced sub-hypergraph of A and its edge neighbourhood, where all of its
 subsets lie, so its lanes are as wide as that pool, not the host.
 """
@@ -37,6 +38,7 @@ _STRATIFIED_DRAWS = 4096
 
 _CONDITION_NAMES = {1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
+_CLEAN_VERDICTS = {"exhaustive": NICE, "sampled": SAMPLED_NO_VIOLATION}
 
 
 class Counterexample(Record):
@@ -84,16 +86,16 @@ def _nice_roles(a_mask: int, k: int) -> tuple[int, int, int, int, int, int]:
 
 def _report(
     graph: Hypergraph,
-    clean_verdict: str,
-    checked: int,
-    vio: Optional[tuple],
+    method: str,
+    scan: kernels.ScanResult,
     names: dict[int, str],
     seed: Optional[int] = None,
 ) -> NicenessReport:
-    """Report of a finished scan: `clean_verdict` when it found no violation,
+    """Report of a `method` scan: its clean verdict if it found no violation,
     else NOT_NICE with the violating subset, its condition named by `names`."""
+    checked, vio = scan
     if vio is None:
-        return NicenessReport(clean_verdict, checked, None, seed=seed)
+        return NicenessReport(_CLEAN_VERDICTS[method], checked, None, seed=seed)
     u_mask, code, delta, bound = vio
     labels = graph.labels_of_mask(u_mask)
     observed = graph.difference(labels).delta
@@ -114,37 +116,38 @@ def _report(
 def _check(
     graph: Hypergraph,
     roles: tuple[int, int, int, int, int, int],
-    names: dict[int, str],
+    method: str,
     *,
     base: int = 0,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-) -> NicenessReport:
-    """Check the bounds under `roles` (x, A_ell, xy, G, k, ell) on supersets of `base`.
+) -> kernels.ScanResult:
+    """Scan the bounds under `roles` (x, A_ell, xy, G, k, ell) on supersets of `base`.
 
-    With samples=None every superset is scanned, in increasing order of its
-    free bits; otherwise `samples` seeded uniform subsets are drawn with
-    `base` ORed in, and `seed` is read only then. Violations are named by
-    `names`. A sampled check raises HypergraphError where numpy is not
-    installed.
+    The "exhaustive" method scans every superset, in increasing order of its
+    free bits; "sampled" draws `samples` seeded uniform subsets with `base`
+    ORed in, and only it reads `seed`. A sampled check raises
+    HypergraphError where numpy is not installed.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
-    if samples is None:
+    if method == "exhaustive":
         free = [b for b in range(n) if not (base >> b) & 1]
         if len(free) > _EXHAUSTIVE_VERTEX_LIMIT:
             raise HypergraphError(
                 f"exhaustive check limited to {_EXHAUSTIVE_VERTEX_LIMIT} free vertices; "
                 f"graph has {len(free)} (sample instead: --samples and --seed)"
             )
-        checked, vio = kernels.scan_range(edge_masks, free, base, *roles)
-        return _report(graph, NICE, checked, vio, names)
+        return kernels.scan_range(edge_masks, free, base, *roles)
     if samples <= 0:
         raise HypergraphError("samples must be positive")
     if seed is None:
         raise HypergraphError("a sampled check needs a seed")
+    # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
+    if not 0 <= seed < 1 << 64:
+        raise HypergraphError(f"seed must be in [0, 2^64), got {seed}")
     try:
-        checked, vio = kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
+        return kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
@@ -152,12 +155,12 @@ def _check(
             "sampled checks need numpy, which is not installed; "
             "exhaustive checks run without it"
         ) from exc
-    return _report(graph, SAMPLED_NO_VIOLATION, checked, vio, names, seed)
 
 
 def _check_nice(
     config: GraphLike,
     witness: Optional[Sequence[str]],
+    method: str,
     *,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
@@ -180,18 +183,14 @@ def _check_nice(
             required_bound=len(wit),
         )
         return NicenessReport(NOT_NICE, 0, ce, seed=seed)
-    report = _check(
-        graph, _nice_roles(graph.mask_of(wit), k), _CONDITION_NAMES, samples=samples, seed=seed
-    )
-    if report.verdict != SAMPLED_NO_VIOLATION:
-        return report
-    # the uniform pass uses stream counters 1 .. samples * words
-    words = max(1, (graph.vertex_count + 63) // 64)
-    checked, vio = _stratified_pass(graph, wit, k, seed, samples * words)
-    return _report(
-        graph, SAMPLED_NO_VIOLATION, report.checked_subsets + checked, vio,
-        _CONDITION_NAMES, seed,
-    )
+    roles = _nice_roles(graph.mask_of(wit), k)
+    checked, vio = _check(graph, roles, method, samples=samples, seed=seed)
+    if method == "sampled" and vio is None:
+        # the uniform pass uses stream counters 1 .. samples * words
+        words = max(1, (graph.vertex_count + 63) // 64)
+        stratified, vio = _stratified_pass(graph, wit, k, seed, samples * words)
+        checked += stratified
+    return _report(graph, method, (checked, vio), _CONDITION_NAMES, seed)
 
 
 def verify_nice(
@@ -202,7 +201,7 @@ def verify_nice(
     The witness defaults to the configuration's role "A". Scans all 2^v
     subsets in increasing bitmask order and stops at the first violation.
     """
-    return _check_nice(config, witness)
+    return _check_nice(config, witness, "exhaustive")
 
 
 def _pool(graph: Hypergraph, wit: tuple[str, ...]) -> tuple[list[str], list[int]]:
@@ -299,7 +298,7 @@ def sample_nice(
     neighbourhood and checks them on that pool's induced sub-hypergraph,
     whose width is the pool's, not the host's.
     """
-    return _check_nice(config, witness, samples=samples, seed=seed)
+    return _check_nice(config, witness, "sampled", samples=samples, seed=seed)
 
 
 def find_witness(config: GraphLike) -> Optional[tuple[str, ...]]:
@@ -345,10 +344,11 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
         return graph.mask_of(config.role(name)[0] for name in names)
 
     a_mask = mask("v1", "v2", "v3", "v4")
-    return all(
-        _check(graph, (x_mask, a_mask, a_mask, 0, 2, 0), _ITEM_NAMES).verdict == NICE
-        for x_mask in (mask("v1"), mask("v2", "v3"))
-    )
+    for x_mask in (mask("v1"), mask("v2", "v3")):
+        scan = _check(graph, (x_mask, a_mask, a_mask, 0, 2, 0), "exhaustive")
+        if _report(graph, "exhaustive", scan, _ITEM_NAMES).verdict != NICE:
+            return False
+    return True
 
 
 def _tower_context(config: LabeledConfiguration):
@@ -393,6 +393,10 @@ def verify_tower_bounds(
     graph, yprefix_mask, roles = _tower_context(config)
     if exhaustive and samples is not None:
         raise HypergraphError("exhaustive mode takes no samples; pass exhaustive=False")
+    if exhaustive and seed is not None:
+        raise HypergraphError("exhaustive mode takes no seed; pass exhaustive=False")
     if not exhaustive and samples is None:
         raise HypergraphError("sampled mode needs samples and seed")
-    return _check(graph, roles, _ITEM_NAMES, base=yprefix_mask, samples=samples, seed=seed)
+    method = "exhaustive" if exhaustive else "sampled"
+    scan = _check(graph, roles, method, base=yprefix_mask, samples=samples, seed=seed)
+    return _report(graph, method, scan, _ITEM_NAMES, seed)

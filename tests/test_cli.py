@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -239,13 +240,13 @@ def test_workers_is_a_usage_error_everywhere(capsys, f14_file):
 # output), run where _write_report_inputs wrote its inputs, with its exit
 # code, the keys of its report besides "timings" and "report_sha256", and
 # its phases under "timings" besides "wall_s": load_s and check_s where the
-# call reads input, else build_s and write_s.
+# call reads input, else build_s and write_s, then report_s.
 _SUMMARY = {"command", "family", "v", "e", "delta"}
 _SCAN = {"command", "inputs", "method", "verdict", "checked_subsets", "counterexample", "seed"}
 _EXTRACT = {"command", "base", "ell", "t", "v", "e", "delta", "trace"}
 _COLORING = ["--input", "coloring.json", "--p", "8", "--q", "27"]
-_READS = {"load_s", "check_s"}
-_BUILDS = {"build_s", "write_s"}
+_READS = {"load_s", "check_s", "report_s"}
+_BUILDS = {"build_s", "write_s", "report_s"}
 _REPORT_KEYS = [
     (("build", "cycle"), 0, [], _SUMMARY | {"configuration"}, _BUILDS),
     (("build", "f14"), 0, ["-o", "out.json"], _SUMMARY | {"output"}, _BUILDS),
@@ -339,6 +340,19 @@ def test_verify_reports_name_their_method(capsys, tmp_path, monkeypatch):
     assert (len(labels), len(edges)) == (9, 5)
     assert all(isinstance(v, str) for v in labels)
     assert all(len(edge) == 3 and set(edge) <= set(labels) for edge in edges)
+
+
+def test_phases_cover_the_whole_call(capsys, tmp_path, monkeypatch):
+    # a clock that advances one tick per read: time read outside every phase
+    # would leave the phases short of wall_s
+    monkeypatch.chdir(tmp_path)
+    _write_report_inputs(capsys)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=itertools.count().__next__))
+    for leaf, expected, extra, _, phases in _REPORT_KEYS:
+        code, report = run(capsys, *leaf, *extra)
+        assert code == expected, (leaf, extra)
+        timings = report["timings"]
+        assert sum(timings[p] for p in phases) == timings["wall_s"] > 0, (leaf, extra)
 
 
 def test_repeated_witness_label_exits_one(capsys, f14_file, tmp_path):
@@ -814,11 +828,11 @@ def test_report_digest_stable_across_runs(capsys):
 
 def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, cycle_file, tmp_path):
     # the phase timings (load_s and check_s; build_s and write_s for a
-    # build) sit under "timings" next to wall_s, which the digest drops:
-    # the digest is that of the report without them
+    # build; then report_s) sit under "timings" next to wall_s, which the
+    # digest drops: the digest is that of the report without them
     g0 = str(tmp_path / "g0.json")
     assert run(capsys, "build", "g-ell", "--ell", "0", "-o", g0)[0] == 0
-    checks = ("load_s", "check_s")
+    checks = ("load_s", "check_s", "report_s")
     for argv, phases in (
         (["verify", "nice", "--input", f14_file], checks),
         (["verify", "nice", "--input", f14_file, "--samples", "100", "--seed", "1"], checks),
@@ -826,7 +840,8 @@ def test_verify_phase_timings_leave_the_digest_alone(capsys, f14_file, cycle_fil
         (["verify", "claim63"], checks),
         (["search", "config", "--input", f14_file, "--v", "9", "--e", "5"], checks),
         (["search", "copies", "--input", f14_file, "--pattern", cycle_file], checks),
-        (["build", "f-k", "--k", "5", "-o", str(tmp_path / "f5.json")], ("build_s", "write_s")),
+        (["build", "f-k", "--k", "5", "-o", str(tmp_path / "f5.json")],
+         ("build_s", "write_s", "report_s")),
     ):
         code, report = run(capsys, *argv)
         assert code == 0

@@ -320,6 +320,21 @@ def test_tower_bounds_exhaustive_takes_no_samples():
         verify_tower_bounds(geometric_tower(f14(), 0), samples=100, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 70) + 3])
+def test_sampled_checks_reject_seeds_outside_64_bits(seed):
+    # the stream reads seeds mod 2^64: -1 would draw what 2^64 - 1 draws
+    with pytest.raises(HypergraphError, match=r"seed must be in \[0, 2\^64\)"):
+        sample_nice(linear_three_cycle(), samples=5, seed=seed)
+    with pytest.raises(HypergraphError, match=r"seed must be in \[0, 2\^64\)"):
+        verify_tower_bounds(geometric_tower(f14(), 1), exhaustive=False, samples=5, seed=seed)
+
+
+def test_tower_bounds_exhaustive_takes_no_seed():
+    # an exhaustive scan draws nothing, so a seed given with it would be dropped
+    with pytest.raises(HypergraphError, match="exhaustive mode takes no seed"):
+        verify_tower_bounds(geometric_tower(f14(), 0), seed=5)
+
+
 def test_sampled_niceness_requires_seed():
     with pytest.raises(HypergraphError, match="needs a seed"):
         sample_nice(f14(), samples=10, seed=None)
