@@ -53,7 +53,11 @@ def read_json(path: Union[str, Path]) -> Any:
 
 
 def write_json(path: Union[str, Path], obj: Any) -> None:
-    Path(path).write_text(canonical_json(obj))
+    """Write canonical_json(obj) to `path`, streamed: the pure-Python indent
+    encoder's chunks go to the file as they are made, never held at once."""
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(obj, fp, sort_keys=True, indent=2)
+        fp.write("\n")
 
 
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:

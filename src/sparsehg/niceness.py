@@ -113,6 +113,17 @@ def _report(
     return NicenessReport(NOT_NICE, checked, ce, seed=seed)
 
 
+def _check_sampling(samples: int, seed: Optional[int]) -> None:
+    """Raise HypergraphError unless (samples, seed) can drive a sampled check."""
+    if samples <= 0:
+        raise HypergraphError("samples must be positive")
+    if seed is None:
+        raise HypergraphError("a sampled check needs a seed")
+    # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
+    if not 0 <= seed < 1 << 64:
+        raise HypergraphError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _check(
     graph: Hypergraph,
     roles: tuple[int, int, int, int, int, int],
@@ -126,8 +137,8 @@ def _check(
 
     The "exhaustive" method scans every superset, in increasing order of its
     free bits; "sampled" draws `samples` seeded uniform subsets with `base`
-    ORed in, and only it reads `seed`. A sampled check raises
-    HypergraphError where numpy is not installed.
+    ORed in, and only it reads `seed`, through `_check_sampling`. A sampled
+    check raises HypergraphError where numpy is not installed.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
@@ -139,13 +150,7 @@ def _check(
                 f"graph has {len(free)} (sample instead: --samples and --seed)"
             )
         return kernels.scan_range(edge_masks, free, base, *roles)
-    if samples <= 0:
-        raise HypergraphError("samples must be positive")
-    if seed is None:
-        raise HypergraphError("a sampled check needs a seed")
-    # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
-    if not 0 <= seed < 1 << 64:
-        raise HypergraphError(f"seed must be in [0, 2^64), got {seed}")
+    _check_sampling(samples, seed)
     try:
         return kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
     except ModuleNotFoundError as exc:
@@ -175,6 +180,9 @@ def _check_nice(
         raise HypergraphError(
             f"wrong witness size: difference is {k}, need {k + 1} vertices, got {len(wit)}"
         )
+    if method == "sampled":
+        # before the independence shortcut, which reads neither argument
+        _check_sampling(samples, seed)
     if not graph.is_independent(wit):
         ce = Counterexample(
             subset=wit,

@@ -2,7 +2,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsehg import jsonio
@@ -155,6 +155,39 @@ def test_file_helpers(tmp_path):
     d1 = jsonio.file_digest(path)
     jsonio.write_json(path, jsonio.graph_to_obj(f14().graph))
     assert jsonio.file_digest(path) == d1
+
+
+# text with non-ASCII, quotes, backslashes, control characters and lone
+# surrogates, which the encoder escapes
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\n\t\x00\x7f'))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_JSON)
+def test_written_files_are_canonical(tmp_path, obj):
+    path = tmp_path / "out.json"
+    jsonio.write_json(path, obj)
+    assert path.read_bytes() == jsonio.canonical_json(obj).encode()
+
+
+def test_large_writes_stream(tmp_path):
+    # F_8 is 2.35 MB of JSON; building it as one string first held about
+    # 12 MB of encoder chunks
+    obj = jsonio.config_to_obj(factorial_family(8))
+    path = tmp_path / "f8.json"
+    tracemalloc.start()
+    try:
+        jsonio.write_json(path, obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == jsonio.canonical_json(obj).encode()
+    assert peak < 2 << 20
 
 
 def test_read_json_rejects_garbage(tmp_path):

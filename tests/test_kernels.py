@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +145,36 @@ def test_sampled_prefix_fills_only_the_drawn_lanes(n, samples):
     draws = [oracles.splitmix64_draw(seed, i, n) for i in range(samples)]
     i = next((i for i, draw in enumerate(draws) if not draw & ~prefix), None)
     assert result == ((samples, None) if i is None else (i + 1, (prefix, 1, 2, 3)))
+
+
+class _Lanes(list):
+    """A batch's lanes, weakly referenceable."""
+
+
+@pytest.mark.parametrize("kernel", ["sample_scan", "check_masks"])
+def test_one_batch_alive_at_a_time(monkeypatch, kernel):
+    # f14 with its witness meets every bound, so each kernel runs all four
+    # of its 64-subset batches; when a batch is built, none before it lives
+    graph = f14().graph
+    masks, n = list(graph.edge_masks), graph.vertex_count
+    roles = _nice_roles(graph.mask_of(f14().witness), 4)
+    built, alive = [], []
+    real = kernels._transpose
+
+    def transpose(drawn, n):
+        alive.append(sum(ref() is not None for ref in built))
+        lanes = _Lanes(real(drawn, n))
+        built.append(weakref.ref(lanes))
+        return lanes
+
+    monkeypatch.setattr(kernels, "_transpose", transpose)
+    monkeypatch.setattr(kernels, "_LANE_BITS", n * 64)
+    if kernel == "sample_scan":
+        result = kernels.sample_scan(masks, n, 0, *roles, 256, 7)
+    else:
+        result = kernels.check_masks(masks, n, *roles, list(range(256)))
+    assert result == (256, None)
+    assert alive == [0, 0, 0, 0]
 
 
 def _first_draw_holding(n, must, lo, hi):

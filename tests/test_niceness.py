@@ -340,6 +340,22 @@ def test_sampled_niceness_requires_seed():
         sample_nice(f14(), samples=10, seed=None)
 
 
+@pytest.mark.parametrize(
+    "samples, seed",
+    [(0, 1), (10, None), (10, -1), (10, 1 << 64)],
+)
+def test_sampled_arguments_are_checked_for_a_dependent_witness(samples, seed):
+    # a witness that spans an edge is refuted before any scan, but the
+    # sampled arguments are rejected first, as for an independent witness
+    graph = linear_three_cycle().graph
+    messages = []
+    for witness in (("v1", "v2", "v4", "v3"), ("v1", "v2", "v5", "v3")):
+        with pytest.raises(HypergraphError) as raised:
+            sample_nice(graph, witness, samples=samples, seed=seed)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
 def test_repeated_witness_label_is_rejected():
     # four distinct vertices counted as five would pass the size check
     wit = ("w4", "w4", "wp1", "wp2", "wp3")
