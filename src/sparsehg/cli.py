@@ -430,10 +430,10 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # Sampled checks use numpy only in kernels._draw, _pack and _transpose,
-    # through which every sampled batch and stratified draw goes: ufuncs and
-    # array reshaping, never BLAS, so OpenBLAS worker threads are pure
-    # start-up cost. Set here, not in kernels, to leave a library user's BLAS
+    # Sampled checks use numpy only in kernels.sample_scan, _draw, _pack and
+    # _transpose, through which every sampled batch and stratified draw
+    # goes: ufuncs and array reshaping, never BLAS, so OpenBLAS worker
+    # threads are pure start-up cost. Set here, not in kernels, to leave a library user's BLAS
     # alone; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Union
 
@@ -53,11 +54,30 @@ def read_json(path: Union[str, Path]) -> Any:
 
 
 def write_json(path: Union[str, Path], obj: Any) -> None:
-    """Write canonical_json(obj) to `path`, streamed: the pure-Python indent
-    encoder's chunks go to the file as they are made, never held at once."""
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(obj, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+    """Write canonical_json(obj) to `path`. The indent encoder's chunks are
+    streamed into a file beside the target, never held at once, and that
+    file then replaces the target, so an error or an interrupt mid-write
+    leaves the target as it was. A target that exists but is not a regular
+    file, such as /dev/stdout, is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fp:
+            _dump(obj, fp)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fp = open(tmp, "x", encoding="utf-8")
+    try:
+        with fp:
+            _dump(obj, fp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _dump(obj: Any, fp) -> None:
+    json.dump(obj, fp, sort_keys=True, indent=2)
+    fp.write("\n")
 
 
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:

@@ -24,16 +24,17 @@ above is a ripple-borrow comparison of planes, one machine word testing 64
 subsets. The first violation is the lowest set bit of the OR of the three
 conditions; its difference and bound are recomputed for that one subset.
 A batch holds about `_LANE_BITS` lane bits (vertices times subsets)
-whatever the host width, and a scan frees each batch before it builds the
-next.
+whatever the host width, and a scan frees each batch's lanes before it
+builds the next.
 
 Lanes are built two ways. `scan_range` takes fixed periodic bit patterns
 for the low bits of the scan index and all-ones or all-zero lanes for the
-high ones. Every other batch is a (words, count) uint64 array of whole
-subsets, drawn by `sample_scan` or packed from `check_masks`' list, and
-`_transpose` turns each 64 x 64 bit block of it into lanes with six delta
-swaps. Only `sample_scan`, `check_masks` and the stratified draws of
-sparsehg.niceness use numpy, and they import it when called, so
+high ones. Every other batch is a uint64 array of whole subsets in blocks
+of 64, word w of subset 64c + r at [w, r, c]: `sample_scan` draws each of
+its batches into one such array, and `check_masks` packs its list into
+one. `_transpose` turns each 64 x 64 bit block into lanes in place, with
+six delta swaps. Only `sample_scan`, `check_masks` and the stratified
+draws of sparsehg.niceness use numpy, and they import it when called, so
 exhaustive checks run without it.
 
 The sampling stream is splitmix64: word w of sample i is
@@ -51,13 +52,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
-# lane bits per batch, vertices times subsets: 256 KiB of lanes, so a batch
-# on an F_8-sized host is as small as one on f14 and fits a 2 MiB L2 with
-# its temporaries. Measured on such a 2-core Xeon (Python 3.11), a 4M-sample
-# F_5 check through the CLI peaks at 34.0 MB RSS, against 35.4 MB with
-# 2^22-bit batches two at a time, and takes 552 against 510 ms, since the
-# heap pages each freed batch returns are faulted in again by the next
-_LANE_BITS = 1 << 21
+# lane bits per batch, vertices times subsets: about 512 KB of lanes, so a
+# batch on an F_8-sized host is as small as one on f14; one batch is alive
+# at a time, and 2^21 was slower (README, Memory)
+_LANE_BITS = 1 << 22
 # stream draws the stratified pass computes at a time
 _DRAW_BLOCK = 1 << 14
 # (shift, mask) of each delta swap of a 64 x 64 bit transpose: swap the
@@ -264,7 +262,7 @@ def check_masks(
     numpy; only sampled checks call it."""
     width = _width(n)
     chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
-    batches = ((_transpose(_pack(batch, n), n), len(batch)) for batch in chunks)
+    batches = ((_transpose(_pack(batch, n), n, len(batch)), len(batch)) for batch in chunks)
     return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches)
 
 
@@ -287,9 +285,31 @@ def sample_scan(
     width = _width(n)
 
     def batches():
+        import numpy as np
+
+        u64 = np.uint64
+        blocks = (min(width, samples) + 63) // 64
+        # every batch is drawn into this one array, in the block layout of
+        # `_transpose`: word w of sample pos + 64c + r at z[w, r, c], whose
+        # stream counter is pos * words + step[w, r] + col[c]
+        z = np.empty((words, 64, blocks), u64)
+        step = np.arange(1, words + 1, dtype=u64).reshape(words, 1, 1)
+        step = step + np.arange(0, 64 * words, words, dtype=u64).reshape(64, 1)
+        col = np.arange(0, 64 * words * blocks, 64 * words, dtype=u64)
         for pos in range(0, samples, width):
             count = min(width, samples - pos)
-            lanes = _transpose(_draw(seed, pos, count, words), n)
+            np.add(step + u64(pos * words), col, out=z)
+            z *= u64(GAMMA)
+            z += u64(seed & MASK64)
+            # only a scan's last batch can be short; its padding is zero,
+            # never drawn
+            full, rem = divmod(count, 64)
+            _mix_vec(z[:, :, :full])
+            if rem:
+                _mix_vec(z[:, :rem, full])
+                z[:, rem:, full] = 0
+            z[:, :, full + (rem > 0) :] = 0
+            lanes = _transpose(z, n, count)
             for j in prefix:
                 lanes[j] = (1 << count) - 1
             yield lanes, count
@@ -312,18 +332,22 @@ def _draw(seed: int, start: int, count: int, words: int):
 
 
 def _pack(masks: Sequence[int], n: int):
-    """The masks, cut to n bits, as a (words, count) array like `_draw`'s."""
+    """The masks, cut to n bits, in the block layout of `_transpose`, zero
+    subsets padding the last block."""
     import numpy as np
 
-    size, full = 8 * max(1, (n + 63) // 64), (1 << n) - 1
+    words = max(1, (n + 63) // 64)
+    size, full = 8 * words, (1 << n) - 1
     packed = bytearray()
     for m in masks:
         packed += (m & full).to_bytes(size, "little")
-    return np.frombuffer(packed, "<u8").reshape(len(masks), -1).T
+    packed += bytes(-len(packed) % (64 * size))
+    z = np.frombuffer(packed, "<u8").reshape(-1, 64, words).transpose(2, 1, 0)
+    return np.ascontiguousarray(z, dtype=np.uint64)
 
 
 def _mix_vec(z):
-    """splitmix64 finalizer over a fresh uint64 array, in place."""
+    """splitmix64 finalizer over a uint64 array, in place."""
     u64 = z.dtype.type
     z ^= z >> u64(30)
     z *= u64(0xBF58476D1CE4E5B9)
@@ -333,21 +357,15 @@ def _mix_vec(z):
     return z
 
 
-def _transpose(drawn, n: int) -> list[int]:
-    """Lanes of the first n vertices of a (words, count) uint64 array, one
-    subset per column. The subsets are copied, zero-padded to whole blocks
-    of 64, and each (64 subsets x 64 bits) block of a word row is transposed
-    by delta swaps; `drawn` itself is left as drawn."""
+def _transpose(z, n: int, count: int) -> list[int]:
+    """Lanes of the first n vertices over `count` subsets, from a contiguous
+    (words, 64, blocks) uint64 array that holds word w of subset 64c + r at
+    z[w, r, c], zero past `count`. Each 64 x 64 bit block, the column
+    z[w, :, c], is transposed in place by delta swaps, which work on rows
+    contiguous across all blocks."""
     import numpy as np
 
-    words, count = drawn.shape
-    blocks = (count + 63) // 64
-    z = np.zeros((words, blocks * 64), dtype=np.uint64)
-    z[:, :count] = drawn
-    del drawn  # the caller's batch is freed here, before the copies below
-    # z[w, r, c] is word w of subset 64c + r: block c is the column z[w, :, c],
-    # so each swap works on rows that are contiguous across all blocks
-    z = np.ascontiguousarray(z.reshape(words, blocks, 64).transpose(0, 2, 1))
+    words, _, blocks = z.shape
     for shift, mask in _SWAPS:
         # rows r and r + shift, for r with bit `shift` clear
         pair = z.reshape(words, 32 // shift, 2, shift, blocks)
@@ -356,9 +374,8 @@ def _transpose(drawn, n: int) -> list[int]:
         hi ^= t
         lo ^= t << np.uint64(shift)
     # row b of word w now holds bit b of every subset, 64 subsets per block
-    raw = memoryview(z.reshape(words * 64, blocks)[:n].astype("<u8", copy=False).tobytes())
-    size = 8 * blocks
-    return [int.from_bytes(raw[j * size : (j + 1) * size], "little") for j in range(n)]
+    rows = z.reshape(words * 64, blocks)[:n, : (count + 63) // 64]
+    return [int.from_bytes(row, "little") for row in rows.astype("<u8", copy=False)]
 
 
 def _draws(seed: int, start: int, modulus: int) -> Iterator[list[int]]:

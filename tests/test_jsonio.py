@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import pytest
@@ -188,6 +190,38 @@ def test_large_writes_stream(tmp_path):
         tracemalloc.stop()
     assert path.read_bytes() == jsonio.canonical_json(obj).encode()
     assert peak < 2 << 20
+
+
+def test_failed_write_leaves_the_target(tmp_path):
+    # mixed key types fail under sort_keys only after the encoder has
+    # streamed a few chunks
+    path = tmp_path / "out.json"
+    jsonio.write_json(path, {"a": 1})
+    with pytest.raises(TypeError):
+        jsonio.write_json(path, {"a": [1, 2], "b": {1: 0, "c": 0}})
+    assert path.read_bytes() == jsonio.canonical_json({"a": 1}).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_writes_go_through_symlinks(tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    jsonio.write_json(link, [1])
+    assert link.is_symlink() and real.read_bytes() == b"[\n  1\n]\n"
+
+
+def test_pipes_are_written_in_place(tmp_path):
+    # as /dev/stdout would be: no file beside it replaces the pipe
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        jsonio.write_json(fifo, [1])
+        assert os.read(fd, 100) == b"[\n  1\n]\n"
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_read_json_rejects_garbage(tmp_path):

@@ -161,9 +161,9 @@ def test_one_batch_alive_at_a_time(monkeypatch, kernel):
     built, alive = [], []
     real = kernels._transpose
 
-    def transpose(drawn, n):
+    def transpose(*args):
         alive.append(sum(ref() is not None for ref in built))
-        lanes = _Lanes(real(drawn, n))
+        lanes = _Lanes(real(*args))
         built.append(weakref.ref(lanes))
         return lanes
 
