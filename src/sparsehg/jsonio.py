@@ -3,19 +3,29 @@
 Dumps are canonical: sorted keys, two-space indent, trailing newline.
 Digests are sha256 over the canonical form with every "timings" key
 removed, so equal results hash equal regardless of wall-clock noise.
+sha256 comes from CPython's builtin module, which needs no OpenSSL;
+hashlib is only the fallback for builds without one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 import os
+import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Union
 
 from sparsehg.core import Hypergraph, HypergraphError
+
+try:  # the module is _sha2 from Python 3.12, _sha256 before
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 if TYPE_CHECKING:
     from sparsehg.families import LabeledConfiguration
@@ -37,11 +47,11 @@ def strip_timings(obj: Any) -> Any:
 
 
 def report_digest(obj: Any) -> str:
-    return hashlib.sha256(canonical_json(strip_timings(obj)).encode()).hexdigest()
+    return _sha256(canonical_json(strip_timings(obj)).encode()).hexdigest()
 
 
 def file_digest(path: Union[str, Path]) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _sha256(Path(path).read_bytes()).hexdigest()
 
 
 def read_json(path: Union[str, Path]) -> Any:
@@ -57,10 +67,15 @@ def write_json(path: Union[str, Path], obj: Any) -> None:
     """Write canonical_json(obj) to `path`. The indent encoder's chunks are
     streamed into a file beside the target, never held at once, and that
     file then replaces the target, so an error or an interrupt mid-write
-    leaves the target as it was. A target that exists but is not a regular
-    file, such as /dev/stdout, is written in place."""
+    leaves the target as it was. That file takes an existing target's
+    permission bits. A target that exists but is not a regular file, such
+    as /dev/stdout, is written in place."""
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(target, "w", encoding="utf-8") as fp:
             _dump(obj, fp)
         return
@@ -68,6 +83,8 @@ def write_json(path: Union[str, Path], obj: Any) -> None:
     fp = open(tmp, "x", encoding="utf-8")
     try:
         with fp:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
             _dump(obj, fp)
         os.replace(tmp, target)
     except BaseException:

@@ -1,13 +1,15 @@
 """What importing the package costs: each CLI command loads only the
 package modules it runs, numpy is loaded only by the sampled subset scans,
-no command loads dataclasses or inspect, exhaustive verification runs
-where numpy cannot be imported at all and a sampled one fails there with
-one error line, no scan loads a thread pool or starts OpenBLAS worker
+no command loads dataclasses, inspect or OpenSSL's hashes, digests are the
+same where CPython's builtin sha256 is missing, exhaustive verification
+runs where numpy cannot be imported at all and a sampled one fails there
+with one error line, no scan loads a thread pool or starts OpenBLAS worker
 threads, and the lazily resolved package names still behave like ordinary
 package attributes."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -56,7 +58,7 @@ def _child(script, *args, environ=os.environ, flags=()):
     imports this sparsehg, with `environ` as its environment apart from
     PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script, *args],
         capture_output=True, text=True, env=dict(environ, PYTHONPATH=path),
@@ -87,6 +89,53 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     seen = _child(_CHILD, str(tmp_path), "dataclasses,inspect", "no-numpy", flags=["-S"])
     assert [code for _, code, _ in seen] == [None] + [0] * 8 + [1]
     assert all(loaded == [] for _, _, loaded in seen), seen
+
+
+# Runs in a fresh interpreter: import numpy, then print which of the modules
+# named in argv[1] (comma-separated) have been imported.
+_WATCHED_BY_NUMPY = """
+import json, sys
+import numpy
+print(json.dumps([m for m in sys.argv[1].split(",") if m in sys.modules]))
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # -S: no site hook may load hashlib first, so only numpy's directory is
+    # put on the path. numpy 1.x loads _hashlib itself (numpy.random imports
+    # secrets), so the sampled call may load what numpy alone loads.
+    numpy_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
+    environ = dict(os.environ, PYTHONPATH=numpy_dir)
+    by_numpy = _child(_WATCHED_BY_NUMPY, "hashlib,_hashlib", environ=environ, flags=["-S"])
+    seen = _child(_CHILD, str(tmp_path), "hashlib,_hashlib", environ=environ, flags=["-S"])
+    assert [code for _, code, _ in seen] == [None] + [0] * 9
+    assert all(loaded == [] for _, _, loaded in seen[:-1]), seen
+    assert seen[-1][2] == by_numpy
+
+
+# Runs in a fresh interpreter where CPython's builtin sha256 modules cannot
+# be imported: `verify nice` on argv[1], then its report_sha256 and whether
+# jsonio took sha256 from hashlib.
+_NO_BUILTIN_SHA_CHILD = """
+import contextlib, hashlib, io, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import sparsehg.cli as cli
+import sparsehg.jsonio as jsonio
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["verify", "nice", "--input", sys.argv[1]]) == 0
+print(json.dumps([json.loads(out.getvalue())["report_sha256"], jsonio._sha256 is hashlib.sha256]))
+"""
+
+
+def test_digests_fall_back_to_hashlib(tmp_path, capsys):
+    f14 = str(tmp_path / "f14.json")
+    assert cli.main(["build", "f14", "-o", f14]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "nice", "--input", f14]) == 0
+    want = json.loads(capsys.readouterr().out)["report_sha256"]
+    assert _child(_NO_BUILTIN_SHA_CHILD, f14) == [want, True]
 
 
 # Runs in a fresh interpreter where `import numpy` raises ImportError: each

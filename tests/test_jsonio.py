@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -169,6 +170,27 @@ _JSON = st.recursive(
 )
 
 
+# reports whose dicts hold "timings" keys at any depth
+_REPORT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner) | st.dictionaries(st.just("timings") | _TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(_REPORT)
+def test_report_digest_is_hashlibs(obj):
+    text = jsonio.canonical_json(jsonio.strip_timings(obj))
+    assert jsonio.report_digest(obj) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_file_digest_is_hashlibs(tmp_path):
+    path = tmp_path / "f8.json"  # 2.35 MB
+    jsonio.write_json(path, jsonio.config_to_obj(factorial_family(8)))
+    assert jsonio.file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_JSON)
 def test_written_files_are_canonical(tmp_path, obj):
@@ -201,6 +223,24 @@ def test_failed_write_leaves_the_target(tmp_path):
         jsonio.write_json(path, {"a": [1, 2], "b": {1: 0, "c": 0}})
     assert path.read_bytes() == jsonio.canonical_json({"a": 1}).encode()
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+def test_rewrites_keep_the_targets_mode(tmp_path, mode):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    path.chmod(mode)
+    jsonio.write_json(path, [1])
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == b"[\n  1\n]\n"
+
+
+def test_new_files_take_the_umask_default(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    path = tmp_path / "out.json"
+    jsonio.write_json(path, [1])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_writes_go_through_symlinks(tmp_path):
