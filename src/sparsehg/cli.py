@@ -1,15 +1,15 @@
-"""Command line interface.
-
-Every command prints one canonical JSON report to stdout. Exit status is
+"""Every command prints one canonical JSON report to stdout. Exit status is
 0 for a verified property or successful construction, 2 when a check
 produced a counterexample or a search came up empty, and 1 for usage or
 input errors. Sampled checks require an explicit --seed.
 
-Each subcommand's parser names its handler with set_defaults(run=...).
-main calls args.run(args, phase), and the handler returns its report's
-own keys, holding the library's values as they are (JSON writes a tuple
-as an array), with the exit status. It calls phase(name) as each of its
-phases ends: load_s then check_s where it reads input, else build_s then
+That paragraph, the user's contract, is the description `--help` prints;
+the rest of this docstring is for readers of the code. Each subcommand's
+parser names its handler with set_defaults(run=...). main calls
+args.run(args, phase), and the handler returns its report's own keys,
+holding the library's values as they are (JSON writes a tuple as an
+array), with the exit status. It calls phase(name) as each of its phases
+ends: load_s then check_s where it reads input, else build_s then
 write_s. main adds what every report shares: "command", the command and
 its subcommand; "timings", the phases, each timed from the previous mark
 and the first from the handler's call, then report_s for assembly and
@@ -419,7 +419,8 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     Namespace and prints the same help and usage errors; it only rejects the
     other commands. main builds it for a call that names its command first.
     """
-    parser = _Parser(prog=PROG, description=__doc__)
+    # the docstring's first paragraph; none under -OO, which strips it
+    parser = _Parser(prog=PROG, description=__doc__ and __doc__.partition("\n\n")[0])
     # the usage line of a one-command parser still names every command
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
@@ -430,11 +431,11 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # Sampled checks use numpy only in kernels.sample_scan, _draw, _pack and
-    # _transpose, through which every sampled batch and stratified draw
-    # goes: ufuncs and array reshaping, never BLAS, so OpenBLAS worker
-    # threads are pure start-up cost. Set here, not in kernels, to leave a library user's BLAS
-    # alone; a value the user set wins.
+    # Sampled checks use numpy only in kernels.sample_scan, _draw, _draws,
+    # _pack and _transpose, through which every sampled batch and stratified
+    # draw goes: ufuncs and array reshaping, never BLAS, so OpenBLAS worker
+    # threads are pure start-up cost. Set here, not in kernels, to leave a
+    # library user's BLAS alone; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]

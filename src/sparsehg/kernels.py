@@ -31,15 +31,17 @@ Lanes are built two ways. `scan_range` takes fixed periodic bit patterns
 for the low bits of the scan index and all-ones or all-zero lanes for the
 high ones. Every other batch is a uint64 array of whole subsets in blocks
 of 64, word w of subset 64c + r at [w, r, c]: `sample_scan` draws each of
-its batches into one such array, and `check_masks` packs its list into
-one. `_transpose` turns each 64 x 64 bit block into lanes in place, with
-six delta swaps. Only `sample_scan`, `check_masks` and the stratified
-draws of sparsehg.niceness use numpy, and they import it when called, so
-exhaustive checks run without it.
+its batches into one such array with `_draw`, and `check_masks` packs its
+list into one. `_transpose` turns each 64 x 64 bit block into lanes in
+place, with six delta swaps. Only `sample_scan`, `check_masks` and the
+stratified draws of sparsehg.niceness use numpy, and they import it when
+called, so exhaustive checks run without it.
 
 The sampling stream is splitmix64: word w of sample i is
 mix64(seed + (i * words + w + 1) * GAMMA), words = max(1, ceil(n / 64)),
-a pure function of (seed, i).
+a pure function of (seed, i). `_draw` is the one place that forms these
+counters: it writes the uniform batches, and `_draws`, the stratified
+pass's one-word stream, reads through it.
 """
 
 from __future__ import annotations
@@ -287,28 +289,16 @@ def sample_scan(
     def batches():
         import numpy as np
 
-        u64 = np.uint64
-        blocks = (min(width, samples) + 63) // 64
-        # every batch is drawn into this one array, in the block layout of
-        # `_transpose`: word w of sample pos + 64c + r at z[w, r, c], whose
-        # stream counter is pos * words + step[w, r] + col[c]
-        z = np.empty((words, 64, blocks), u64)
-        step = np.arange(1, words + 1, dtype=u64).reshape(words, 1, 1)
-        step = step + np.arange(0, 64 * words, words, dtype=u64).reshape(64, 1)
-        col = np.arange(0, 64 * words * blocks, 64 * words, dtype=u64)
+        # every batch is drawn into this one array
+        z = np.empty((words, 64, (min(width, samples) + 63) // 64), np.uint64)
         for pos in range(0, samples, width):
             count = min(width, samples - pos)
-            np.add(step + u64(pos * words), col, out=z)
-            z *= u64(GAMMA)
-            z += u64(seed & MASK64)
-            # only a scan's last batch can be short; its padding is zero,
-            # never drawn
+            _draw(z, seed, pos, count)
+            # only a scan's last batch can be short; the rows that pad its
+            # last block are zero, never drawn
             full, rem = divmod(count, 64)
-            _mix_vec(z[:, :, :full])
             if rem:
-                _mix_vec(z[:, :rem, full])
                 z[:, rem:, full] = 0
-            z[:, :, full + (rem > 0) :] = 0
             lanes = _transpose(z, n, count)
             for j in prefix:
                 lanes[j] = (1 << count) - 1
@@ -318,17 +308,24 @@ def sample_scan(
     return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
 
 
-def _draw(seed: int, start: int, count: int, words: int):
-    """Samples start .. start + count - 1 of the stream, as a (words, count)
-    uint64 array with one sample per column."""
+def _draw(z, seed: int, first: int, count: int) -> None:
+    """Write samples first .. first + count - 1 of the stream into the
+    (words, 64, blocks) uint64 array z, in the block layout of `_transpose`:
+    word w of sample first + 64c + r, from counter (first + 64c + r) *
+    words + w + 1, goes to z[w, r, c]. No other entry is written or mixed."""
     import numpy as np
 
     u64 = np.uint64
-    word_no = np.arange(1, words + 1, dtype=u64).reshape(words, 1)
-    z = np.arange(start, start + count, dtype=u64) * u64(words) + word_no
-    z *= u64(GAMMA)
-    z += u64(seed & MASK64)
-    return _mix_vec(z)
+    words = z.shape[0]
+    # [w, r]: the counter of word w of sample first + r
+    rows = np.arange(first * words + 1, (first + 64) * words + 1, dtype=u64).reshape(64, words).T
+    full, rem = divmod(count, 64)
+    for part, lo in ((z[:, :, :full], 0), (z[:, :rem, full : full + 1], full)):
+        cols = np.arange(lo, lo + part.shape[2], dtype=u64) * u64(64 * words)
+        np.add(rows[:, : part.shape[1], None], cols, out=part)
+        part *= u64(GAMMA)
+        part += u64(seed & MASK64)
+        _mix_vec(part)
 
 
 def _pack(masks: Sequence[int], n: int):
@@ -360,9 +357,10 @@ def _mix_vec(z):
 def _transpose(z, n: int, count: int) -> list[int]:
     """Lanes of the first n vertices over `count` subsets, from a contiguous
     (words, 64, blocks) uint64 array that holds word w of subset 64c + r at
-    z[w, r, c], zero past `count`. Each 64 x 64 bit block, the column
-    z[w, :, c], is transposed in place by delta swaps, which work on rows
-    contiguous across all blocks."""
+    z[w, r, c]. Blocks past `count` are swapped but not returned, so only
+    the rows that pad the last returned block must be zero. Each 64 x 64
+    bit block, the column z[w, :, c], is transposed in place by delta
+    swaps, which work on rows contiguous across all blocks."""
     import numpy as np
 
     words, _, blocks = z.shape
@@ -378,9 +376,17 @@ def _transpose(z, n: int, count: int) -> list[int]:
     return [int.from_bytes(row, "little") for row in rows.astype("<u8", copy=False)]
 
 
-def _draws(seed: int, start: int, modulus: int) -> Iterator[list[int]]:
-    """The splitmix64 stream at indices start, start + 1, ..., each draw
-    reduced mod `modulus`, in lists of `_DRAW_BLOCK` draws."""
-    # stream index i is counter i, which _draw gives one-word sample i - 1
-    for lo in itertools.count(start - 1, _DRAW_BLOCK):
-        yield (_draw(seed, lo, _DRAW_BLOCK, 1)[0] % modulus).tolist()
+def _draws(seed: int, cursor: int, modulus: int) -> Iterator[int]:
+    """The one-word stream after counter `cursor` (sample i is counter
+    i + 1), each value reduced mod `modulus`, drawn `_DRAW_BLOCK` values at
+    a time into one array."""
+    import numpy as np
+
+    count = _DRAW_BLOCK
+    z = np.empty((1, 64, (count + 63) // 64), np.uint64)
+
+    def block(first: int) -> list[int]:
+        _draw(z, seed, first, count)
+        return (z[0].T.ravel()[:count] % modulus).tolist()
+
+    return itertools.chain.from_iterable(map(block, itertools.count(cursor, count)))

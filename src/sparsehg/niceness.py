@@ -137,8 +137,9 @@ def _check(
 
     The "exhaustive" method scans every superset, in increasing order of its
     free bits; "sampled" draws `samples` seeded uniform subsets with `base`
-    ORed in, and only it reads `seed`, through `_check_sampling`. A sampled
-    check raises HypergraphError where numpy is not installed.
+    ORed in, its caller having checked `samples` and `seed` with
+    `_check_sampling`. A sampled check raises HypergraphError where numpy
+    is not installed.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
@@ -150,7 +151,6 @@ def _check(
                 f"graph has {len(free)} (sample instead: --samples and --seed)"
             )
         return kernels.scan_range(edge_masks, free, base, *roles)
-    _check_sampling(samples, seed)
     try:
         return kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
     except ModuleNotFoundError as exc:
@@ -239,29 +239,19 @@ def _stratified_masks(size: int, seed: int, cursor: int) -> list[int]:
     caller used.
     """
     bits = [1 << i for i in range(size)]
-    blocks = kernels._draws(seed, cursor + 1, size)
-    stream = iter(())  # the rest of the current block, as bits
+    stream = map(bits.__getitem__, kernels._draws(seed, cursor, size))
     masks: list[int] = []
     for want in range(1, min(_STRATIFIED_SIZE_LIMIT, size) + 1):
         if math.comb(size, want) <= _STRATIFIED_DRAWS:
             masks.extend(map(sum, itertools.combinations(bits, want)))
             continue
-        # a draw ends at the first stream index where it holds `want`
+        # a draw ends at the first stream value that gives it `want`
         # distinct indices, and the next draw starts after it
-        left, mask, count = _STRATIFIED_DRAWS, 0, 0
-        while left:
-            for bit in stream:
-                if not mask & bit:
-                    mask |= bit
-                    count += 1
-                    if count == want:
-                        masks.append(mask)
-                        mask = count = 0
-                        left -= 1
-                        if not left:
-                            break
-            else:
-                stream = map(bits.__getitem__, next(blocks))
+        for _ in range(_STRATIFIED_DRAWS):
+            mask = 0
+            while mask.bit_count() < want:
+                mask |= next(stream)
+            masks.append(mask)
     return masks
 
 
@@ -403,8 +393,10 @@ def verify_tower_bounds(
         raise HypergraphError("exhaustive mode takes no samples; pass exhaustive=False")
     if exhaustive and seed is not None:
         raise HypergraphError("exhaustive mode takes no seed; pass exhaustive=False")
-    if not exhaustive and samples is None:
-        raise HypergraphError("sampled mode needs samples and seed")
+    if not exhaustive:
+        if samples is None:
+            raise HypergraphError("sampled mode needs samples and seed")
+        _check_sampling(samples, seed)
     method = "exhaustive" if exhaustive else "sampled"
     scan = _check(graph, roles, method, base=yprefix_mask, samples=samples, seed=seed)
     return _report(graph, method, scan, _ITEM_NAMES, seed)

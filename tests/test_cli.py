@@ -458,6 +458,16 @@ def test_one_command_parser_matches_the_full_parser(argv):
     assert full[0] != 0 or full[1]
 
 
+def test_help_states_the_contract_without_the_implementation_notes(capsys):
+    # --help describes what a user gets, not how main dispatches or tunes numpy
+    assert main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "2 when a check produced a counterexample or a search came up empty" in out
+    assert "Sampled checks require an explicit --seed" in out
+    for note in ("set_defaults", "args.run", "phase(", "OPENBLAS"):
+        assert note not in out
+
+
 def test_main_builds_the_parser_of_the_named_command_only(capsys, monkeypatch):
     built = []
     real = cli.build_parser

@@ -147,6 +147,22 @@ def test_sampled_prefix_fills_only_the_drawn_lanes(n, samples):
     assert result == ((samples, None) if i is None else (i + 1, (prefix, 1, 2, 3)))
 
 
+@pytest.mark.parametrize("block", [1, 3, 64, 65, None])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -12345, 2**70 + 9])
+@pytest.mark.parametrize("cursor", [0, 1, 4_000_000, random.Random(5).randrange(10**9)])
+def test_draws_are_the_one_word_stream_after_the_cursor(monkeypatch, block, seed, cursor):
+    # value i is the splitmix64 output for counter cursor + 1 + i, mod m; a
+    # small _DRAW_BLOCK puts many block boundaries in the first 300 values
+    if block:
+        monkeypatch.setattr(kernels, "_DRAW_BLOCK", block)
+    for m in (1, 7, 40, 157):
+        got = list(itertools.islice(kernels._draws(seed, cursor, m), 300))
+        want = [
+            oracles.splitmix64(seed + (cursor + 1 + i) * kernels.GAMMA) % m for i in range(300)
+        ]
+        assert got == want
+
+
 class _Lanes(list):
     """A batch's lanes, weakly referenceable."""
 
