@@ -22,7 +22,7 @@ class ExtractionResult(Record):
 
 
 def _chain_context(chain: LabeledConfiguration):
-    k, ell = _tower_shape(chain)
+    k, ell, _, _ = _tower_shape(chain)
     if not chain.levels or len(chain.levels) != ell + 1:
         raise HypergraphError(
             "missing subcopy index: configuration lacks its level chain "
@@ -50,13 +50,10 @@ def locate_subcopy(chain: LabeledConfiguration, lp: int) -> dict[str, str]:
     if not isinstance(lp, int) or lp < 0 or lp >= ell:
         raise HypergraphError(f"level {lp!r} out of range [0, {ell})")
     emb = _compose_to_level(levels, k, lp, ell)
-    src = levels[lp]
-    for i in range(1, k):
-        if emb[src.role(f"x{i}")[0]] != chain.role(f"x{i}")[0]:
-            raise HypergraphError(f"located copy moved spine vertex x{i}")
-    for j in range(0, lp + 1):
-        if emb[src.role(f"y{j}")[0]] != chain.role(f"y{j}")[0]:
-            raise HypergraphError(f"located copy moved spine vertex y{j}")
+    _, _, xs, ys = _tower_shape(levels[lp])
+    _, _, top_xs, top_ys = _tower_shape(chain)
+    if [emb[v] for v in xs[:-1] + ys] != top_xs[:-1] + top_ys[: lp + 1]:
+        raise HypergraphError("located copy moved a spine vertex")
     return emb
 
 

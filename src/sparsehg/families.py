@@ -19,6 +19,11 @@ Both recursive families glue copies of a template onto a shared spine
   Every level carries the roles x1..xk, y0..ym and A_ell = (x1..xk, y0..ym).
   Level m has 1 + k + ... + k^m (`_level_ratio`) times the base's edges.
 
+Configuration roles that name one vertex, a tower level's x1..xk and
+y0..ym and the 3-cycle's v1..v6, are read only by `_one_vertex_roles`
+and by `_tower_shape`, which uses it; a role naming no vertex or several
+raises HypergraphError.
+
 A copy's other vertices are labelled "c{i}.<template label>" in the i-th
 child copy and "c0.<template label>" in the tower's base copy, so copy
 images stay recoverable from labels alone. Vertices are ordered spine
@@ -287,12 +292,12 @@ def _next_tower_level(
     xs = [f"x{j}" for j in range(1, k + 1)]
     ys = [f"y{j}" for j in range(0, m + 1)]
     spine = xs + ys + [f"xp{j}" for j in range(1, k + 1)]
+    prev_spine = _one_vertex_roles(prev, xs + ys[:-1], "tower")
     copies = [
         (
             f"G_{m - 1}^{i}",
             prev.graph,
-            {prev.role(x)[0]: f"xp{i}" if j == i else x for j, x in enumerate(xs, start=1)}
-            | {prev.role(y)[0]: y for y in ys[:-1]},
+            dict(zip(prev_spine, xs[: i - 1] + [f"xp{i}"] + xs[i:] + ys[:-1])),
             f"c{i}",
         )
         for i in range(1, k + 1)
@@ -315,9 +320,18 @@ def _level_ratio(k: int, m: int) -> int:
     return (k ** (m + 1) - 1) // (k - 1)
 
 
-def _tower_shape(config: LabeledConfiguration) -> tuple[int, int]:
-    """(k, ell) of a tower level, read from its x1..xk and y0..y(ell) roles,
-    each of which must name exactly one vertex."""
+def _one_vertex_roles(config: LabeledConfiguration, names: list[str], kind: str) -> list[str]:
+    """The one label each role in `names` names; a role that is missing or
+    names any other number of vertices raises HypergraphError."""
+    for name in names:
+        if len(config.roles.get(name, ())) != 1:
+            raise HypergraphError(f"{kind} role {name!r} must name exactly one vertex")
+    return [config.roles[name][0] for name in names]
+
+
+def _tower_shape(config: LabeledConfiguration) -> tuple[int, int, list[str], list[str]]:
+    """(k, ell, xs, ys) of a tower level: the labels of its x1..xk and
+    y0..y(ell) roles, each of which must name exactly one vertex."""
     if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "g-ell":
         raise HypergraphError("expected a tower configuration (family 'g-ell')")
     k = 0
@@ -328,7 +342,6 @@ def _tower_shape(config: LabeledConfiguration) -> tuple[int, int]:
         ell += 1
     if k < 2 or ell < 0:
         raise HypergraphError("tower configuration is missing x/y roles")
-    for name in [f"x{j}" for j in range(1, k + 1)] + [f"y{j}" for j in range(ell + 1)]:
-        if len(config.roles[name]) != 1:
-            raise HypergraphError(f"tower role {name!r} must name exactly one vertex")
-    return k, ell
+    xs = _one_vertex_roles(config, [f"x{j}" for j in range(1, k + 1)], "tower")
+    ys = _one_vertex_roles(config, [f"y{j}" for j in range(ell + 1)], "tower")
+    return k, ell, xs, ys

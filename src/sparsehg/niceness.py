@@ -4,9 +4,11 @@ A graph with difference k is accepted here when some independent set A of
 size k+1 satisfies, for every vertex subset U, a pair of lower bounds on
 the difference of U in terms of |U ∩ A|. Verification is exhaustive
 (every subset, canonical bitmask order) or sampled (seeded splitmix64
-stream plus a stratified pass over small subsets near A). The first
-violation in scan order is re-checked through Hypergraph.difference,
-then reported.
+stream plus a stratified pass over small subsets near A, its arguments
+checked by `_check_sampling` alone). `_report` builds every refutation,
+a witness spanning an edge ("Independence", before any scan) included:
+it re-checks the first violation in scan order through
+Hypergraph.difference, then reports it.
 
 Niceness, the tower bounds and claim 6.3 run through one scan driver,
 `_check`, which is given the method and returns the raw scan, one report
@@ -25,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError, Record
-from sparsehg.families import LabeledConfiguration, _tower_shape
+from sparsehg.families import LabeledConfiguration, _one_vertex_roles, _tower_shape
 
 NICE = "NICE"
 NOT_NICE = "NOT_NICE"
@@ -36,7 +38,7 @@ _WITNESS_VERTEX_LIMIT = 20
 _STRATIFIED_SIZE_LIMIT = 8
 _STRATIFIED_DRAWS = 4096
 
-_CONDITION_NAMES = {1: "Cond1", 2: "Cond2"}
+_CONDITION_NAMES = {0: "Independence", 1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
 _CLEAN_VERDICTS = {"exhaustive": NICE, "sampled": SAMPLED_NO_VIOLATION}
 
@@ -113,14 +115,14 @@ def _report(
     return NicenessReport(NOT_NICE, checked, ce, seed=seed)
 
 
-def _check_sampling(samples: int, seed: Optional[int]) -> None:
+def _check_sampling(samples: Optional[int], seed: Optional[int]) -> None:
     """Raise HypergraphError unless (samples, seed) can drive a sampled check."""
-    if samples <= 0:
-        raise HypergraphError("samples must be positive")
+    if not isinstance(samples, int) or samples <= 0:
+        raise HypergraphError("samples must be a positive integer")
     if seed is None:
         raise HypergraphError("a sampled check needs a seed")
     # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
-    if not 0 <= seed < 1 << 64:
+    if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
         raise HypergraphError(f"seed must be in [0, 2^64), got {seed}")
 
 
@@ -184,13 +186,9 @@ def _check_nice(
         # before the independence shortcut, which reads neither argument
         _check_sampling(samples, seed)
     if not graph.is_independent(wit):
-        ce = Counterexample(
-            subset=wit,
-            condition="Independence",
-            observed_delta=graph.difference(wit).delta,
-            required_bound=len(wit),
-        )
-        return NicenessReport(NOT_NICE, 0, ce, seed=seed)
+        # condition 0: a witness spanning an edge has difference below |A|
+        vio = (graph.mask_of(wit), 0, graph.difference(wit).delta, len(wit))
+        return _report(graph, method, (0, vio), _CONDITION_NAMES, seed)
     roles = _nice_roles(graph.mask_of(wit), k)
     checked, vio = _check(graph, roles, method, samples=samples, seed=seed)
     if method == "sampled" and vio is None:
@@ -312,7 +310,7 @@ def find_witness(config: GraphLike) -> Optional[tuple[str, ...]]:
             f"graph has {graph.vertex_count}"
         )
     size = graph.delta + 1
-    if size > graph.vertex_count:
+    if not 0 <= size <= graph.vertex_count:
         return None
     for combo in itertools.combinations(graph.vertices, size):
         report = verify_nice(graph, combo)
@@ -334,15 +332,9 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "cycle":
         raise HypergraphError("expected the linear 3-cycle configuration")
     graph = config.graph
-    for name in ("v1", "v2", "v3", "v4", "v5", "v6"):
-        if name not in config.roles:
-            raise HypergraphError(f"cycle configuration is missing role {name!r}")
-
-    def mask(*names: str) -> int:
-        return graph.mask_of(config.role(name)[0] for name in names)
-
-    a_mask = mask("v1", "v2", "v3", "v4")
-    for x_mask in (mask("v1"), mask("v2", "v3")):
+    v = _one_vertex_roles(config, [f"v{i}" for i in range(1, 7)], "cycle")
+    a_mask = graph.mask_of(v[:4])
+    for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
         scan = _check(graph, (x_mask, a_mask, a_mask, 0, 2, 0), "exhaustive")
         if _report(graph, "exhaustive", scan, _ITEM_NAMES).verdict != NICE:
             return False
@@ -350,7 +342,7 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
 
 
 def _tower_context(config: LabeledConfiguration):
-    k, ell = _tower_shape(config)
+    k, ell, xs, ys = _tower_shape(config)
     graph = config.graph
     if "A_ell" not in config.roles:
         raise HypergraphError("tower configuration is missing role 'A_ell'")
@@ -361,8 +353,7 @@ def _tower_context(config: LabeledConfiguration):
     gname = f"G^{ell}"
     if gname not in config.subcopies:
         raise HypergraphError(f"tower configuration is missing subcopy {gname!r}")
-    x_mask = graph.mask_of(config.role(f"x{j}")[0] for j in range(1, k + 1))
-    ys = [config.role(f"y{j}")[0] for j in range(ell + 1)]
+    x_mask = graph.mask_of(xs)
     roles = (
         x_mask,
         graph.mask_of(config.role("A_ell")),
@@ -394,8 +385,6 @@ def verify_tower_bounds(
     if exhaustive and seed is not None:
         raise HypergraphError("exhaustive mode takes no seed; pass exhaustive=False")
     if not exhaustive:
-        if samples is None:
-            raise HypergraphError("sampled mode needs samples and seed")
         _check_sampling(samples, seed)
     method = "exhaustive" if exhaustive else "sampled"
     scan = _check(graph, roles, method, base=yprefix_mask, samples=samples, seed=seed)

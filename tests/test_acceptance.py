@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven headline checks, each with its runtime budget.
+"""Acceptance gate: the twelve headline checks, each with its runtime budget.
 
 Run `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion. Seeds are fixed so every run checks the same instances.
@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +202,49 @@ def test_criterion_11_oracle_equivalence():
         assert count_copies(host7, cycle).copies == 840
         one_edge = Hypergraph(3, ["a", "b", "c"], [("a", "b", "c")])
         assert count_copies(host7, one_edge).copies == comb(7, 3)
+
+
+def _templates():
+    """(row name, configuration, its witness, closed-form e, closed-form d)."""
+    for k in range(4, 9):
+        cfg = factorial_family(k)
+        yield f"F_{k}", cfg, cfg.witness, 10 * factorial(k) // 24, k
+    for k, ell in [(4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3), (6, 1)]:
+        cfg = geometric_tower(factorial_family(k), ell)
+        e = 10 * factorial(k) // 24 * (k ** (ell + 1) - 1) // (k - 1)
+        yield f"G^{ell} over F_{k}", cfg, cfg.role("A_ell"), e, k + ell
+
+
+def _readme_parameter_rows():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
+    return [[cell.strip() for cell in row] for row in rows[1:]]
+
+
+def test_criterion_12_parameter_table():
+    rows = []
+    with _Budget(10.0):
+        for name, cfg, witness, e, d in _templates():
+            g = cfg.graph
+            assert g.edge_count == e
+            assert g.vertex_count - g.edge_count == d
+            assert g.is_independent(witness)
+            # 2 + floor(log2 e), Sárközy-Selkow's excess, exactly
+            excess = 1 + e.bit_length()
+            assert d < excess
+            rows.append([name, str(g.vertex_count), str(e), str(d), str(excess)])
+    assert rows == _readme_parameter_rows()
+    with _Budget(60.0):
+        for ell in (3, 4):
+            chain = geometric_tower(f14(), ell)
+            aell = set(chain.role("A_ell"))
+            ratio_prev = (4**ell - 1) // 3
+            for t in range(chain.graph.edge_count // 10 + 1):
+                sub = extract(chain, t).subgraph
+                assert sub.edge_count == 10 * t
+                d = oracles.difference(chain.graph.edges, sub.vertices)
+                assert len(set(sub.vertices)) - sub.edge_count == d
+                assert d <= 4 + ell
+                if t > ratio_prev:
+                    assert aell <= set(sub.vertices)

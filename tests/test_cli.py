@@ -27,6 +27,7 @@ import sparsehg.cli as cli
 from sparsehg.cli import build_parser, main
 from sparsehg.core import Hypergraph
 from sparsehg.families import f14, factorial_family, geometric_tower
+from sparsehg.projection import project
 from sparsehg.ramsey import packed_coloring, random_coloring
 
 
@@ -106,6 +107,7 @@ def test_unknown_subcommand_exits_one(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "nice"],
     ["build", "f-k", "--k", "x"],
+    ["verify", "nice", "--input", "f14.json", "--witness", ","],
 ], ids=" ".join)
 def test_subcommand_usage_errors_name_the_program(capsys, argv):
     # errors raised by a subcommand's own parser, not the top-level one
@@ -821,6 +823,73 @@ def test_malformed_tower_roles_exit_one(capsys, tmp_path, role, labels):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sparsehg: error:")
     assert f"tower role {role!r}" in lines[0]
+
+
+def _mutated(doc, mutate):
+    doc = copy.deepcopy(doc)
+    mutate(doc)
+    return doc
+
+
+def _projection_of_4graph():
+    h = Hypergraph(4, [f"u{i}" for i in range(5)], [("u0", "u1", "u2", "u3")])
+    return jsonio.projection_to_obj(project(h, 2, 2))
+
+
+_F14_SUBCOPY = next(iter(_F14_DOC["subcopies"]))
+_G_PROPS = ["verify", "gl-props", "--input", "g0.json"]
+_RAMSEY_CHECK = ["ramsey", "check", "--input", "c.json", "--p", "2", "--q", "1"]
+
+# each malformed-input guard the CLI reaches: files to write, the command, the message
+_INPUT_GUARDS = {
+    "graph-array": (
+        {"g.json": lambda: [1, 2]},
+        ["search", "config", "--input", "g.json", "--v", "3", "--e", "1"],
+        "expected a JSON object, got list"),
+    "subcopy-non-string": (
+        {"f14.json": lambda: _mutated(
+            _F14_DOC, lambda d: d["subcopies"][_F14_SUBCOPY].update(v1=3))},
+        ["verify", "nice", "--input", "f14.json"], "must map strings to strings"),
+    "coloring-float-color": (
+        {"c.json": lambda: {"n": 3, "colors": {"1,2": 1.5, "1,3": 1, "2,3": 2}}},
+        _RAMSEY_CHECK, "color of '1,2' must be an integer"),
+    "coloring-one-vertex": (
+        {"c.json": lambda: {"n": 1, "colors": {}}}, _RAMSEY_CHECK, "integer >= 2, got 1"),
+    "lift-4-uniform": (
+        {"proj.json": _projection_of_4graph,
+         "h.json": lambda: {"r": 4, "vertices": list("abcd"), "edges": [list("abcd")]}},
+        ["lift", "--proj", "proj.json", "--config", "h.json"], "must be 3-uniform, got 4"),
+    "build-base": (
+        {}, ["build", "g-ell", "--base", "foo", "--ell", "0"], "unknown tower base 'foo'"),
+    "extract-base": (
+        {}, ["extract", "--base", "foo", "--ell", "1", "--t", "1"], "unknown tower base 'foo'"),
+    "tower-without-A_ell": (
+        {"g0.json": lambda: _mutated(_G0_DOC, lambda d: d["roles"].pop("A_ell"))},
+        _G_PROPS, "missing role 'A_ell'"),
+    "tower-without-subcopy": (
+        {"g0.json": lambda: _mutated(_G0_DOC, lambda d: d["subcopies"].pop("G^0"))},
+        _G_PROPS, "missing subcopy 'G^0'"),
+    "tower-without-xy-roles": (
+        {"g0.json": lambda: _mutated(
+            _G0_DOC, lambda d: d.update(roles={"A_ell": d["roles"]["A_ell"]}))},
+        _G_PROPS, "missing x/y roles"),
+    "tower-isolated-vertex": (
+        {"g0.json": lambda: _mutated(_G0_DOC, lambda d: d["vertices"].append("iso"))},
+        _G_PROPS, "(k=4, ell=0) disagrees with difference 5"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_INPUT_GUARDS))
+def test_input_guards_exit_one(capsys, tmp_path, monkeypatch, guard):
+    files, argv, message = _INPUT_GUARDS[guard]
+    monkeypatch.chdir(tmp_path)
+    for name, make in files.items():
+        _write(name, make())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("sparsehg: error:") and message in err
 
 
 def test_missing_input_file_exits_one(capsys):

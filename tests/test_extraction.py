@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from sparsehg import jsonio
 from sparsehg.core import HypergraphError
 from sparsehg.extraction import extract, locate_subcopy
 from sparsehg.families import f14, geometric_tower, single_edge
@@ -73,6 +74,12 @@ def test_out_of_range_rejected():
 def test_requires_tower_configuration():
     with pytest.raises(HypergraphError):
         extract(f14(), 1)
+
+
+def test_tower_read_back_from_json_has_no_level_chain():
+    chain = jsonio.config_from_obj(jsonio.config_to_obj(geometric_tower(f14(), 1)))
+    with pytest.raises(HypergraphError, match="lacks its level chain"):
+        extract(chain, 1)
 
 
 def test_trace_descent_shape():

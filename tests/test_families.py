@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 
 from sparsehg import jsonio
-from sparsehg.core import HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import (
+    LabeledConfiguration,
     f14,
     factorial_family,
     geometric_tower,
@@ -202,6 +203,21 @@ def test_tower_guards():
     with pytest.raises(HypergraphError):
         geometric_tower(f14(), 5)  # 13,650 edges blow the 10,000-vertex cap
     geometric_tower(single_edge(), 8, allow_edge_base=True)
+
+
+def test_tower_base_guards():
+    # difference 4 - 3 = 1, below the two x roles a tower needs
+    thin = LabeledConfiguration(
+        Hypergraph(3, "abcd", [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d")]),
+        roles={"A": ("a", "b")},
+        family={"name": "thin"},
+    )
+    with pytest.raises(HypergraphError, match="difference at least 2, got 1"):
+        geometric_tower(thin, 1)
+    short = f14()
+    short.roles["A"] = short.roles["A"][:4]
+    with pytest.raises(HypergraphError, match="expected 5 vertices, got 4"):
+        geometric_tower(short, 1)
 
 
 def test_tower_is_deterministic():

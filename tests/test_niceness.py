@@ -59,12 +59,34 @@ def test_cycle_all_candidate_witnesses_fail():
     assert find_witness(g) is None
 
 
+def test_find_witness_when_none_can_exist():
+    # K_5^(3) has difference 5 - 10 = -5: a witness would have -4 vertices
+    k5 = Hypergraph(3, "abcde", itertools.combinations("abcde", 3))
+    assert find_witness(k5) is None
+
+
+def test_find_witness_size_guard():
+    with pytest.raises(HypergraphError, match="witness search limited to 20 vertices"):
+        find_witness(factorial_family(5))
+
+
 def test_dependent_witness_reported_as_independence_failure():
     g = f14().graph
     report = verify_nice(g, ("w1", "w2", "x5", "x6", "y5"))  # contains an edge
     assert report.verdict == NOT_NICE
     assert report.counterexample.condition == "Independence"
     assert report.checked_subsets == 0
+
+
+def test_dependent_witness_out_of_order_is_reported_in_host_order():
+    # the independence refutation goes through the one report builder
+    report = verify_nice(f14().graph, ("x5", "w1", "w2", "x6", "y5"))
+    assert report.verdict == NOT_NICE
+    assert report.checked_subsets == 0
+    cx = report.counterexample
+    assert cx.subset == ("w1", "w2", "x5", "x6", "y5")
+    assert cx.condition == "Independence"
+    assert (cx.observed_delta, cx.required_bound) == (4, 5)  # holds edge w1 w2 x5
 
 
 def test_wrong_witness_size_rejected():
@@ -278,6 +300,18 @@ def test_verify_cycle_bounds_wants_the_cycle():
         verify_cycle_bounds(f14())
 
 
+@pytest.mark.parametrize("labels", [(), ("v1", "v2")], ids=["empty", "two-labels"])
+@pytest.mark.parametrize("role", ["v1", "v6"])
+def test_cycle_roles_name_exactly_one_vertex(role, labels):
+    cfg = linear_three_cycle()
+    cfg.roles[role] = labels
+    with pytest.raises(HypergraphError, match=f"cycle role '{role}' must name exactly one vertex"):
+        verify_cycle_bounds(cfg)
+    del cfg.roles[role]
+    with pytest.raises(HypergraphError, match=f"cycle role '{role}' must name exactly one vertex"):
+        verify_cycle_bounds(cfg)
+
+
 def test_tower_bounds_exhaustive_level_zero():
     report = verify_tower_bounds(geometric_tower(f14(), 0))
     assert report.verdict == NICE
@@ -354,6 +388,19 @@ def test_sampled_arguments_are_checked_for_a_dependent_witness(samples, seed):
             sample_nice(graph, witness, samples=samples, seed=seed)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [(None, 1, "samples must be"), (2.5, 1, "samples must be"), (10, 1.5, "seed must be in")],
+)
+def test_sampled_checks_reject_non_integer_arguments(samples, seed, message):
+    with pytest.raises(HypergraphError, match=message):
+        sample_nice(f14(), samples=samples, seed=seed)
+    with pytest.raises(HypergraphError, match=message):
+        verify_tower_bounds(
+            geometric_tower(f14(), 1), exhaustive=False, samples=samples, seed=seed
+        )
 
 
 def test_repeated_witness_label_is_rejected():
