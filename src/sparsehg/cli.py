@@ -33,7 +33,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from sparsehg import jsonio
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import HypergraphError
 
 if TYPE_CHECKING:
     from sparsehg.families import LabeledConfiguration
@@ -70,13 +70,6 @@ def _tower(base: str, ell: int) -> LabeledConfiguration:
     if base == "edge":
         return geometric_tower(single_edge(), ell, allow_edge_base=True)
     raise HypergraphError(f"unknown tower base {base!r}")
-
-
-def _load_config(path: str) -> LabeledConfiguration:
-    loaded = jsonio.load_any(jsonio.read_json(path))
-    if isinstance(loaded, Hypergraph):
-        raise HypergraphError(f"{path}: expected a configuration with roles")
-    return loaded
 
 
 def _inputs_obj(**paths: Optional[str]) -> dict:
@@ -128,10 +121,7 @@ def _cmd_verify_scan(args, phase) -> tuple[dict, int]:
     from sparsehg.niceness import NOT_NICE, sample_nice, verify_nice, verify_tower_bounds
 
     method = "exhaustive" if args.samples is None else "sampled"
-    if args.subcommand == "nice":
-        config = jsonio.load_any(jsonio.read_json(args.input))
-    else:
-        config = _load_config(args.input)
+    config = jsonio.load_any(jsonio.read_json(args.input))
     if method == "sampled" and args.seed is None:
         raise HypergraphError("--samples requires --seed")
     if method == "exhaustive" and args.seed is not None:

@@ -3,7 +3,7 @@
 Given the level chain of a tower build and a target t, `extract` returns
 a subgraph with exactly t times the base edge count whose difference
 stays at most k + ell. The recursion mirrors the tower's construction,
-whose layout sparsehg.families describes: descend into the first child
+whose layout only sparsehg.families reads: descend into the first child
 copy while t fits inside one level, else take the attached base copy plus
 d full child copies and recurse on the remainder inside a located deeper
 copy, found by composing the k-th child copy maps.
@@ -22,20 +22,22 @@ class ExtractionResult(Record):
 
 
 def _chain_context(chain: LabeledConfiguration):
-    k, ell, _, _ = _tower_shape(chain)
+    """Each level's graph and copy maps (layout order), level 0 first; k, ell, a_ell."""
+    k, ell, _, _, a_ell, _ = _tower_shape(chain)
     if not chain.levels or len(chain.levels) != ell + 1:
         raise HypergraphError(
             "missing subcopy index: configuration lacks its level chain "
             "(rebuild with geometric_tower)"
         )
-    return chain.levels, k, ell
+    copies = [_tower_shape(level)[-1] for level in chain.levels]
+    return [level.graph for level in chain.levels], copies, k, ell, a_ell
 
 
-def _compose_to_level(levels, k: int, lp: int, m: int) -> dict[str, str]:
+def _compose_to_level(graphs, copies, k: int, lp: int, m: int) -> dict[str, str]:
     """Embed level lp's labels into level m's label space via k-th copies."""
-    emb = {v: v for v in levels[lp].graph.vertices}
+    emb = {v: v for v in graphs[lp].vertices}
     for mm in range(lp + 1, m + 1):
-        step = levels[mm].subcopies[f"G_{mm - 1}^{k}"]
+        step = copies[mm][k]
         emb = {src: step[mid] for src, mid in emb.items()}
     return emb
 
@@ -46,12 +48,12 @@ def locate_subcopy(chain: LabeledConfiguration, lp: int) -> dict[str, str]:
     The image keeps x1..x(k-1) and y0..y(lp) on the top-level spine; the
     diverted branch runs through the k-th child copy at every level.
     """
-    levels, k, ell = _chain_context(chain)
+    graphs, copies, k, ell, _ = _chain_context(chain)
     if not isinstance(lp, int) or lp < 0 or lp >= ell:
         raise HypergraphError(f"level {lp!r} out of range [0, {ell})")
-    emb = _compose_to_level(levels, k, lp, ell)
-    _, _, xs, ys = _tower_shape(levels[lp])
-    _, _, top_xs, top_ys = _tower_shape(chain)
+    emb = _compose_to_level(graphs, copies, k, lp, ell)
+    _, _, xs, ys, _, _ = _tower_shape(chain.levels[lp])
+    _, _, top_xs, top_ys, _, _ = _tower_shape(chain)
     if [emb[v] for v in xs[:-1] + ys] != top_xs[:-1] + top_ys[: lp + 1]:
         raise HypergraphError("located copy moved a spine vertex")
     return emb
@@ -64,7 +66,7 @@ def _map_piece(vmap, verts, edges):
     )
 
 
-def _extract_rec(levels, k: int, m: int, t: int, trace: list):
+def _extract_rec(graphs, copies, k: int, m: int, t: int, trace: list):
     record = {
         "level": m,
         "t": t,
@@ -74,18 +76,17 @@ def _extract_rec(levels, k: int, m: int, t: int, trace: list):
         "descent_level": None,
     }
     trace.append(record)
-    g = levels[m]
     if t == 0:
         record["branch"] = "empty"
         return set(), set()
     if m == 0:
         record["branch"] = "base"
-        return set(g.graph.vertices), set(g.graph.edges)
+        return set(graphs[0].vertices), set(graphs[0].edges)
     ratio_prev = _level_ratio(k, m - 1)
     if t <= ratio_prev:
         record["branch"] = "descend"
-        sv, se = _extract_rec(levels, k, m - 1, t, trace)
-        return _map_piece(g.subcopies[f"G_{m - 1}^1"], sv, se)
+        sv, se = _extract_rec(graphs, copies, k, m - 1, t, trace)
+        return _map_piece(copies[m][1], sv, se)
     record["branch"] = "claim"
     d = (t - 1) // ratio_prev
     t_res = t - d * ratio_prev - 1
@@ -93,13 +94,9 @@ def _extract_rec(levels, k: int, m: int, t: int, trace: list):
     record["t_residual"] = t_res
     verts: set[str] = set()
     edges: set[tuple[str, ...]] = set()
-    pieces = [(f"G^{m}", levels[0])] + [
-        (f"G_{m - 1}^{i}", levels[m - 1]) for i in range(1, d + 1)
-    ]
-    for name, template in pieces:
-        pv, pe = _map_piece(
-            g.subcopies[name], template.graph.vertices, template.graph.edges
-        )
+    # the base copy, then child copies 1..d
+    for vmap, template in zip(copies[m], [graphs[0]] + [graphs[m - 1]] * d):
+        pv, pe = _map_piece(vmap, template.vertices, template.edges)
         verts |= pv
         edges |= pe
     if t_res > 0:
@@ -107,8 +104,8 @@ def _extract_rec(levels, k: int, m: int, t: int, trace: list):
         while _level_ratio(k, lp) < t_res:
             lp += 1
         record["descent_level"] = lp
-        sv, se = _extract_rec(levels, k, lp, t_res, trace)
-        emb = _compose_to_level(levels, k, lp, m)
+        sv, se = _extract_rec(graphs, copies, k, lp, t_res, trace)
+        emb = _compose_to_level(graphs, copies, k, lp, m)
         pv, pe = _map_piece(emb, sv, se)
         verts |= pv
         edges |= pe
@@ -122,19 +119,19 @@ def extract(chain: LabeledConfiguration, t: int) -> ExtractionResult:
     one entry per recursion step; the difference report is recomputed on
     the host graph, never inferred from the recursion.
     """
-    levels, k, ell = _chain_context(chain)
-    e_base = levels[0].graph.edge_count
+    graphs, copies, k, ell, a_ell = _chain_context(chain)
+    e_base = graphs[0].edge_count
     max_t = _level_ratio(k, ell)
     if not isinstance(t, int) or t < 0 or t > max_t:
         raise HypergraphError(f"t must be an integer in [0, {max_t}], got {t!r}")
     trace: list = []
-    verts, edges = _extract_rec(levels, k, ell, t, trace)
+    verts, edges = _extract_rec(graphs, copies, k, ell, t, trace)
     if len(edges) != t * e_base:
         raise HypergraphError(
             f"extraction produced {len(edges)} edges, expected {t * e_base}"
         )
     if ell >= 1 and t > _level_ratio(k, ell - 1):
-        missing = [v for v in chain.role("A_ell") if v not in verts]
+        missing = [v for v in a_ell if v not in verts]
         if missing:
             raise HypergraphError(
                 f"extraction dropped anchor vertices {missing} on the full branch"

@@ -19,10 +19,11 @@ Both recursive families glue copies of a template onto a shared spine
   Every level carries the roles x1..xk, y0..ym and A_ell = (x1..xk, y0..ym).
   Level m has 1 + k + ... + k^m (`_level_ratio`) times the base's edges.
 
-Configuration roles that name one vertex, a tower level's x1..xk and
-y0..ym and the 3-cycle's v1..v6, are read only by `_one_vertex_roles`
-and by `_tower_shape`, which uses it; a role naming no vertex or several
-raises HypergraphError.
+Past the builders and jsonio, roles, subcopies and the family name are
+read only by `LabeledConfiguration.witness` (role A), `_one_vertex_roles`,
+`_tower_shape` (x/y roles, A_ell and copy maps of a tower level) and
+`_cycle_shape` (v1..v6); a missing role or copy, or a one-vertex role
+naming none or several, raises HypergraphError.
 
 A copy's other vertices are labelled "c{i}.<template label>" in the i-th
 child copy and "c0.<template label>" in the tower's base copy, so copy
@@ -329,9 +330,11 @@ def _one_vertex_roles(config: LabeledConfiguration, names: list[str], kind: str)
     return [config.roles[name][0] for name in names]
 
 
-def _tower_shape(config: LabeledConfiguration) -> tuple[int, int, list[str], list[str]]:
-    """(k, ell, xs, ys) of a tower level: the labels of its x1..xk and
-    y0..y(ell) roles, each of which must name exactly one vertex."""
+def _tower_shape(config: LabeledConfiguration) -> tuple:
+    """(k, ell, xs, ys, a_ell, copies) of a tower level: the labels of its
+    one-vertex roles x1..xk and y0..y(ell) and of A_ell, and its copy maps
+    in layout order, copies[0] the base copy G^ell and copies[i] the child
+    copy G_(ell-1)^i (none at level 0). k + ell must be the difference."""
     if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "g-ell":
         raise HypergraphError("expected a tower configuration (family 'g-ell')")
     k = 0
@@ -344,4 +347,21 @@ def _tower_shape(config: LabeledConfiguration) -> tuple[int, int, list[str], lis
         raise HypergraphError("tower configuration is missing x/y roles")
     xs = _one_vertex_roles(config, [f"x{j}" for j in range(1, k + 1)], "tower")
     ys = _one_vertex_roles(config, [f"y{j}" for j in range(ell + 1)], "tower")
-    return k, ell, xs, ys
+    if "A_ell" not in config.roles:
+        raise HypergraphError("tower configuration is missing role 'A_ell'")
+    if k + ell != config.graph.delta:
+        raise HypergraphError(
+            f"role split (k={k}, ell={ell}) disagrees with difference {config.graph.delta}"
+        )
+    names = [f"G^{ell}"] + [f"G_{ell - 1}^{i}" for i in range(1, k + 1) if ell]
+    for name in names:
+        if name not in config.subcopies:
+            raise HypergraphError(f"tower configuration is missing subcopy {name!r}")
+    return k, ell, xs, ys, config.roles["A_ell"], [config.subcopies[n] for n in names]
+
+
+def _cycle_shape(config: LabeledConfiguration) -> list[str]:
+    """The labels of the 3-cycle's one-vertex roles v1..v6."""
+    if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "cycle":
+        raise HypergraphError("expected the linear 3-cycle configuration")
+    return _one_vertex_roles(config, [f"v{i}" for i in range(1, 7)], "cycle")

@@ -9,6 +9,7 @@ hashlib is only the fallback for builds without one.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Union
 
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError, _sigterm_exits
 
 try:  # the module is _sha2 from Python 3.12, _sha256 before
     from _sha2 import sha256 as _sha256
@@ -66,10 +67,10 @@ def read_json(path: Union[str, Path]) -> Any:
 def write_json(path: Union[str, Path], obj: Any) -> None:
     """Write canonical_json(obj) to `path`. The indent encoder's chunks are
     streamed into a file beside the target, never held at once, and that
-    file then replaces the target, so an error or an interrupt mid-write
-    leaves the target as it was. That file takes an existing target's
-    permission bits. A target that exists but is not a regular file, such
-    as /dev/stdout, is written in place."""
+    file then replaces the target, so an error, an interrupt or a default
+    SIGTERM mid-write leaves the target as it was and no file beside it.
+    That file takes an existing target's permission bits; a target that
+    exists but is not a regular file, such as /dev/stdout, is written in place."""
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -80,16 +81,18 @@ def write_json(path: Union[str, Path], obj: Any) -> None:
             _dump(obj, fp)
         return
     tmp = f"{target}.{os.getpid()}.tmp"
-    fp = open(tmp, "x", encoding="utf-8")
-    try:
-        with fp:
-            if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
-            _dump(obj, fp)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _sigterm_exits():
+        fp = open(tmp, "x", encoding="utf-8")
+        try:
+            with fp:
+                if mode is not None:
+                    os.chmod(tmp, stat.S_IMODE(mode))
+                _dump(obj, fp)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):  # a SIGTERM just after the rename
+                os.unlink(tmp)
+            raise
 
 
 def _dump(obj: Any, fp) -> None:

@@ -13,10 +13,11 @@ Hypergraph.difference, then reports it.
 Niceness, the tower bounds and claim 6.3 run through one scan driver,
 `_check`, which is given the method and returns the raw scan, one report
 builder, `_report`, and the one bound checker in sparsehg.kernels;
-niceness is the tower check with x = A_ell = xy = A, no G^ell copy,
-k + 1 in place of k and ell = 0. The stratified pass of sampled niceness runs that checker on the
-induced sub-hypergraph of A and its edge neighbourhood, where all of its
-subsets lie, so its lanes are as wide as that pool, not the host.
+niceness is the tower check with x = A_ell = xy = A, G empty, k + 1 in
+place of k and ell = 0. The stratified pass of sampled niceness runs that
+checker on the induced sub-hypergraph of A and its edge neighbourhood,
+where all of its subsets lie, so its lanes are as wide as that pool, not
+the host. Role labels and copy maps come from sparsehg.families's readers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError, Record
-from sparsehg.families import LabeledConfiguration, _one_vertex_roles, _tower_shape
+from sparsehg.families import LabeledConfiguration, _cycle_shape, _tower_shape
 
 NICE = "NICE"
 NOT_NICE = "NOT_NICE"
@@ -70,9 +71,10 @@ def _resolve_witness(obj: GraphLike, witness) -> tuple[str, ...]:
     """The witness labels, default role "A"; a repeated label would count
     twice against the size k + 1 but only once in the scan's mask."""
     if witness is None:
-        if not (isinstance(obj, LabeledConfiguration) and "A" in obj.roles):
-            raise HypergraphError("no witness given and the configuration has no role 'A'")
-        witness = obj.roles["A"]
+        try:
+            witness = obj.witness  # a bare Hypergraph has none
+        except (AttributeError, HypergraphError):
+            raise HypergraphError("no witness given and the configuration has no role 'A'") from None
     wit = tuple(witness)
     for i, label in enumerate(wit):
         if label in wit[:i]:
@@ -329,10 +331,8 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     covers the subsets that miss X: one scan with X = {v1}, one with
     X = {v2, v3}.
     """
-    if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "cycle":
-        raise HypergraphError("expected the linear 3-cycle configuration")
+    v = _cycle_shape(config)
     graph = config.graph
-    v = _one_vertex_roles(config, [f"v{i}" for i in range(1, 7)], "cycle")
     a_mask = graph.mask_of(v[:4])
     for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
         scan = _check(graph, (x_mask, a_mask, a_mask, 0, 2, 0), "exhaustive")
@@ -342,26 +342,11 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
 
 
 def _tower_context(config: LabeledConfiguration):
-    k, ell, xs, ys = _tower_shape(config)
+    k, ell, xs, ys, a_ell, copies = _tower_shape(config)
     graph = config.graph
-    if "A_ell" not in config.roles:
-        raise HypergraphError("tower configuration is missing role 'A_ell'")
-    if k + ell != graph.delta:
-        raise HypergraphError(
-            f"role split (k={k}, ell={ell}) disagrees with difference {graph.delta}"
-        )
-    gname = f"G^{ell}"
-    if gname not in config.subcopies:
-        raise HypergraphError(f"tower configuration is missing subcopy {gname!r}")
     x_mask = graph.mask_of(xs)
-    roles = (
-        x_mask,
-        graph.mask_of(config.role("A_ell")),
-        x_mask | graph.mask_of(ys[-1:]),
-        graph.mask_of(config.subcopies[gname].values()),
-        k,
-        ell,
-    )
+    xy_mask = x_mask | graph.mask_of(ys[-1:])
+    roles = (x_mask, graph.mask_of(a_ell), xy_mask, graph.mask_of(copies[0].values()), k, ell)
     return graph, graph.mask_of(ys[:-1]), roles
 
 

@@ -40,7 +40,7 @@ import select
 import signal
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError, Record
+from sparsehg.core import Hypergraph, HypergraphError, Record, _sigterm_exits
 
 _SEARCH_EDGE_LIMIT = 60
 _SEARCH_VERTEX_LIMIT = 20
@@ -187,12 +187,7 @@ def _worker(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]]
             outbox.flush()
 
 
-def _exit_on_sigterm(signum, frame) -> None:
-    # a second SIGTERM must not cut short the reaping of the workers
-    signal.signal(signum, signal.SIG_IGN)
-    raise SystemExit(128 + signum)
-
-
+@_sigterm_exits()
 def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]]):
     """`tasks` (edge prefixes) over forked workers; (picked, nodes) for them.
 
@@ -211,14 +206,7 @@ def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]])
     workers: dict[int, tuple[int, int, object]] = {}  # result fd -> (pid, task fd, reader)
     alive: set[int] = set()
     held: list[int] = []  # every descriptor this process holds
-    trapped = False
     try:
-        if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
-            try:
-                signal.signal(signal.SIGTERM, _exit_on_sigterm)
-                trapped = True
-            except ValueError:  # not the main thread
-                pass
         try:
             for _ in range(count):
                 task_r, task_w = os.pipe()
@@ -286,8 +274,6 @@ def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]])
             reader.close()
         for fd in held:
             os.close(fd)
-        if trapped:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _lost(pid: int, prefix: tuple[int, ...], alive: set[int]):

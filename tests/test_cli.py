@@ -876,6 +876,13 @@ _INPUT_GUARDS = {
     "tower-isolated-vertex": (
         {"g0.json": lambda: _mutated(_G0_DOC, lambda d: d["vertices"].append("iso"))},
         _G_PROPS, "(k=4, ell=0) disagrees with difference 5"),
+    "tower-without-child-copy": (
+        {"g1.json": lambda: _mutated(
+            jsonio.config_to_obj(geometric_tower(f14(), 1)), lambda d: d["subcopies"].pop("G_0^4"))},
+        ["verify", "gl-props", "--input", "g1.json"], "missing subcopy 'G_0^4'"),
+    "gl-props-bare-graph": (
+        {"g0.json": lambda: jsonio.graph_to_obj(f14().graph)},
+        _G_PROPS, "expected a tower configuration (family 'g-ell')"),
 }
 
 

@@ -82,6 +82,13 @@ def test_tower_read_back_from_json_has_no_level_chain():
         extract(chain, 1)
 
 
+def test_chain_missing_a_child_copy_is_rejected():
+    chain = geometric_tower(f14(), 2)
+    del chain.subcopies["G_1^4"]
+    with pytest.raises(HypergraphError, match=r"missing subcopy 'G_1\^4'"):
+        extract(chain, 13)
+
+
 def test_trace_descent_shape():
     chain = geometric_tower(f14(), 2)
     result = extract(chain, 13)

@@ -1,8 +1,11 @@
+import ast
 import hashlib
+import pathlib
 import tracemalloc
 
 import pytest
 
+import sparsehg
 from sparsehg import jsonio
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import (
@@ -273,3 +276,28 @@ def test_tower_size_guard_stops_before_the_huge_power():
     # 4^(10^8 + 1) is never formed: the guard stops at the first level over the cap
     with pytest.raises(HypergraphError, match="more than 10000 vertices"):
         geometric_tower(f14(), 10**8)
+
+
+def _layout_reads(path):
+    """Where the module at `path` reads .roles or .subcopies or calls .role()."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("roles", "subcopies"):
+            reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "role":
+            reads.append(f"{path.name}:{node.lineno} .role()")
+    return reads
+
+
+def test_only_families_and_jsonio_read_roles_and_subcopies():
+    # other modules take role labels and copy maps from the families readers
+    package = pathlib.Path(sparsehg.__file__).parent
+    owners = {"families.py", "jsonio.py"}
+    assert _layout_reads(package / "families.py")  # the scan sees a read
+    reads = [
+        read
+        for path in sorted(package.glob("*.py"))
+        if path.name not in owners
+        for read in _layout_reads(path)
+    ]
+    assert reads == []

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparsehg
 from sparsehg import jsonio
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import (
@@ -222,6 +226,49 @@ def test_failed_write_leaves_the_target(tmp_path):
     with pytest.raises(TypeError):
         jsonio.write_json(path, {"a": [1, 2], "b": {1: 0, "c": 0}})
     assert path.read_bytes() == jsonio.canonical_json({"a": 1}).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+# A CLI build of f14 to argv[1] that sends itself SIGTERM at the point
+# argv[2] names: after part of the document, or just after the rename.
+_SIGTERM_DURING_WRITE = """
+import os, signal, sys
+from sparsehg import cli, jsonio
+
+def dump(obj, fp):
+    fp.write("{")
+    fp.flush()
+    os.kill(os.getpid(), signal.SIGTERM)
+
+def replace(src, dst, replace=os.replace):
+    replace(src, dst)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+if sys.argv[2] == "mid-dump":
+    jsonio._dump = dump
+else:
+    os.replace = replace
+sys.exit(cli.main(["build", "f14", "-o", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+@pytest.mark.parametrize("when", ["mid-dump", "after-rename"])
+def test_sigterm_during_a_write_leaves_no_temp_file(tmp_path, when):
+    path = tmp_path / "out.json"
+    jsonio.write_json(path, {"a": 1})
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SIGTERM_DURING_WRITE, str(path), when],
+                          capture_output=True, text=True, env=env)
+    # the process exits through the clean-up, not by the signal's default action
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert proc.stdout == "" and proc.stderr == ""
+    # the target is the old document, or, once renamed, the whole new one
+    old = jsonio.canonical_json({"a": 1}).encode()
+    new = jsonio.canonical_json(jsonio.config_to_obj(f14())).encode()
+    assert path.read_bytes() == (old if when == "mid-dump" else new)
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 

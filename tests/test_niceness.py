@@ -70,6 +70,34 @@ def test_find_witness_size_guard():
         find_witness(factorial_family(5))
 
 
+def test_find_witness_finds_f14s_first_witness():
+    g = f14().graph
+    wit = find_witness(g)
+    assert wit == ("w2", "wp2", "wp3", "wp4", "z6")
+    assert oracles.is_independent(g.edges, wit)
+    assert oracles.nice_violation(g.vertices, g.edges, wit) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=49_999))
+def test_find_witness_matches_naive(seed):
+    # the first (delta + 1)-set in combination order that is independent
+    # and breaks neither bound, or None
+    vertices, edges = oracles.random_3graph(seed, max_n=8, max_m=8)
+    size = len(vertices) - len(edges) + 1
+    candidates = itertools.combinations(vertices, size) if size >= 0 else ()
+    expected = next(
+        (
+            combo
+            for combo in candidates
+            if oracles.is_independent(edges, combo)
+            and oracles.nice_violation(vertices, edges, combo) is None
+        ),
+        None,
+    )
+    assert find_witness(Hypergraph(3, vertices, edges)) == expected
+
+
 def test_dependent_witness_reported_as_independence_failure():
     g = f14().graph
     report = verify_nice(g, ("w1", "w2", "x5", "x6", "y5"))  # contains an edge
