@@ -17,6 +17,7 @@ bit per subset.
 
 from __future__ import annotations
 
+import _signal  # builtin and loaded at start-up, unlike signal.py
 import contextlib
 from typing import Iterable, Sequence
 
@@ -251,20 +252,19 @@ def _sigterm_exits():
     """Within the block, SIGTERM at its default action raises SystemExit(143)
     in the main thread, so `finally` and `except` clauses clean up before
     the process ends; the default action comes back after the block."""
-    import signal
 
     def _exit_on_sigterm(signum, frame) -> None:
-        signal.signal(signum, signal.SIG_IGN)  # a second one must not cut the clean-up short
+        _signal.signal(signum, _signal.SIG_IGN)  # a second one must not cut the clean-up short
         raise SystemExit(128 + signum)
 
-    trapped = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    trapped = _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL
     if trapped:
         try:
-            signal.signal(signal.SIGTERM, _exit_on_sigterm)
+            _signal.signal(_signal.SIGTERM, _exit_on_sigterm)
         except ValueError:  # not the main thread
             trapped = False
     try:
         yield
     finally:
         if trapped:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)

@@ -22,23 +22,24 @@ Pair = tuple[int, int]
 
 
 class ColoringInstance(Record):
-    """A full edge coloring of the complete graph on vertices 1..n."""
+    """A full edge coloring of K_n on 1..n; only this constructor checks its pairs, by count."""
 
     n: int
     colors: dict[Pair, int]
 
     def __init__(self, n: int, colors: dict[Pair, int]):
         super().__init__(n, colors)
-        if not isinstance(self.n, int) or self.n < 2:
-            raise HypergraphError(f"n must be an integer >= 2, got {self.n!r}")
-        expected = {
-            (i, j)
-            for i, j in itertools.combinations(range(1, self.n + 1), 2)
-        }
-        if set(self.colors) != expected:
+        if not isinstance(n, int) or n < 2:
+            raise HypergraphError(f"n must be an integer >= 2, got {n!r}")
+        for pair in colors:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(v, int) for v in pair)
+                    and 1 <= pair[0] < pair[1] <= n):
+                raise HypergraphError(f"coloring: pair {pair!r} out of range for n={n}")
+        missing = comb(n, 2) - len(colors)  # the keys are distinct pairs in range
+        if missing:
+            first = next(p for p in itertools.combinations(range(1, n + 1), 2) if p not in colors)
             raise HypergraphError(
-                f"coloring must assign every pair of 1..{self.n} exactly once "
-                f"({len(self.colors)} given, {len(expected)} required)"
+                f"coloring must assign every pair of 1..{n}: {missing} pairs missing, first {first}"
             )
 
 

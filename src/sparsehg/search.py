@@ -70,6 +70,12 @@ def _search_guard(graph: Hypergraph) -> None:
         )
 
 
+def _check_search(graph: Hypergraph, v: int, e: int) -> None:
+    _search_guard(graph)
+    if e < 0 or v < 0:
+        raise HypergraphError("v and e must be non-negative")
+
+
 def _witness_from_masks(graph: Hypergraph, picked: tuple[int, ...]):
     edges = tuple(graph.edges[i] for i in picked)
     span = 0
@@ -292,9 +298,7 @@ def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
     Exact; the witness is the lexicographically first qualifying edge
     subset.
     """
-    _search_guard(graph)
-    if e < 0 or v < 0:
-        raise HypergraphError("v and e must be non-negative")
+    _check_search(graph, v, e)
     if e == 0:
         return SearchResult(True, ((), ()), 0)
     m = graph.edge_count
@@ -308,9 +312,7 @@ def find_configuration(graph: Hypergraph, v: int, e: int) -> SearchResult:
 
 def find_configuration_unpruned(graph: Hypergraph, v: int, e: int) -> SearchResult:
     """Reference scan over every e-subset of edges; no pruning at all."""
-    _search_guard(graph)
-    if e < 0 or v < 0:
-        raise HypergraphError("v and e must be non-negative")
+    _check_search(graph, v, e)
     if e == 0:
         return SearchResult(True, ((), ()), 0)
     masks = graph.edge_masks

@@ -177,7 +177,7 @@ def test_seed_outside_64_bits_exits_one(capsys, tmp_path, command, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert lines == [f"sparsehg: error: --seed must be in [0, 2^64), got {seed}"]
+    assert lines == [f"sparsehg: error: seed must be in [0, 2^64), got {seed}"]
     for edge in (0, (1 << 64) - 1):
         code, report = run(capsys, *argv, "--seed", str(edge))
         assert code == 0 and report["seed"] == edge
@@ -880,6 +880,14 @@ _INPUT_GUARDS = {
         {"g1.json": lambda: _mutated(
             jsonio.config_to_obj(geometric_tower(f14(), 1)), lambda d: d["subcopies"].pop("G_0^4"))},
         ["verify", "gl-props", "--input", "g1.json"], "missing subcopy 'G_0^4'"),
+    "search-negative-v": (
+        {"f14.json": lambda: _F14_DOC},
+        ["search", "config", "--input", "f14.json", "--v", "-1", "--e", "3"],
+        "v and e must be non-negative"),
+    "nice-on-a-tower-without-witness": (
+        {"g1.json": lambda: jsonio.config_to_obj(geometric_tower(f14(), 1))},
+        ["verify", "nice", "--input", "g1.json"],
+        "no witness given and the configuration has no role 'A'"),
     "gl-props-bare-graph": (
         {"g0.json": lambda: jsonio.graph_to_obj(f14().graph)},
         _G_PROPS, "expected a tower configuration (family 'g-ell')"),

@@ -45,6 +45,11 @@ def test_duplicate_vertex_rejected():
         Hypergraph(3, ["a", "b", "a"], [])
 
 
+def test_non_string_vertex_label_rejected():
+    with pytest.raises(HypergraphError, match="vertex labels must be strings, got 2"):
+        Hypergraph(3, ["a", 2, "c"], [])
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(HypergraphError, match="duplicate edge"):
         Hypergraph(3, ["a", "b", "c"], [("a", "b", "c"), ("c", "b", "a")])

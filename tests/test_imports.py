@@ -1,11 +1,11 @@
 """What importing the package costs: each CLI command loads only the
 package modules it runs, numpy is loaded only by the sampled subset scans,
-no command loads dataclasses, inspect or OpenSSL's hashes, digests are the
-same where CPython's builtin sha256 is missing, exhaustive verification
-runs where numpy cannot be imported at all and a sampled one fails there
-with one error line, no scan loads a thread pool or starts OpenBLAS worker
-threads, and the lazily resolved package names still behave like ordinary
-package attributes."""
+no command loads dataclasses, inspect or OpenSSL's hashes, writing a file
+loads no signal module, digests are the same where CPython's builtin sha256
+is missing, exhaustive verification runs where numpy cannot be imported at
+all and a sampled one fails there with one error line, no scan loads a
+thread pool or starts OpenBLAS worker threads, and the lazily resolved
+package names still behave like ordinary package attributes."""
 
 from __future__ import annotations
 
@@ -89,6 +89,16 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     seen = _child(_CHILD, str(tmp_path), "dataclasses,inspect", "no-numpy", flags=["-S"])
     assert [code for _, code, _ in seen] == [None] + [0] * 8 + [1]
     assert all(loaded == [] for _, _, loaded in seen), seen
+
+
+def test_writing_a_file_does_not_load_signal(tmp_path):
+    # -S: no site hook may load signal first. The SIGTERM trap around a
+    # write takes the builtin _signal; `search config` is the first call
+    # that loads signal, which it imports to kill its workers.
+    seen = _child(_CHILD, str(tmp_path), "signal", "no-numpy", flags=["-S"])
+    assert [code for _, code, _ in seen] == [None] + [0] * 8 + [1]
+    assert [label for label, _, _ in seen][4] == "search config"
+    assert [loaded for _, _, loaded in seen] == [[]] * 4 + [["signal"]] * 6, seen
 
 
 # Runs in a fresh interpreter: import numpy, then print which of the modules

@@ -22,7 +22,7 @@ from sparsehg.families import (
     linear_three_cycle,
 )
 from sparsehg.projection import project
-from sparsehg.ramsey import packed_coloring, random_coloring
+from sparsehg.ramsey import ColoringInstance, packed_coloring, random_coloring
 
 import oracles
 
@@ -109,6 +109,23 @@ def test_missing_pairs_are_counted_not_listed():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_coloring_instance_counts_missing_pairs_without_listing_them():
+    # the library check, with one pair given, is as bounded as the JSON path
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypergraphError, match=r"1998999 pairs missing, first \(1, 3\)"):
+            ColoringInstance(2000, {(1, 2): 0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_coloring_key_parts_must_be_integers():
+    with pytest.raises(HypergraphError, match="bad pair key 'a,b', want integers"):
+        jsonio.coloring_from_obj({"n": 3, "colors": {"a,b": 0}})
 
 
 def test_projection_roundtrip_both_cases():

@@ -46,6 +46,15 @@ def test_coloring_must_be_total():
         ColoringInstance(4, {(1, 2): 0})
 
 
+@pytest.mark.parametrize("colors", [
+    {(1, 2): 0, (1, 3): 0, (2, 4): 0},
+    {("1", "2"): 0},
+], ids=["pair-past-n", "string-pair"])
+def test_coloring_pairs_out_of_range(colors):
+    with pytest.raises(HypergraphError, match="out of range"):
+        ColoringInstance(3, colors)
+
+
 def test_check_rainbow_is_valid():
     report = check_coloring(rainbow(6), 4, 6)
     assert report.valid

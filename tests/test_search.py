@@ -131,6 +131,18 @@ def test_guard_rejects_oversized_inputs():
         find_configuration(g, 6, 3)
 
 
+@pytest.mark.parametrize("search_fn", [find_configuration, find_configuration_unpruned])
+@pytest.mark.parametrize("v, e", [(-1, 2), (6, -1)])
+def test_negative_targets_rejected_after_the_size_guard(search_fn, v, e):
+    g = f14().graph
+    with pytest.raises(HypergraphError, match="v and e must be non-negative"):
+        search_fn(g, v, e)
+    verts = [f"v{i}" for i in range(25)]
+    oversized = Hypergraph(3, verts, list(itertools.combinations(verts, 3))[:70])
+    with pytest.raises(HypergraphError, match="search limited to"):
+        search_fn(oversized, v, e)
+
+
 def test_guard_allows_either_small_side():
     # many vertices but few edges is fine; many edges but few vertices too
     verts = [f"v{i}" for i in range(30)]
