@@ -5,7 +5,8 @@ Digests are sha256 over the canonical form with every "timings" key
 removed, so equal results hash equal regardless of wall-clock noise.
 sha256 comes from CPython's builtin module, which needs no OpenSSL;
 hashlib is only the fallback for builds without one. A coloring's reader
-checks only its JSON shape; ColoringInstance checks the pairs themselves.
+checks only its JSON shape; ColoringInstance checks the pairs and their
+colors.
 """
 
 from __future__ import annotations
@@ -213,8 +214,6 @@ def coloring_from_obj(obj: Any) -> ColoringInstance:
             pair = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise HypergraphError(f"coloring: bad pair key {key!r}, want integers")
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise HypergraphError(f"coloring: color of {key!r} must be an integer")
         colors[pair] = val
     return ColoringInstance(n=n, colors=colors)
 

@@ -1,9 +1,21 @@
 """Subset-check kernels: one bound checker for every check in the package.
 
-A subset U is checked against three bounds, stated over the role masks X
-(`x_mask`), A_ell (`aell_mask`), xy (`xy_mask`) and G (`gl_mask`). With
-P = |U \\ A_ell|, E = e(U), AU = |U ∩ A_ell| and XU = |U ∩ X|, the
-difference of U is d = P + AU - E, and U violates
+Every check is specified by one `Bounds` record, built only by the role
+readers of sparsehg.niceness. Its fields are masks over the host's vertex
+order and two integers:
+
+- `x`: X, a tower's x1..xk;
+- `aell`: A_ell, which splits a subset U into U ∩ A_ell and the rest;
+- `xy`: X plus the last y-role, whose presence in U relaxes Item 1;
+- `g`: G, the child copy, whose vertices outside X arm Item 3;
+- `k`, `ell`: the tower's k and ell;
+- `base`: the vertices every scanned subset holds, a tower's y-prefix
+  y0..y(ell-1); empty by default.
+
+The constructor refuses X, xy or base outside A_ell, the precondition the
+bounds assume; G may leave A_ell. With P = |U \\ A_ell|, E = e(U),
+AU = |U ∩ A_ell| and XU = |U ∩ X|, the difference of a subset U is
+d = P + AU - E, and U violates
 
 1. d >= AU - [xy ⊆ U]           when P + [xy ⊆ U] < E;
 2. d >= AU + 1                  when XU <= k - 2, P != 0 and P <= E;
@@ -11,7 +23,7 @@ difference of U is d = P + AU - E, and U violates
                                 P + AU < E + k + ell.
 
 These are Items 1-3 of the tower bounds. Niceness of a witness A is the
-same check with X = A_ell = xy = A, G empty, k + 1 in place of k and
+same check with x = aell = xy = A, g empty, k + 1 in place of k and
 ell = 0: Item 1 is then Cond1, Item 2 is Cond2, and Item 3 never fires.
 
 The checker is bit-sliced. A batch of subsets is a list of lanes, one
@@ -51,6 +63,8 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
+from sparsehg.core import HypergraphError, Record
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -75,6 +89,28 @@ _SWAPS = (
 # number.
 Violation = tuple[int, int, int, int]
 ScanResult = tuple[int, Optional[Violation]]
+
+
+class Bounds(Record):
+    """The specification of one bound check; see the module docstring."""
+
+    x: int
+    aell: int
+    xy: int
+    g: int
+    k: int
+    ell: int
+    base: int = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name in ("x", "xy", "base"):
+            outside = (getattr(self, name) & ~self.aell).bit_count()
+            if outside:
+                raise HypergraphError(
+                    f"bounds need {name} inside A_ell, but it has {outside} outside; "
+                    "a tower's x and y roles must all lie in A_ell"
+                )
 
 
 # The helpers below are private: span tracers (perfbench/tracing.py) wrap
@@ -161,9 +197,12 @@ def _less(a: list[int], b: list[int], borrow: int, ones: int) -> int:
     return borrow
 
 
-def _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -> ScanResult:
+def _scan(edge_masks, n, bounds: Bounds, batches) -> ScanResult:
     """Check batches in order, each (lanes, width): n lanes of `width`
     subsets; stops at the first violation."""
+    # read once per scan: the closures below run per batch and per subset
+    x_mask, aell_mask, xy_mask, gl_mask = bounds.x, bounds.aell, bounds.xy, bounds.g
+    k, ell = bounds.k, bounds.ell
     # an edge with a vertex outside the n lanes lies in no subset
     edges = [_positions(m) for m in edge_masks if not m >> n]
     aell = [j for j in _positions(aell_mask) if j < n]
@@ -218,27 +257,19 @@ def _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches) -
 
 
 def scan_range(
-    edge_masks: Sequence[int],
-    free_positions: Sequence[int],
-    base_mask: int,
-    x_mask: int,
-    aell_mask: int,
-    xy_mask: int,
-    gl_mask: int,
-    k: int,
-    ell: int,
+    edge_masks: Sequence[int], free_positions: Sequence[int], bounds: Bounds
 ) -> ScanResult:
-    """Exhaustive scan over U = base_mask | scatter(i, free_positions), i in
+    """Exhaustive scan over U = bounds.base | scatter(i, free_positions), i in
     [0, 2^len(free_positions))."""
-    roles = (x_mask, aell_mask, xy_mask, gl_mask)
     free = list(free_positions)
-    n = max(max(free, default=-1) + 1, *(m.bit_length() for m in (base_mask, *roles)))
+    # x, xy and base lie inside aell
+    n = max(max(free, default=-1) + 1, bounds.aell.bit_length(), bounds.g.bit_length())
     # scan index bits below `low` vary inside a batch, the rest between
     # batches; batch subset i has index bit t set in runs of 2^t lanes
     low = min(len(free), _width(n).bit_length() - 1)
     width = 1 << low
     ones = (1 << width) - 1
-    base = [ones if base_mask >> j & 1 else 0 for j in range(n)]
+    base = [ones if bounds.base >> j & 1 else 0 for j in range(n)]
     lanes = list(base)
     for t, j in enumerate(free[:low]):
         run = 1 << t
@@ -254,36 +285,23 @@ def scan_range(
                 lanes[j] = base[j] | (ones if pos >> t & 1 else 0)
             yield lanes, width
 
-    return _scan(edge_masks, n, *roles, k, ell, batches())
+    return _scan(edge_masks, n, bounds, batches())
 
 
-def check_masks(
-    edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, masks
-) -> ScanResult:
-    """Check an explicit list of subset masks over n vertices, in order. Needs
-    numpy; only sampled checks call it."""
+def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
+    """Check an explicit list of subset masks over n vertices, in order, as
+    given: `bounds.base` is not ORed in. Needs numpy; only sampled checks
+    call it."""
     width = _width(n)
     chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
     batches = ((_transpose(_pack(batch, n), n, len(batch)), len(batch)) for batch in chunks)
-    return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches)
+    return _scan(edge_masks, n, bounds, batches)
 
 
-def sample_scan(
-    edge_masks,
-    n,
-    yprefix_mask,
-    x_mask,
-    aell_mask,
-    xy_mask,
-    gl_mask,
-    k,
-    ell,
-    samples,
-    seed,
-) -> ScanResult:
-    """Seeded uniform supersets of the y-prefix: draw U, then OR the prefix in."""
+def sample_scan(edge_masks, n, bounds: Bounds, samples, seed) -> ScanResult:
+    """Seeded uniform supersets of `bounds.base`: draw U, then OR the base in."""
     words = max(1, (n + 63) // 64)
-    prefix = [j for j in _positions(yprefix_mask) if j < n]
+    prefix = [j for j in _positions(bounds.base) if j < n]
     width = _width(n)
 
     def batches():
@@ -305,7 +323,7 @@ def sample_scan(
             yield lanes, count
             del lanes  # as in _scan: freed before the next batch is drawn
 
-    return _scan(edge_masks, n, x_mask, aell_mask, xy_mask, gl_mask, k, ell, batches())
+    return _scan(edge_masks, n, bounds, batches())
 
 
 def _draw(z, seed: int, first: int, count: int) -> None:

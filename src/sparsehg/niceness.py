@@ -11,13 +11,16 @@ it re-checks the first violation in scan order through
 Hypergraph.difference, then reports it.
 
 Niceness, the tower bounds and claim 6.3 run through one scan driver,
-`_check`, which is given the method and returns the raw scan, one report
-builder, `_report`, and the one bound checker in sparsehg.kernels;
-niceness is the tower check with x = A_ell = xy = A, G empty, k + 1 in
-place of k and ell = 0. The stratified pass of sampled niceness runs that
-checker on the induced sub-hypergraph of A and its edge neighbourhood,
-where all of its subsets lie, so its lanes are as wide as that pool, not
-the host. Role labels and copy maps come from sparsehg.families's readers.
+`_check`, which is given one `kernels.Bounds` record and the method and
+returns the raw scan, one report builder, `_report`, and the one bound
+checker in sparsehg.kernels. Three role readers build the record:
+`_nice_roles` (x = A_ell = xy = A, G empty, k + 1 in place of k and
+ell = 0), `_tower_context` and `verify_cycle_bounds`; its constructor
+refuses a tower whose x or y roles leave A_ell. The stratified pass of
+sampled niceness runs that checker on the induced sub-hypergraph of A and
+its edge neighbourhood, where all of its subsets lie, so its lanes are as
+wide as that pool, not the host. Role labels and copy maps come from
+sparsehg.families's readers.
 """
 
 from __future__ import annotations
@@ -82,10 +85,10 @@ def _resolve_witness(obj: GraphLike, witness) -> tuple[str, ...]:
     return wit
 
 
-def _nice_roles(a_mask: int, k: int) -> tuple[int, int, int, int, int, int]:
-    """Roles (x, A_ell, xy, G, k, ell) under which the tower checker checks
-    niceness of witness a_mask: Item1 is Cond1, Item2 is Cond2, Item3 never fires."""
-    return (a_mask, a_mask, a_mask, 0, k + 1, 0)
+def _nice_roles(a_mask: int, k: int) -> kernels.Bounds:
+    """The bounds under which the tower checker checks niceness of witness
+    a_mask: Item1 is Cond1, Item2 is Cond2, Item3 never fires."""
+    return kernels.Bounds(x=a_mask, aell=a_mask, xy=a_mask, g=0, k=k + 1, ell=0)
 
 
 def _report(
@@ -130,33 +133,32 @@ def _check_sampling(samples: Optional[int], seed: Optional[int]) -> None:
 
 def _check(
     graph: Hypergraph,
-    roles: tuple[int, int, int, int, int, int],
+    bounds: kernels.Bounds,
     method: str,
     *,
-    base: int = 0,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> kernels.ScanResult:
-    """Scan the bounds under `roles` (x, A_ell, xy, G, k, ell) on supersets of `base`.
+    """Scan `bounds` on supersets of its base.
 
     The "exhaustive" method scans every superset, in increasing order of its
-    free bits; "sampled" draws `samples` seeded uniform subsets with `base`
-    ORed in, its caller having checked `samples` and `seed` with
+    free bits; "sampled" draws `samples` seeded uniform subsets with the
+    base ORed in, its caller having checked `samples` and `seed` with
     `_check_sampling`. A sampled check raises HypergraphError where numpy
     is not installed.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
     if method == "exhaustive":
-        free = [b for b in range(n) if not (base >> b) & 1]
+        free = [b for b in range(n) if not (bounds.base >> b) & 1]
         if len(free) > _EXHAUSTIVE_VERTEX_LIMIT:
             raise HypergraphError(
                 f"exhaustive check limited to {_EXHAUSTIVE_VERTEX_LIMIT} free vertices; "
                 f"graph has {len(free)} (sample instead: --samples and --seed)"
             )
-        return kernels.scan_range(edge_masks, free, base, *roles)
+        return kernels.scan_range(edge_masks, free, bounds)
     try:
-        return kernels.sample_scan(edge_masks, n, base, *roles, samples, seed)
+        return kernels.sample_scan(edge_masks, n, bounds, samples, seed)
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
@@ -191,8 +193,8 @@ def _check_nice(
         # condition 0: a witness spanning an edge has difference below |A|
         vio = (graph.mask_of(wit), 0, graph.difference(wit).delta, len(wit))
         return _report(graph, method, (0, vio), _CONDITION_NAMES, seed)
-    roles = _nice_roles(graph.mask_of(wit), k)
-    checked, vio = _check(graph, roles, method, samples=samples, seed=seed)
+    bounds = _nice_roles(graph.mask_of(wit), k)
+    checked, vio = _check(graph, bounds, method, samples=samples, seed=seed)
     if method == "sampled" and vio is None:
         # the uniform pass uses stream counters 1 .. samples * words
         words = max(1, (graph.vertex_count + 63) // 64)
@@ -268,8 +270,8 @@ def _stratified_pass(
     """
     pool, pool_edges = _pool(graph, wit)
     masks = _stratified_masks(len(pool), seed, cursor)
-    roles = _nice_roles((1 << len(wit)) - 1, k)
-    checked, vio = kernels.check_masks(pool_edges, len(pool), *roles, masks)
+    bounds = _nice_roles((1 << len(wit)) - 1, k)
+    checked, vio = kernels.check_masks(pool_edges, len(pool), bounds, masks)
     if vio is None:
         return checked, None
     u_mask, code, delta, bound = vio
@@ -335,19 +337,23 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     graph = config.graph
     a_mask = graph.mask_of(v[:4])
     for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
-        scan = _check(graph, (x_mask, a_mask, a_mask, 0, 2, 0), "exhaustive")
+        bounds = kernels.Bounds(x=x_mask, aell=a_mask, xy=a_mask, g=0, k=2, ell=0)
+        scan = _check(graph, bounds, "exhaustive")
         if _report(graph, "exhaustive", scan, _ITEM_NAMES).verdict != NICE:
             return False
     return True
 
 
-def _tower_context(config: LabeledConfiguration):
+def _tower_context(config: LabeledConfiguration) -> tuple[Hypergraph, kernels.Bounds]:
+    """The host of tower level `config` and its bounds, on supersets of the
+    y-prefix y0..y(ell-1)."""
     k, ell, xs, ys, a_ell, copies = _tower_shape(config)
     graph = config.graph
     x_mask = graph.mask_of(xs)
-    xy_mask = x_mask | graph.mask_of(ys[-1:])
-    roles = (x_mask, graph.mask_of(a_ell), xy_mask, graph.mask_of(copies[0].values()), k, ell)
-    return graph, graph.mask_of(ys[:-1]), roles
+    return graph, kernels.Bounds(
+        x=x_mask, aell=graph.mask_of(a_ell), xy=x_mask | graph.mask_of(ys[-1:]),
+        g=graph.mask_of(copies[0].values()), k=k, ell=ell, base=graph.mask_of(ys[:-1]),
+    )
 
 
 def verify_tower_bounds(
@@ -364,7 +370,7 @@ def verify_tower_bounds(
     seeded uniform subsets and ORs the prefix in. Violations name the item
     (1, 2 or 3) whose bound failed.
     """
-    graph, yprefix_mask, roles = _tower_context(config)
+    graph, bounds = _tower_context(config)
     if exhaustive and samples is not None:
         raise HypergraphError("exhaustive mode takes no samples; pass exhaustive=False")
     if exhaustive and seed is not None:
@@ -372,5 +378,5 @@ def verify_tower_bounds(
     if not exhaustive:
         _check_sampling(samples, seed)
     method = "exhaustive" if exhaustive else "sampled"
-    scan = _check(graph, roles, method, base=yprefix_mask, samples=samples, seed=seed)
+    scan = _check(graph, bounds, method, samples=samples, seed=seed)
     return _report(graph, method, scan, _ITEM_NAMES, seed)

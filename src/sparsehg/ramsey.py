@@ -22,19 +22,26 @@ Pair = tuple[int, int]
 
 
 class ColoringInstance(Record):
-    """A full edge coloring of K_n on 1..n; only this constructor checks its pairs, by count."""
+    """A full edge coloring of K_n on 1..n, integer colors on a copy of the
+    caller's mapping; only this constructor checks its pairs, by count, and
+    their colors."""
 
     n: int
     colors: dict[Pair, int]
 
     def __init__(self, n: int, colors: dict[Pair, int]):
+        colors = dict(colors)
         super().__init__(n, colors)
         if not isinstance(n, int) or n < 2:
             raise HypergraphError(f"n must be an integer >= 2, got {n!r}")
-        for pair in colors:
+        for pair, color in colors.items():
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(v, int) for v in pair)
                     and 1 <= pair[0] < pair[1] <= n):
                 raise HypergraphError(f"coloring: pair {pair!r} out of range for n={n}")
+            if not isinstance(color, int) or isinstance(color, bool):
+                raise HypergraphError(
+                    f"coloring: color of '{pair[0]},{pair[1]}' must be an integer, got {color!r}"
+                )
         missing = comb(n, 2) - len(colors)  # the keys are distinct pairs in range
         if missing:
             first = next(p for p in itertools.combinations(range(1, n + 1), 2) if p not in colors)

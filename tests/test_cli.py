@@ -25,8 +25,9 @@ import sparsehg
 from sparsehg import jsonio
 import sparsehg.cli as cli
 from sparsehg.cli import build_parser, main
-from sparsehg.core import Hypergraph
+from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import f14, factorial_family, geometric_tower
+from sparsehg.niceness import verify_tower_bounds
 from sparsehg.projection import project
 from sparsehg.ramsey import packed_coloring, random_coloring
 
@@ -829,6 +830,79 @@ def _mutated(doc, mutate):
     doc = copy.deepcopy(doc)
     mutate(doc)
     return doc
+
+
+# G^0 role files whose x or y roles leave A_ell, against the precondition
+# of the tower bounds; w1 is a vertex of G^0 outside A_ell
+_OUTSIDE_A_ELL = {
+    "x1-off-A_ell": lambda d: d["roles"].update(x1=["w1"]),
+    "x1-dropped-from-A_ell": lambda d: d["roles"].update(
+        A_ell=[v for v in d["roles"]["A_ell"] if v not in d["roles"]["x1"]]),
+    "y0-off-A_ell": lambda d: d["roles"].update(y0=["w1"]),
+}
+
+
+@pytest.mark.parametrize(
+    "method", [["--exhaustive"], ["--samples", "100", "--seed", "1"]],
+    ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("mutate", _OUTSIDE_A_ELL.values(), ids=_OUTSIDE_A_ELL)
+def test_tower_roles_outside_a_ell_exit_one(capsys, tmp_path, mutate, method):
+    assert "w1" not in _G0_DOC["roles"]["A_ell"]
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps(_mutated(_G0_DOC, mutate)))
+    assert main(["verify", "gl-props", "--input", str(path), *method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sparsehg: error: bounds need ")
+    assert lines[0].endswith("a tower's x and y roles must all lie in A_ell")
+
+
+@pytest.mark.parametrize("mutate", _OUTSIDE_A_ELL.values(), ids=_OUTSIDE_A_ELL)
+def test_verify_tower_bounds_refuses_roles_outside_a_ell(mutate):
+    config = jsonio.config_from_obj(_mutated(_G0_DOC, mutate))
+    with pytest.raises(HypergraphError, match="inside A_ell"):
+        verify_tower_bounds(config)
+
+
+# (exit status, report_sha256) of one call down each kernel path: the
+# exhaustive scan (scan_range), the uniform sampled pass (sample_scan) and
+# the stratified pass (check_masks), clean and refuting
+_PINNED_REPORTS = {
+    "verify nice --input f14.json":
+        (0, "9245d811dd7fdfed1b2b62bb2cfaa748e3d055f3fcac812cd2b4593899dd65aa"),
+    "verify gl-props --input g0.json":
+        (0, "57c5b34c21d6db475de96766708aedac8d7a88992c35241eacb173347c4b6d09"),
+    "verify gl-props --input g1.json --samples 2000 --seed 11":
+        (0, "961421a44d072004d41494760efd5ab004ed99441dd2ad9ab6fc4ed625549360"),
+    "verify claim63":
+        (0, "b2883bafa472b274840eb50d2a80111de231b9093d99cfc02bd0cfcf7886dcf9"),
+    "verify nice --input f5.json --samples 2000 --seed 5":
+        (0, "bb45264746a81d3434a841986ffdb70e297249d5caee5a53f682e4a0018b1e5c"),
+    # NOT_NICE from the exhaustive scan, the uniform pass (7 subsets) and,
+    # past one clean uniform draw, the stratified pass (25 subsets)
+    "verify nice --input cycle.json":
+        (2, "55e0bc384f1310b445f11d7f2a8ac986d3cb42ce17c2fbb2ff5a5b9b08c0b017"),
+    "verify nice --input cycle.json --samples 100 --seed 1":
+        (2, "66033ee3a962da178b75db84a48175ed8fcd82917bc856e04b8de495d585103e"),
+    "verify nice --input cycle.json --samples 1 --seed 0":
+        (2, "475a20ca09f3d872e03a153a2d7dc8019076d34e64191c454487d0ceae18534d"),
+}
+
+
+def test_report_digests_are_pinned(capsys, tmp_path, monkeypatch):
+    # run where the inputs are, so that each report's inputs.path is the
+    # relative name given
+    monkeypatch.chdir(tmp_path)
+    for build in ("f14 -o f14.json", "g-ell --ell 0 -o g0.json", "g-ell --ell 1 -o g1.json",
+                  "f-k --k 5 -o f5.json", "cycle -o cycle.json"):
+        assert main(["build", *build.split()]) == 0
+    capsys.readouterr()
+    got = {}
+    for call in _PINNED_REPORTS:
+        code = main(shlex.split(call))
+        got[call] = (code, json.loads(capsys.readouterr().out)["report_sha256"])
+    assert got == _PINNED_REPORTS
 
 
 def _projection_of_4graph():

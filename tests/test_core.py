@@ -13,6 +13,7 @@ from sparsehg.core import (
 )
 from sparsehg.extraction import ExtractionResult
 from sparsehg.families import LabeledConfiguration
+from sparsehg.kernels import Bounds
 from sparsehg.niceness import Counterexample, NicenessReport
 from sparsehg.projection import ProjectedMap, ProjectionResult
 from sparsehg.ramsey import ColoringInstance, RamseyReport
@@ -184,6 +185,8 @@ _RECORDS = [
      {(1, 2): 1, (1, 3): 1, (2, 3): 2}),
     (RamseyReport, ("p", "q", "q_quad_value", "min_colors_on_some_kp", "valid", "witness_kp"),
      (8, 27, 26, 25, False, (1, 2, 3, 4, 5, 6, 7, 8)), None),
+    (Bounds, ("x", "aell", "xy", "g", "k", "ell", "base"),
+     (0b011, 0b111, 0b110, 0b1000, 2, 0, 0b100), 0b001),
     (ExtractionResult, ("subgraph", "trace", "verified"),
      (_GRAPH, ({"level": 0, "t": 1},), DifferenceReport(4, 1, 3)), DifferenceReport(4, 1, 2)),
 ]

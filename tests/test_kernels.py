@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsehg import kernels
-from sparsehg.core import Hypergraph
+from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import f14
+from sparsehg.kernels import Bounds
 from sparsehg.niceness import _nice_roles
 
 import oracles
@@ -42,10 +43,10 @@ def test_mix64_reference_values():
 def test_stream_is_pure_function_of_seed_and_index():
     g = f14().graph
     masks = list(g.edge_masks)
-    roles = _nice_roles(g.mask_of(f14().witness), 4)
-    r1 = kernels.sample_scan(masks, 14, 0, *roles, 500, 99)
-    r2 = kernels.sample_scan(masks, 14, 0, *roles, 500, 99)
-    r3 = kernels.sample_scan(masks, 14, 0, *roles, 500, 100)
+    bounds = _nice_roles(g.mask_of(f14().witness), 4)
+    r1 = kernels.sample_scan(masks, 14, bounds, 500, 99)
+    r2 = kernels.sample_scan(masks, 14, bounds, 500, 99)
+    r3 = kernels.sample_scan(masks, 14, bounds, 500, 100)
     assert r1 == r2
     assert r1 != r3 or r1[1] is None  # different seed, same verdict only by luck
 
@@ -59,7 +60,8 @@ def test_stream_is_pure_function_of_seed_and_index():
 def test_results_do_not_depend_on_word_count(seed, nice, offset):
     # the same host twice: as drawn, and moved up by `offset` bit positions
     # in a host padded with isolated vertices (up to 216 lanes); the
-    # results agree once the violating mask is moved back
+    # results agree once the violating mask is moved back. Random roles put
+    # A_ell around X and xy, as the bounds require
     vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
     g = Hypergraph(3, vertices, edges)
     n = g.vertex_count
@@ -70,9 +72,12 @@ def test_results_do_not_depend_on_word_count(seed, nice, offset):
         return rng.getrandbits(n)
 
     if nice:
-        roles = _nice_roles(draw(), rng.randint(0, 5))
+        bounds = _nice_roles(draw(), rng.randint(0, 5))
     else:
-        roles = (draw(), draw(), draw(), draw(), rng.randint(2, 6), rng.randint(0, 3))
+        x, aell, xy, gl = draw(), draw(), draw(), draw()
+        bounds = Bounds(
+            x=x, aell=aell | x | xy, xy=xy, g=gl, k=rng.randint(2, 6), ell=rng.randint(0, 3)
+        )
     checks = [draw() for _ in range(rng.randint(0, 60))]
     n_wide = n + offset + rng.randint(0, 64)
 
@@ -83,13 +88,24 @@ def test_results_do_not_depend_on_word_count(seed, nice, offset):
         checked, vio = result
         return checked, vio and (vio[0] << offset, *vio[1:])
 
-    wide_roles = (*up(roles[:4]), *roles[4:])
-    assert kernels.check_masks(up(masks), n_wide, *wide_roles, up(checks)) == moved(
-        kernels.check_masks(masks, n, *roles, checks)
+    x, aell, xy, gl = up([bounds.x, bounds.aell, bounds.xy, bounds.g])
+    wide_bounds = Bounds(x=x, aell=aell, xy=xy, g=gl, k=bounds.k, ell=bounds.ell)
+    assert kernels.check_masks(up(masks), n_wide, wide_bounds, up(checks)) == moved(
+        kernels.check_masks(masks, n, bounds, checks)
     )
-    narrow = kernels.scan_range(masks, range(n), 0, *roles)
-    wide = kernels.scan_range(up(masks), range(offset, offset + n), 0, *wide_roles)
+    narrow = kernels.scan_range(masks, range(n), bounds)
+    wide = kernels.scan_range(up(masks), range(offset, offset + n), wide_bounds)
     assert wide == moved(narrow)
+
+
+@pytest.mark.parametrize("field", ["x", "xy", "base"])
+def test_bounds_refuse_roles_outside_aell(field):
+    # X, xy and the base lie in A_ell, as the bounds assume; G may leave it
+    inside = {"x": 0b0011, "aell": 0b0111, "xy": 0b0111, "g": 0b11110000, "k": 2, "ell": 0,
+              "base": 0b0100}
+    assert Bounds(**inside).g == 0b11110000
+    with pytest.raises(HypergraphError, match=f"bounds need {field} inside A_ell, but it has 1 "):
+        Bounds(**{**inside, field: inside[field] | 0b1000})
 
 
 def test_f14_scan_does_not_depend_on_word_count():
@@ -99,13 +115,12 @@ def test_f14_scan_does_not_depend_on_word_count():
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
     wide = Hypergraph(3, list(base.vertices) + pad, base.edges)
-    x, aell, xy, _, k, ell = _nice_roles(base.mask_of(f14().witness), 4)
+    nice = _nice_roles(base.mask_of(f14().witness), 4)
     last_pad = 1 << (wide.vertex_count - 1)
     assert last_pad.bit_length() > 64
-    r_narrow = kernels.scan_range(list(base.edge_masks), range(14), 0, x, aell, xy, 0, k, ell)
-    r_wide = kernels.scan_range(
-        list(wide.edge_masks), range(14), 0, x, aell, xy, last_pad, k, ell
-    )
+    padded = Bounds(x=nice.x, aell=nice.aell, xy=nice.xy, g=last_pad, k=nice.k, ell=nice.ell)
+    r_narrow = kernels.scan_range(list(base.edge_masks), range(14), nice)
+    r_wide = kernels.scan_range(list(wide.edge_masks), range(14), padded)
     assert r_narrow == r_wide == (1 << 14, None)
 
 
@@ -123,7 +138,8 @@ def test_sample_stream_matches_independent_draw(n, seed, index):
     start = (seed + index * words * kernels.GAMMA) & kernels.MASK64
     draws = [oracles.splitmix64_draw(seed, index + i, n) for i in range(65)]
     for samples, v in itertools.product((1, 63, 64, 65), (0, n // 2, n - 1)):
-        result = kernels.sample_scan([], n, 0, 0, 0, 0, 1 << v, 1, n + 1, samples, start)
+        bounds = Bounds(x=0, aell=0, xy=0, g=1 << v, k=1, ell=n + 1)
+        result = kernels.sample_scan([], n, bounds, samples, start)
         i = next((i for i, draw in enumerate(draws[:samples]) if draw >> v & 1), None)
         if i is None:
             assert result == (samples, None)
@@ -134,14 +150,15 @@ def test_sample_stream_matches_independent_draw(n, seed, index):
 @pytest.mark.parametrize("n", [14, 130])
 @pytest.mark.parametrize("samples", [1, 63, 65, 100])
 def test_sampled_prefix_fills_only_the_drawn_lanes(n, samples):
-    # the y-prefix is the one edge, A_ell is that edge and xy a vertex
-    # outside it, X and G are empty: Item 1 (P + [xy ⊆ U] < E) fires exactly
-    # on the prefix alone, which a draw rarely is. The lanes that pad a batch
+    # the y-prefix is the one edge, A_ell is that edge and one vertex xy
+    # more, X and G are empty: Item 1 (P + [xy ⊆ U] < E) fires exactly on
+    # the prefix alone, which a draw rarely is. The lanes that pad a batch
     # to whole 64-subset blocks are no subsets and must not count, though
     # the prefix is forced into every subset.
     prefix = 0b111 << (n // 2)
     seed = 7
-    result = kernels.sample_scan([prefix], n, prefix, 0, prefix, 1, 0, 1, 0, samples, seed)
+    bounds = Bounds(x=0, aell=prefix | 1, xy=1, g=0, k=1, ell=0, base=prefix)
+    result = kernels.sample_scan([prefix], n, bounds, samples, seed)
     draws = [oracles.splitmix64_draw(seed, i, n) for i in range(samples)]
     i = next((i for i, draw in enumerate(draws) if not draw & ~prefix), None)
     assert result == ((samples, None) if i is None else (i + 1, (prefix, 1, 2, 3)))
@@ -173,7 +190,7 @@ def test_one_batch_alive_at_a_time(monkeypatch, kernel):
     # of its 64-subset batches; when a batch is built, none before it lives
     graph = f14().graph
     masks, n = list(graph.edge_masks), graph.vertex_count
-    roles = _nice_roles(graph.mask_of(f14().witness), 4)
+    bounds = _nice_roles(graph.mask_of(f14().witness), 4)
     built, alive = [], []
     real = kernels._transpose
 
@@ -186,9 +203,9 @@ def test_one_batch_alive_at_a_time(monkeypatch, kernel):
     monkeypatch.setattr(kernels, "_transpose", transpose)
     monkeypatch.setattr(kernels, "_LANE_BITS", n * 64)
     if kernel == "sample_scan":
-        result = kernels.sample_scan(masks, n, 0, *roles, 256, 7)
+        result = kernels.sample_scan(masks, n, bounds, 256, 7)
     else:
-        result = kernels.check_masks(masks, n, *roles, list(range(256)))
+        result = kernels.check_masks(masks, n, bounds, list(range(256)))
     assert result == (256, None)
     assert alive == [0, 0, 0, 0]
 
@@ -208,16 +225,17 @@ def _first_draw_holding(n, must, lo, hi):
 def test_sampled_violation_mask_is_the_drawn_subset(n, lanes):
     # 100 samples, so the last batch is not a whole number of 64-subset
     # blocks; the first violation is a draw in its second block (index 64 or
-    # later) and must be reported as drawn. X = six vertices, G = one more
-    # vertex v, k = 7, no edges, k + ell = n + 2: Item 3 fires exactly on the
-    # draws holding X and v.
+    # later) and must be reported as drawn. X = A_ell = six vertices, G = one
+    # more vertex v, k = 7, no edges, k + ell = n + 2: Item 3 fires exactly on
+    # the draws holding X and v.
     x_mask = sum(1 << (j * (n // 6)) for j in range(6))
     v = n - 1
     seed, i = _first_draw_holding(n, x_mask | 1 << v, 64, 100)
     with pytest.MonkeyPatch.context() as mp:
         if lanes is not None:
             mp.setattr(kernels, "_LANE_BITS", n * lanes)
-        result = kernels.sample_scan([], n, 0, x_mask, 0, 0, 1 << v, 7, n - 5, 100, seed)
+        bounds = Bounds(x=x_mask, aell=x_mask, xy=0, g=1 << v, k=7, ell=n - 5)
+        result = kernels.sample_scan([], n, bounds, 100, seed)
     draw = oracles.splitmix64_draw(seed, i, n)
     assert result == (i + 1, (draw, 3, draw.bit_count(), n + 2))
 
@@ -228,8 +246,8 @@ def test_fallback_scan_matches_naive_oracle(seed):
     g, wit = _nice_args(seed)
     masks = list(g.edge_masks)
     n = g.vertex_count
-    roles = _nice_roles(g.mask_of(wit), len(wit) - 1)
-    checked, violation = kernels.scan_range(masks, range(n), 0, *roles)
+    bounds = _nice_roles(g.mask_of(wit), len(wit) - 1)
+    checked, violation = kernels.scan_range(masks, range(n), bounds)
     naive = oracles.nice_violation(g.vertices, g.edges, wit)
     if naive is None:
         assert violation is None and checked == 1 << n
@@ -252,11 +270,11 @@ def test_small_batches_match_nice_oracle(seed, lanes):
     g, wit = _nice_args(seed)
     masks = list(g.edge_masks)
     n = g.vertex_count
-    roles = _nice_roles(g.mask_of(wit), len(wit) - 1)
+    bounds = _nice_roles(g.mask_of(wit), len(wit) - 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_LANE_BITS", max(n, 1) * lanes)
-        checked, violation = kernels.scan_range(masks, range(n), 0, *roles)
-        assert kernels.check_masks(masks, n, *roles, list(range(1 << n))) == (checked, violation)
+        checked, violation = kernels.scan_range(masks, range(n), bounds)
+        assert kernels.check_masks(masks, n, bounds, list(range(1 << n))) == (checked, violation)
     naive = oracles.nice_violation(g.vertices, g.edges, wit)
     if naive is None:
         assert violation is None and checked == 1 << n
@@ -271,9 +289,10 @@ def test_small_batches_match_nice_oracle(seed, lanes):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=99_999), st.sampled_from([64, 128, 192, 256]))
 def test_small_batches_match_tower_oracle(seed, lanes):
-    # random roles on a random host, the y-prefix forced into every subset:
-    # the scan over the free vertices and check_masks over the same subsets
-    # in the same order both stop at the oracle's first violation
+    # random roles on a random host, A_ell holding the x and y roles as the
+    # bounds require, the y-prefix forced into every subset: the scan over
+    # the free vertices and check_masks over the same subsets in the same
+    # order both stop at the oracle's first violation
     vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
     g = Hypergraph(3, vertices, edges)
     n = g.vertex_count
@@ -281,20 +300,29 @@ def test_small_batches_match_tower_oracle(seed, lanes):
     k, ell = rng.randint(1, 4), rng.randint(0, 2)
     x_labels = rng.sample(vertices, min(k, n))
     y_labels = rng.sample(vertices, min(ell + 1, n))
-    a_ell = [v for v in vertices if rng.random() < 0.4]
+    roles = set(x_labels + y_labels)
+    a_ell = [v for v in vertices if rng.random() < 0.4 or v in roles]
     gl = [v for v in vertices if rng.random() < 0.3]
     k, ell = len(x_labels), len(y_labels) - 1
     x_mask = g.mask_of(x_labels)
-    roles = (x_mask, g.mask_of(a_ell), x_mask | g.mask_of(y_labels[-1:]), g.mask_of(gl), k, ell)
-    base = g.mask_of(y_labels[:-1])
+    bounds = Bounds(
+        x=x_mask,
+        aell=g.mask_of(a_ell),
+        xy=x_mask | g.mask_of(y_labels[-1:]),
+        g=g.mask_of(gl),
+        k=k,
+        ell=ell,
+        base=g.mask_of(y_labels[:-1]),
+    )
+    base = bounds.base
     free = [j for j in range(n) if not base >> j & 1]
     order = [base | sum(1 << free[t] for t in range(len(free)) if i >> t & 1)
              for i in range(1 << len(free))]
     masks = list(g.edge_masks)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_LANE_BITS", max(n, 1) * lanes)
-        checked, violation = kernels.scan_range(masks, free, base, *roles)
-        assert kernels.check_masks(masks, n, *roles, order) == (checked, violation)
+        checked, violation = kernels.scan_range(masks, free, bounds)
+        assert kernels.check_masks(masks, n, bounds, order) == (checked, violation)
     naive = oracles.tower_violation(vertices, edges, x_labels, y_labels, a_ell, gl)
     if naive is None:
         assert violation is None and checked == len(order)

@@ -257,7 +257,7 @@ def test_pool_width_pass_matches_host_width_check(seed, pad, draws):
         pooled = niceness._stratified_pass(g, wit, k, seed, cursor)
         lifted = _stratified_host_masks(g, wit, seed, cursor)
     host = kernels.check_masks(
-        list(g.edge_masks), g.vertex_count, *_nice_roles(g.mask_of(wit), k), lifted
+        list(g.edge_masks), g.vertex_count, _nice_roles(g.mask_of(wit), k), lifted
     )
     assert pooled == host
 

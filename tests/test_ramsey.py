@@ -55,6 +55,23 @@ def test_coloring_pairs_out_of_range(colors):
         ColoringInstance(3, colors)
 
 
+def test_coloring_colors_must_be_integers():
+    # a color of any other type, bool included, is refused when the coloring
+    # is made, not when a clique scan first hashes it
+    with pytest.raises(HypergraphError, match="color of '1,2' must be an integer"):
+        check_coloring(ColoringInstance(3, {(1, 2): "red", (1, 3): 0, (2, 3): [1]}), 3, 2)
+    with pytest.raises(HypergraphError, match="color of '1,3' must be an integer, got True"):
+        ColoringInstance(3, {(1, 2): 0, (1, 3): True, (2, 3): 2})
+
+
+def test_coloring_keeps_its_own_copy_of_the_colors():
+    colors = {(1, 2): 0, (1, 3): 1, (2, 3): 2}
+    coloring = ColoringInstance(3, colors)
+    colors.pop((2, 3))
+    assert coloring.colors == {(1, 2): 0, (1, 3): 1, (2, 3): 2}
+    assert check_coloring(coloring, 3, 2).min_colors_on_some_kp == 3
+
+
 def test_check_rainbow_is_valid():
     report = check_coloring(rainbow(6), 4, 6)
     assert report.valid
