@@ -10,11 +10,13 @@ args.run(args, phase), and the handler returns its report's own keys,
 holding the library's values as they are (JSON writes a tuple as an
 array), with the exit status. It calls phase(name) as each of its phases
 ends: load_s then check_s where it reads input, else build_s then
-write_s. main adds what every report shares: "command", the command and
-its subcommand; "timings", the phases, each timed from the previous mark
-and the first from the handler's call, then report_s for assembly and
-digest, and wall_s, their sum; and "report_sha256", the digest of the
-report without its timings.
+write_s. It reads each input file once, through _read, which records the
+file's path and digest under "inputs". main adds what every report
+shares: "command", the command and its subcommand; "timings", the
+phases, each timed from the previous mark and the first from the
+handler's call, then report_s for assembly and digest, and wall_s, their
+sum; and "report_sha256", the digest of the report without its top-level
+timings.
 
 Each handler imports the modules its command runs, at call time, so a
 call loads only those: `import sparsehg.cli` loads core and jsonio, and
@@ -72,12 +74,11 @@ def _tower(base: str, ell: int) -> LabeledConfiguration:
     raise HypergraphError(f"unknown tower base {base!r}")
 
 
-def _inputs_obj(**paths: Optional[str]) -> dict:
-    return {
-        name: {"path": path, "sha256": jsonio.file_digest(path)}
-        for name, path in paths.items()
-        if path is not None
-    }
+def _read(inputs: dict, name: str, path: str):
+    """The document at `path`; its path and the sha256 of the bytes parsed go to inputs[name]."""
+    doc, digest = jsonio.read_json(path)
+    inputs[name] = {"path": path, "sha256": digest}
+    return doc
 
 
 def _config_summary(config: LabeledConfiguration) -> dict:
@@ -121,7 +122,8 @@ def _cmd_verify_scan(args, phase) -> tuple[dict, int]:
     from sparsehg.niceness import NOT_NICE, sample_nice, verify_nice, verify_tower_bounds
 
     method = "exhaustive" if args.samples is None else "sampled"
-    config = jsonio.load_any(jsonio.read_json(args.input))
+    inputs: dict = {}
+    config = jsonio.load_any(_read(inputs, "input", args.input))
     if method == "sampled" and args.seed is None:
         raise HypergraphError("--samples requires --seed")
     if method == "exhaustive" and args.seed is not None:
@@ -138,7 +140,7 @@ def _cmd_verify_scan(args, phase) -> tuple[dict, int]:
     phase("check_s")
     ce = result.counterexample
     report = {
-        "inputs": _inputs_obj(input=args.input),
+        "inputs": inputs,
         "method": method,
         **result._asdict(),
         "counterexample": None if ce is None else ce._asdict(),
@@ -191,17 +193,16 @@ def _cmd_extract(args, phase) -> tuple[dict, int]:
 def _cmd_project(args, phase) -> tuple[dict, int]:
     from sparsehg.projection import project
 
-    graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
+    inputs: dict = {}
+    graph = jsonio.graph_from_obj(_read(inputs, "input", args.input))
     phase("load_s")
     result = project(graph, args.k, args.e)
     report = {
-        "inputs": _inputs_obj(input=args.input),
+        "inputs": inputs,
         "case": result.case_tag,
         "anchors": result.anchors,
         "kept_links": None if result.projected is None else len(result.projected.pairs),
-        "heavy_edges": None
-        if result.heavy_config is None
-        else result.heavy_config.edge_count,
+        "heavy_edges": None if result.heavy_config is None else result.heavy_config.edge_count,
     }
     _emit(report, "projection", jsonio.projection_to_obj(result), args.output)
     phase("check_s")
@@ -211,15 +212,12 @@ def _cmd_project(args, phase) -> tuple[dict, int]:
 def _cmd_lift(args, phase) -> tuple[dict, int]:
     from sparsehg.projection import lift
 
-    result = jsonio.projection_from_obj(jsonio.read_json(args.proj))
-    config3 = jsonio.graph_from_obj(jsonio.read_json(args.config))
+    inputs: dict = {}
+    result = jsonio.projection_from_obj(_read(inputs, "proj", args.proj))
+    config3 = jsonio.graph_from_obj(_read(inputs, "config", args.config))
     phase("load_s")
     lifted = lift(result, config3)
-    report = {
-        "inputs": _inputs_obj(proj=args.proj, config=args.config),
-        "v": lifted.vertex_count,
-        "e": lifted.edge_count,
-    }
+    report = {"inputs": inputs, "v": lifted.vertex_count, "e": lifted.edge_count}
     _emit(report, "lifted", jsonio.graph_to_obj(lifted), args.output)
     phase("check_s")
     return report, EXIT_OK
@@ -233,31 +231,20 @@ def _cmd_ramsey(args, phase) -> tuple[dict, int]:
         phase("build_s")
         phase("write_s")
         return report, EXIT_OK
-    coloring = jsonio.coloring_from_obj(jsonio.read_json(args.input))
+    inputs: dict = {}
+    coloring = jsonio.coloring_from_obj(_read(inputs, "input", args.input))
     phase("load_s")
-    inputs = _inputs_obj(input=args.input)
     if args.subcommand == "check":
         result = check_coloring(coloring, args.p, args.q)
         phase("check_s")
-        report = {
-            "inputs": inputs,
-            "p": result.p,
-            "q": result.q,
-            "q_quad": result.q_quad_value,
-            "min_colors_on_some_kp": result.min_colors_on_some_kp,
-            "valid": result.valid,
-            "witness_kp": result.witness_kp,
-        }
+        report = {"inputs": inputs, "p": result.p, "q": result.q, "q_quad": result.q_quad_value,
+                  "min_colors_on_some_kp": result.min_colors_on_some_kp,
+                  "valid": result.valid, "witness_kp": result.witness_kp}
         return report, EXIT_OK if result.valid else EXIT_REFUTED
     if args.subcommand == "to4":
         shadow, log = coloring_to_4graph(coloring)
-        report = {
-            "inputs": inputs,
-            "v": shadow.vertex_count,
-            "e": shadow.edge_count,
-            "collisions": sum(1 for entry in log if not entry["fresh"]),
-            "log": log,
-        }
+        report = {"inputs": inputs, "v": shadow.vertex_count, "e": shadow.edge_count,
+                  "collisions": sum(1 for entry in log if not entry["fresh"]), "log": log}
         _emit(report, "graph", jsonio.graph_to_obj(shadow), args.output)
         phase("check_s")
         return report, EXIT_OK
@@ -270,20 +257,19 @@ def _cmd_ramsey(args, phase) -> tuple[dict, int]:
 def _cmd_search(args, phase) -> tuple[dict, int]:
     from sparsehg.search import count_copies, find_configuration
 
-    graph = jsonio.graph_from_obj(jsonio.read_json(args.input))
+    inputs: dict = {}
+    graph = jsonio.graph_from_obj(_read(inputs, "input", args.input))
     if args.subcommand == "config":
         phase("load_s")
         result = find_configuration(graph, args.v, args.e)
         phase("check_s")
-        report = {"inputs": _inputs_obj(input=args.input), "v": args.v, "e": args.e,
-                  **result._asdict()}
+        report = {"inputs": inputs, "v": args.v, "e": args.e, **result._asdict()}
         return report, EXIT_OK if result.found else EXIT_REFUTED
-    pattern = jsonio.graph_from_obj(jsonio.read_json(args.pattern))
+    pattern = jsonio.graph_from_obj(_read(inputs, "pattern", args.pattern))
     phase("load_s")
     result = count_copies(graph, pattern, induced=args.induced)
     phase("check_s")
-    report = {"inputs": _inputs_obj(input=args.input, pattern=args.pattern),
-              "induced": args.induced, **result._asdict()}
+    report = {"inputs": inputs, "induced": args.induced, **result._asdict()}
     return report, EXIT_OK
 
 

@@ -1,12 +1,14 @@
 """JSON interchange for hypergraphs, colorings, and projection results.
 
-Dumps are canonical: sorted keys, two-space indent, trailing newline.
-Digests are sha256 over the canonical form with every "timings" key
-removed, so equal results hash equal regardless of wall-clock noise.
-sha256 comes from CPython's builtin module, which needs no OpenSSL;
-hashlib is only the fallback for builds without one. A coloring's reader
-checks only its JSON shape; ColoringInstance checks the pairs and their
-colors.
+Dumps are canonical: sorted keys, two-space indent, trailing newline. A
+report's digest is sha256 over that form without its top-level "timings"
+key, so equal results hash equal regardless of wall-clock noise.
+`read_json` reads a file once and also returns the sha256 of exactly the
+bytes it parsed, so a pipe is digested as read. sha256 comes from
+CPython's builtin module, which needs no OpenSSL; hashlib is only the
+fallback for builds without one. The readers check the JSON shape and that
+coloring keys are canonical; ColoringInstance checks a coloring's pairs
+and colors, and ProjectedMap a projection's triples.
 """
 
 from __future__ import annotations
@@ -38,26 +40,16 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def strip_timings(obj: Any) -> Any:
-    """Copy with every dict key named "timings" dropped, at any depth."""
-    if isinstance(obj, dict):
-        return {k: strip_timings(v) for k, v in obj.items() if k != "timings"}
-    if isinstance(obj, (list, tuple)):
-        return [strip_timings(v) for v in obj]
-    return obj
+def report_digest(report: dict) -> str:
+    body = {k: v for k, v in report.items() if k != "timings"}
+    return _sha256(canonical_json(body).encode()).hexdigest()
 
 
-def report_digest(obj: Any) -> str:
-    return _sha256(canonical_json(strip_timings(obj)).encode()).hexdigest()
-
-
-def file_digest(path: Union[str, Path]) -> str:
-    return _sha256(Path(path).read_bytes()).hexdigest()
-
-
-def read_json(path: Union[str, Path]) -> Any:
+def read_json(path: Union[str, Path]) -> tuple[Any, str]:
+    """(document, sha256 hex of the bytes it was parsed from), from one read."""
+    data = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8")), _sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         raise HypergraphError(f"{path}: not UTF-8 text ({exc})") from exc
     except (ValueError, RecursionError) as exc:  # also int digit limit, deep nesting
@@ -214,6 +206,10 @@ def coloring_from_obj(obj: Any) -> ColoringInstance:
             pair = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise HypergraphError(f"coloring: bad pair key {key!r}, want integers")
+        # int() also reads " 1", "+1", "01" and "1_0": two keys of one pair
+        # would let the later colour replace the earlier
+        if key != f"{pair[0]},{pair[1]}":
+            raise HypergraphError(f"coloring: bad pair key {key!r}, want '{pair[0]},{pair[1]}'")
         colors[pair] = val
     return ColoringInstance(n=n, colors=colors)
 

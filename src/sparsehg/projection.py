@@ -24,10 +24,25 @@ PROJECTED = "Projected"
 
 
 class ProjectedMap(Record):
+    """Retained links and their triples. Only this constructor checks that each triple
+    lies in its link, that none repeats, and that the sorted triples are graph3's edges."""
+
     graph3: Hypergraph
     # (triple, link) pairs in retention order; the triple is the edge of
     # graph3 standing for link ∪ anchors in the source graph
     pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        seen = set()
+        for triple, link in self.pairs:
+            if not set(triple) <= set(link):
+                raise HypergraphError(f"projection: triple {triple!r} is not inside its link {link!r}")
+            if triple in seen:
+                raise HypergraphError(f"projection: triple {triple!r} stands for two links")
+            seen.add(triple)
+        if sorted(seen) != list(self.graph3.edges):
+            raise HypergraphError("projection: the triples, sorted, must be graph3's edges")
 
 
 class ProjectionResult(Record):

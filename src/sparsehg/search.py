@@ -28,12 +28,14 @@ answer's, and the witness is the first task's first one, as in the
 unsplit DFS. If a pipe or fork fails the search goes on in-process; a
 worker that dies before it reports raises `HypergraphError`.
 
-`count_copies` enumerates injective edge-onto-edge vertex maps;
-its `nodes_explored` counts the partial maps it visits.
+`count_copies` enumerates injective edge-onto-edge vertex maps on host
+vertex bits, checking each pattern edge as one OR against the host's edge
+masks; its `nodes_explored` counts the partial maps it visits.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import select
@@ -368,58 +370,47 @@ def count_copies(
             f"got {pattern.vertex_count}"
         )
     _search_guard(host)
-    host_edge_set = set(host.edges)
+    host_masks = set(host.edge_masks)
     # order pattern vertices most-constrained first: by descending edge
     # membership, then canonical order, so edge checks fire early
-    degree = {u: 0 for u in pattern.vertices}
-    for edge in pattern.edges:
-        for u in edge:
-            degree[u] += 1
+    degree = collections.Counter(u for edge in pattern.edges for u in edge)
     order = sorted(pattern.vertices, key=lambda u: (-degree[u], pattern.index_of(u)))
     pos = {u: i for i, u in enumerate(order)}
-    # edges checkable once their latest vertex (in `order`) is placed
-    ready: list[list[tuple[str, ...]]] = [[] for _ in order]
-    for edge in pattern.edges:
-        ready[max(pos[u] for u in edge)].append(edge)
+    edges_at = [sorted(pos[u] for u in edge) for edge in pattern.edges]
+    # edges checkable once their last vertex (in `order`) is placed, as the
+    # positions of their other vertices
+    ready: list[list[list[int]]] = [[] for _ in order]
+    for at in edges_at:
+        ready[at[-1]].append(at[:-1])
+    bits = [1 << j for j in range(host.vertex_count)]
+    image = [0] * len(order)  # the host vertex bit placed at each position
 
-    embeddings = 0
-    nodes = 0
+    embeddings = nodes = 0
     images: set[frozenset] = set()
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-    host_vertices = host.vertices
 
-    def place(i: int) -> None:
+    def place(i: int, used: int) -> None:
         nonlocal embeddings, nodes
         nodes += 1
         if i == len(order):
-            edge_image = frozenset(
-                tuple(sorted(assignment[u] for u in edge)) for edge in pattern.edges
-            )
-            if induced:
-                vert_mask = 0
-                for w in assignment.values():
-                    vert_mask |= 1 << host.index_of(w)
-                if host.induced_edge_count(vert_mask) != len(edge_image):
-                    return
+            # the bits are distinct, so a sum is their OR
+            edge_image = frozenset(sum(image[p] for p in at) for at in edges_at)
+            if induced and host.induced_edge_count(used) != len(edge_image):
+                return
             embeddings += 1
             images.add(edge_image)
             return
-        u = order[i]
-        for w in host_vertices:
-            if w in used:
+        for bit in bits:
+            if used & bit:
                 continue
-            assignment[u] = w
-            ok = True
-            for edge in ready[i]:
-                if tuple(sorted(assignment[x] for x in edge)) not in host_edge_set:
-                    ok = False
+            image[i] = bit
+            for others in ready[i]:
+                mask = bit
+                for p in others:
+                    mask |= image[p]
+                if mask not in host_masks:
                     break
-            if ok:
-                used.add(w)
-                place(i + 1)
-                used.discard(w)
-        assignment.pop(u, None)
+            else:
+                place(i + 1, used | bit)
 
-    place(0)
+    place(0, 0)
     return CopyCount(embeddings=embeddings, copies=len(images), nodes_explored=nodes)

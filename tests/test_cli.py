@@ -4,8 +4,11 @@ stability of emitted reports. Runs in process through main(argv)."""
 from __future__ import annotations
 
 import argparse
+import builtins
+import collections
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -64,7 +67,7 @@ def test_build_f14_report(capsys, tmp_path):
     assert code == 0
     assert (report["v"], report["e"], report["delta"]) == (14, 10, 4)
     assert report["family"] == {"name": "f14"}
-    assert jsonio.load_any(jsonio.read_json(out)).graph.edge_count == 10
+    assert jsonio.load_any(jsonio.read_json(out)[0]).graph.edge_count == 10
 
 
 def test_build_without_output_embeds_configuration(capsys):
@@ -125,7 +128,7 @@ def test_verify_nice_pass(capsys, f14_file):
     assert report["verdict"] == "NICE"
     assert report["checked_subsets"] == 16384
     assert report["counterexample"] is None
-    assert report["inputs"]["input"]["sha256"] == jsonio.file_digest(f14_file)
+    assert report["inputs"]["input"]["sha256"] == _sha256_of(f14_file)
     assert report["method"] == "exhaustive" and "backend" not in report
 
 
@@ -338,11 +341,13 @@ def test_verify_reports_name_their_method(capsys, tmp_path, monkeypatch):
     assert trace and all(
         set(step) == {"level", "t", "branch", "d", "t_residual", "descent_level"}
         for step in trace)
-    assert jsonio.read_json("trace.json") == trace
+    assert jsonio.read_json("trace.json")[0] == trace
     labels, edges = reports["search config --input f14.json --v 9 --e 5"]["witness"]
     assert (len(labels), len(edges)) == (9, 5)
     assert all(isinstance(v, str) for v in labels)
     assert all(len(edge) == 3 and set(edge) <= set(labels) for edge in edges)
+    copies = reports["search copies --input f14.json --pattern cycle.json"]
+    assert (copies["copies"], copies["embeddings"], copies["nodes_explored"]) == (5, 30, 3247)
 
 
 def test_phases_cover_the_whole_call(capsys, tmp_path, monkeypatch):
@@ -358,13 +363,76 @@ def test_phases_cover_the_whole_call(capsys, tmp_path, monkeypatch):
         assert sum(timings[p] for p in phases) == timings["wall_s"] > 0, (leaf, extra)
 
 
+def _sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# the report's name of each option that names an input file
+_INPUT_OPTIONS = {"--input": "input", "--proj": "proj", "--config": "config",
+                  "--pattern": "pattern"}
+
+
+def test_inputs_are_read_once_and_digested_as_read(capsys, tmp_path, monkeypatch):
+    """Every leaf that reads input opens each input file once and reports
+    the sha256 of its bytes, for both inputs of lift and search copies."""
+    monkeypatch.chdir(tmp_path)
+    _write_report_inputs(capsys)
+    opened: collections.Counter = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[os.path.abspath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    readers = set()
+    for leaf, expected, extra, keys, _ in _REPORT_KEYS:
+        given = {_INPUT_OPTIONS[opt]: path for opt, path in zip(extra, extra[1:])
+                 if opt in _INPUT_OPTIONS}
+        assert ("inputs" in keys) == bool(given), (leaf, extra)
+        opened.clear()
+        code, report = run(capsys, *leaf, *extra)
+        assert code == expected, (leaf, extra)
+        reads = {path: opened[os.path.abspath(path)] for path in given.values()}
+        assert reads == dict.fromkeys(given.values(), 1), (leaf, extra)
+        if given:
+            readers.add(leaf)
+            assert report["inputs"] == {
+                name: {"path": path, "sha256": _sha256_of(path)} for name, path in given.items()
+            }, (leaf, extra)
+    assert readers == {
+        ("verify", "nice"), ("verify", "gl-props"), ("project",), ("lift",),
+        ("ramsey", "check"), ("ramsey", "to4"), ("ramsey", "implication"),
+        ("search", "config"), ("search", "copies"),
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_piped_input_reports_the_digest_of_its_bytes(f14_file):
+    # a pipe gives its bytes once, so a digest taken by a second read would
+    # be that of the empty string
+    data = Path(f14_file).read_bytes()
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsehg.cli", "verify", "nice", "--input", "/dev/stdin"],
+        input=data, capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["inputs"]["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert report["verdict"] == "NICE"
+
+
 def test_repeated_witness_label_exits_one(capsys, f14_file, tmp_path):
     # four distinct vertices would otherwise pass as a five-vertex witness
     assert main(["verify", "nice", "--input", f14_file,
                  "--witness", "w4,w4,wp1,wp2,wp3"]) == 1
     lines = error_lines(capsys)
     assert len(lines) == 1 and "witness repeats label 'w4'" in lines[0]
-    doc = jsonio.read_json(f14_file)
+    doc = jsonio.read_json(f14_file)[0]
     doc["roles"]["A"] = ["w4", "w4", "wp1", "wp2", "wp3"]
     doubled = tmp_path / "doubled.json"
     jsonio.write_json(doubled, doc)
@@ -569,9 +637,9 @@ def test_extract_writes_subgraph_and_trace(capsys, tmp_path):
     assert code == 0
     assert report["e"] == 130
     assert report["delta"] <= 6
-    g = jsonio.graph_from_obj(jsonio.read_json(sub))
+    g = jsonio.graph_from_obj(jsonio.read_json(sub)[0])
     assert g.edge_count == 130
-    steps = jsonio.read_json(trace)
+    steps = jsonio.read_json(trace)[0]
     assert steps == report["trace"]
     assert steps[0]["branch"] == "claim"
 
@@ -596,7 +664,7 @@ def test_project_and_lift_files(capsys, tmp_path):
     assert code == 0
     assert report["case"] == "Projected"
     assert report["kept_links"] == 3
-    proj = jsonio.projection_from_obj(jsonio.read_json(ppath))
+    proj = jsonio.projection_from_obj(jsonio.read_json(ppath)[0])
     cpath = tmp_path / "cfg3.json"
     jsonio.write_json(
         cpath,
@@ -612,7 +680,7 @@ def test_project_and_lift_files(capsys, tmp_path):
         "-o", str(lpath),
     )
     assert code == 0
-    lifted = jsonio.graph_from_obj(jsonio.read_json(lpath))
+    lifted = jsonio.graph_from_obj(jsonio.read_json(lpath)[0])
     assert lifted.edges == (("u0", "u1", "u2", "u3"),)
 
 
@@ -653,7 +721,7 @@ def test_ramsey_to4(capsys, tmp_path):
     )
     assert code == 0
     assert report["e"] == 2 and report["collisions"] == 0
-    shadow = jsonio.graph_from_obj(jsonio.read_json(out))
+    shadow = jsonio.graph_from_obj(jsonio.read_json(out)[0])
     assert shadow.edges == (("1", "2", "3", "4"), ("5", "6", "7", "8"))
 
 
@@ -910,6 +978,17 @@ def _projection_of_4graph():
     return jsonio.projection_to_obj(project(h, 2, 2))
 
 
+def _projection_file(pairs, edges):
+    """A Projected result over labels a..g with these (triple, link) pairs."""
+    graph3 = {"r": 3, "vertices": list("abcdefg"), "edges": [list(e) for e in edges]}
+    return {"r": 4, "k": 2, "e": 2, "anchors": [], "case": "Projected", "projected": {
+        "graph3": graph3, "pairs": [{"triple": list(t), "link": list(y)} for t, y in pairs]}}
+
+
+_LIFT_ABC = {"cfg3.json": lambda: {"r": 3, "vertices": list("abcdefg"), "edges": [list("abc")]}}
+_LIFT = ["lift", "--proj", "proj.json", "--config", "cfg3.json"]
+
+
 _F14_SUBCOPY = next(iter(_F14_DOC["subcopies"]))
 _G_PROPS = ["verify", "gl-props", "--input", "g0.json"]
 _RAMSEY_CHECK = ["ramsey", "check", "--input", "c.json", "--p", "2", "--q", "1"]
@@ -927,6 +1006,22 @@ _INPUT_GUARDS = {
     "coloring-float-color": (
         {"c.json": lambda: {"n": 3, "colors": {"1,2": 1.5, "1,3": 1, "2,3": 2}}},
         _RAMSEY_CHECK, "color of '1,2' must be an integer"),
+    "coloring-aliased-key": (
+        {"c.json": lambda: {"n": 3, "colors": {"1,2": 0, "01,2": 5, "1,3": 1, "2,3": 2}}},
+        ["ramsey", "check", "--input", "c.json", "--p", "3", "--q", "2"],
+        "bad pair key '01,2', want '1,2'"),
+    # without the check, lift sent the edge a,b,c to d,e,f,g, the last link listed
+    "lift-triple-outside-link": (
+        {"proj.json": lambda: _projection_file([("abc", "abcd"), ("abc", "defg")], ["abc"]),
+         **_LIFT_ABC},
+        _LIFT, "triple ('a', 'b', 'c') is not inside its link ('d', 'e', 'f', 'g')"),
+    "lift-repeated-triple": (
+        {"proj.json": lambda: _projection_file([("abc", "abcd"), ("abc", "abce")], ["abc"]),
+         **_LIFT_ABC},
+        _LIFT, "triple ('a', 'b', 'c') stands for two links"),
+    "lift-triples-not-graph3-edges": (
+        {"proj.json": lambda: _projection_file([("abc", "abcd")], ["abc", "def"]), **_LIFT_ABC},
+        _LIFT, "the triples, sorted, must be graph3's edges"),
     "coloring-one-vertex": (
         {"c.json": lambda: {"n": 1, "colors": {}}}, _RAMSEY_CHECK, "integer >= 2, got 1"),
     "lift-4-uniform": (

@@ -178,9 +178,11 @@ _RECORDS = [
     (SearchResult, ("found", "witness", "nodes_explored"),
      (True, (("a", "b", "c"), (("a", "b", "c"),)), 9), 10),
     (CopyCount, ("embeddings", "copies", "nodes_explored"), (6, 1, 40), 41),
-    (ProjectedMap, ("graph3", "pairs"), (_GRAPH, ((("a", "b", "c"), ("a", "b", "c", "d")),)), ()),
+    (ProjectedMap, ("graph3", "pairs"), (_GRAPH, ((("a", "b", "c"), ("a", "b", "c", "d")),)),
+     ((("a", "b", "c"), ("a", "b", "c", "e")),)),
     (ProjectionResult, ("r", "k", "e", "anchors", "case_tag", "heavy_config", "projected"),
-     (4, 2, 3, ("u0",), "HeavyTriple", _GRAPH, None), ProjectedMap(_GRAPH, ())),
+     (4, 2, 3, ("u0",), "HeavyTriple", _GRAPH, None),
+     ProjectedMap(_GRAPH, ((("a", "b", "c"), ("a", "b", "c", "d")),))),
     (ColoringInstance, ("n", "colors"), (3, {(1, 2): 0, (1, 3): 1, (2, 3): 2}),
      {(1, 2): 1, (1, 3): 1, (2, 3): 2}),
     (RamseyReport, ("p", "q", "q_quad_value", "min_colors_on_some_kp", "valid", "witness_kp"),

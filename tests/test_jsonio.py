@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -128,6 +129,16 @@ def test_coloring_key_parts_must_be_integers():
         jsonio.coloring_from_obj({"n": 3, "colors": {"a,b": 0}})
 
 
+@pytest.mark.parametrize("alias", ["01,2", " 1,2", "+1,2", "1, 2", "1,2 ", "1,0_2"])
+def test_coloring_keys_must_be_canonical(alias):
+    # each alias parses to the pair (1, 2): beside "1,2" its colour would
+    # silently replace that pair's, and alone it would stand in for "1,2"
+    colors = {"1,3": 1, "2,3": 2}
+    for given in ({"1,2": 0, alias: 5, **colors}, {alias: 0, **colors}):
+        with pytest.raises(HypergraphError, match=re.escape(f"bad pair key {alias!r}, want '1,2'")):
+            jsonio.coloring_from_obj({"n": 3, "colors": given})
+
+
 def test_projection_roundtrip_both_cases():
     heavy_src = Hypergraph(
         4,
@@ -158,10 +169,12 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     assert text.endswith("\n")
 
 
-def test_strip_timings_recursive():
-    obj = {"timings": 1, "keep": {"timings": [2], "x": 3}, "list": [{"timings": 4}],
-           "tuple": ({"timings": 5, "y": 6},)}
-    assert jsonio.strip_timings(obj) == {"keep": {"x": 3}, "list": [{}], "tuple": [{"y": 6}]}
+def test_report_digest_drops_only_top_level_timings():
+    report = {"timings": 1, "keep": {"timings": [2], "x": 3}}
+    assert jsonio.report_digest(report) == jsonio.report_digest({**report, "timings": 9})
+    assert jsonio.report_digest(report) != jsonio.report_digest({**report, "keep": {"x": 3}})
+    assert jsonio.report_digest(report) != jsonio.report_digest(
+        {**report, "keep": {"timings": [9], "x": 3}})
 
 
 def test_report_digest_ignores_timings_only():
@@ -175,10 +188,10 @@ def test_report_digest_ignores_timings_only():
 def test_file_helpers(tmp_path):
     path = tmp_path / "g.json"
     jsonio.write_json(path, jsonio.graph_to_obj(f14().graph))
-    assert jsonio.graph_from_obj(jsonio.read_json(path)) == f14().graph
-    d1 = jsonio.file_digest(path)
+    doc, d1 = jsonio.read_json(path)
+    assert jsonio.graph_from_obj(doc) == f14().graph
     jsonio.write_json(path, jsonio.graph_to_obj(f14().graph))
-    assert jsonio.file_digest(path) == d1
+    assert jsonio.read_json(path) == (doc, d1)
 
 
 # text with non-ASCII, quotes, backslashes, control characters and lone
@@ -191,25 +204,26 @@ _JSON = st.recursive(
 )
 
 
-# reports whose dicts hold "timings" keys at any depth
-_REPORT = st.recursive(
+# reports, whose dicts hold "timings" keys at any depth
+_TIMED = st.just("timings") | _TEXT
+_REPORT = st.dictionaries(_TIMED, st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
-    lambda inner: st.lists(inner) | st.dictionaries(st.just("timings") | _TEXT, inner),
+    lambda inner: st.lists(inner) | st.dictionaries(_TIMED, inner),
     max_leaves=20,
-)
+))
 
 
 @settings(max_examples=200)
 @given(_REPORT)
-def test_report_digest_is_hashlibs(obj):
-    text = jsonio.canonical_json(jsonio.strip_timings(obj))
-    assert jsonio.report_digest(obj) == hashlib.sha256(text.encode()).hexdigest()
+def test_report_digest_is_hashlibs(report):
+    text = jsonio.canonical_json({k: v for k, v in report.items() if k != "timings"})
+    assert jsonio.report_digest(report) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_file_digest_is_hashlibs(tmp_path):
     path = tmp_path / "f8.json"  # 2.35 MB
     jsonio.write_json(path, jsonio.config_to_obj(factorial_family(8)))
-    assert jsonio.file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert jsonio.read_json(path)[1] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -333,3 +347,27 @@ def test_read_json_rejects_garbage(tmp_path):
     path.write_text("{nope")
     with pytest.raises(HypergraphError, match="not valid JSON"):
         jsonio.read_json(path)
+
+
+@pytest.mark.parametrize("encoding", ["utf-16-le", "utf-32-le", "utf-16"])
+def test_read_json_decodes_utf8_only(tmp_path, encoding):
+    # json.loads would detect these encodings in bytes and accept them
+    path = tmp_path / "wide.json"
+    path.write_bytes('{"r": 3}'.encode(encoding))
+    with pytest.raises(HypergraphError, match="not UTF-8 text|not valid JSON"):
+        jsonio.read_json(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_json_digests_a_pipe_as_read():
+    # a pipe gives its bytes once: a second read would see none
+    data = jsonio.canonical_json(jsonio.graph_to_obj(f14().graph)).encode()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        doc, digest = jsonio.read_json(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert jsonio.graph_from_obj(doc) == f14().graph
+    assert digest == hashlib.sha256(data).hexdigest()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsehg.core import Hypergraph, HypergraphError
-from sparsehg.projection import HEAVY_TRIPLE, PROJECTED, lift, project
+from sparsehg.projection import HEAVY_TRIPLE, PROJECTED, ProjectedMap, lift, project
 from sparsehg.search import find_configuration
 
 import oracles
@@ -101,6 +101,41 @@ def test_lift_rejects_unknown_triple():
     cfg3 = Hypergraph(3, list(result.projected.graph3.vertices), [("u4", "u5", "u6")])
     with pytest.raises(HypergraphError, match="not in projection map"):
         lift(result, cfg3)
+
+
+_ABC = ("a", "b", "c")
+_GRAPH3 = Hypergraph(3, "abcdefg", [_ABC, ("d", "e", "f")])
+
+# pairs a projection map refuses, with the message; each would let `lift`
+# send an edge to a link that does not contain it, or to one of two links
+_BAD_PAIRS = {
+    "triple-outside-link": (
+        ((_ABC, ("a", "b", "c", "d")), (("d", "e", "f"), ("a", "e", "f", "g"))),
+        r"triple \('d', 'e', 'f'\) is not inside its link"),
+    "repeated-triple": (
+        ((_ABC, ("a", "b", "c", "d")), (_ABC, ("a", "b", "c", "g")), (("d", "e", "f"), "defg")),
+        r"triple \('a', 'b', 'c'\) stands for two links"),
+    "edge-without-triple": (
+        ((_ABC, ("a", "b", "c", "d")),), "the triples, sorted, must be graph3's edges"),
+    "triple-not-an-edge": (
+        ((_ABC, "abcd"), (("d", "e", "f"), "defg"), (("e", "f", "g"), "defg")),
+        "the triples, sorted, must be graph3's edges"),
+    "unsorted-triple": (
+        ((("b", "a", "c"), "abcd"), (("d", "e", "f"), "defg")),
+        "the triples, sorted, must be graph3's edges"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PAIRS))
+def test_projected_map_refuses_pairs_lift_would_misuse(case):
+    pairs, message = _BAD_PAIRS[case]
+    with pytest.raises(HypergraphError, match=message):
+        ProjectedMap(_GRAPH3, tuple((t, tuple(y)) for t, y in pairs))
+
+
+def test_projected_map_takes_its_triples_in_any_order():
+    pairs = ((("d", "e", "f"), ("d", "e", "f", "g")), (_ABC, ("a", "b", "c", "d")))
+    assert ProjectedMap(_GRAPH3, pairs).pairs == pairs
 
 
 def test_lift_requires_projected_case():
