@@ -51,9 +51,11 @@ called, so exhaustive checks run without it.
 
 The sampling stream is splitmix64: word w of sample i is
 mix64(seed + (i * words + w + 1) * GAMMA), words = max(1, ceil(n / 64)),
-a pure function of (seed, i). `_draw` is the one place that forms these
-counters: it writes the uniform batches, and `_draws`, the stratified
-pass's one-word stream, reads through it.
+a pure function of (seed, i). This module alone places the stream:
+`_draw` is the one place that forms these counters, writing the uniform
+batches, and `_draws`, the stratified pass's one-word stream, reads
+through it; `_stream_end` says where a uniform pass's counters end, so
+the stratified pass of sparsehg.niceness starts after it.
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ class Bounds(Record):
 def _width(n: int) -> int:
     """Subsets per batch on a host of n vertices: a multiple of 64."""
     return max(64, _LANE_BITS // max(n, 1) // 64 * 64)
+
+
+def _stream_end(n: int, samples: int) -> int:
+    """The last stream counter a `samples`-sample uniform pass on a host of
+    n vertices uses: sample i takes counters i * words + 1 .. (i + 1) * words."""
+    return samples * max(1, (n + 63) // 64)
 
 
 def _positions(mask: int) -> list[int]:
@@ -300,7 +308,7 @@ def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
 
 def sample_scan(edge_masks, n, bounds: Bounds, samples, seed) -> ScanResult:
     """Seeded uniform supersets of `bounds.base`: draw U, then OR the base in."""
-    words = max(1, (n + 63) // 64)
+    words = _stream_end(n, 1)  # the counters of one sample
     prefix = [j for j in _positions(bounds.base) if j < n]
     width = _width(n)
 

@@ -15,11 +15,13 @@ Niceness, the tower bounds and claim 6.3 run through one scan driver,
 returns the raw scan, one report builder, `_report`, and the one bound
 checker in sparsehg.kernels. Three role readers build the record:
 `_nice_roles` (x = A_ell = xy = A, G empty, k + 1 in place of k and
-ell = 0), `_tower_context` and `verify_cycle_bounds`; its constructor
+ell = 0), `_tower_context` and `_cycle_scans`, which yields the report of
+each claim 6.3 scan to `verify_cycle_bounds` and the CLI; its constructor
 refuses a tower whose x or y roles leave A_ell. The stratified pass of
 sampled niceness runs that checker on the induced sub-hypergraph of A and
 its edge neighbourhood, where all of its subsets lie, so its lanes are as
-wide as that pool, not the host. Role labels and copy maps come from
+wide as that pool, not the host; sparsehg.kernels says where its draws
+start in the sample stream. Role labels and copy maps come from
 sparsehg.families's readers.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError, Record
@@ -196,9 +198,9 @@ def _check_nice(
     bounds = _nice_roles(graph.mask_of(wit), k)
     checked, vio = _check(graph, bounds, method, samples=samples, seed=seed)
     if method == "sampled" and vio is None:
-        # the uniform pass uses stream counters 1 .. samples * words
-        words = max(1, (graph.vertex_count + 63) // 64)
-        stratified, vio = _stratified_pass(graph, wit, k, seed, samples * words)
+        # the stratified draws follow the last counter the uniform pass used
+        cursor = kernels._stream_end(graph.vertex_count, samples)
+        stratified, vio = _stratified_pass(graph, wit, k, seed, cursor)
         checked += stratified
     return _report(graph, method, (checked, vio), _CONDITION_NAMES, seed)
 
@@ -288,15 +290,13 @@ def sample_nice(
 ) -> NicenessReport:
     """Seeded check of the subset bounds: uniform pass, then stratified pass.
 
-    Uniform subsets come from one splitmix64 stream: on a host of v
-    vertices, words = max(1, ceil(v / 64)) and sample i (0 <= i < samples)
-    takes word w from counter i * words + w + 1, so the uniform pass uses
-    counters 1 .. samples * words. The stratified pass continues the same
-    stream at counter samples * words + 1, so the two passes share no
-    counter and results are a pure function of (graph, witness, samples,
-    seed). It draws small subsets of the witness and its edge
-    neighbourhood and checks them on that pool's induced sub-hypergraph,
-    whose width is the pool's, not the host's.
+    Uniform subsets come from one splitmix64 stream, placed by
+    sparsehg.kernels; the stratified pass continues that stream after the
+    last counter the uniform pass used, so the two passes share no draw
+    and results are a pure function of (graph, witness, samples, seed). It
+    draws small subsets of the witness and its edge neighbourhood and
+    checks them on that pool's induced sub-hypergraph, whose width is the
+    pool's, not the host's.
     """
     return _check_nice(config, witness, "sampled", samples=samples, seed=seed)
 
@@ -323,6 +323,20 @@ def find_witness(config: GraphLike) -> Optional[tuple[str, ...]]:
     return None
 
 
+def _cycle_scans(config: LabeledConfiguration) -> Iterator[NicenessReport]:
+    """The report of each exhaustive scan of `verify_cycle_bounds`, in
+    order, up to and including the first that refutes."""
+    v = _cycle_shape(config)
+    graph = config.graph
+    a_mask = graph.mask_of(v[:4])
+    for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
+        bounds = kernels.Bounds(x=x_mask, aell=a_mask, xy=a_mask, g=0, k=2, ell=0)
+        report = _report(graph, "exhaustive", _check(graph, bounds, "exhaustive"), _ITEM_NAMES)
+        yield report
+        if report.verdict != NICE:
+            return
+
+
 def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     """Exhaustive check of the two difference bounds special to the 3-cycle.
 
@@ -331,17 +345,9 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     bound strengthens to |U ∩ {v1..v4}| + 1. These are tower Items 1 and 2
     with A_ell = xy = {v1..v4}, G empty, k = 2 and ell = 0, where Item 2
     covers the subsets that miss X: one scan with X = {v1}, one with
-    X = {v2, v3}.
+    X = {v2, v3}. Stops at the first scan that refutes.
     """
-    v = _cycle_shape(config)
-    graph = config.graph
-    a_mask = graph.mask_of(v[:4])
-    for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
-        bounds = kernels.Bounds(x=x_mask, aell=a_mask, xy=a_mask, g=0, k=2, ell=0)
-        scan = _check(graph, bounds, "exhaustive")
-        if _report(graph, "exhaustive", scan, _ITEM_NAMES).verdict != NICE:
-            return False
-    return True
+    return all(report.verdict == NICE for report in _cycle_scans(config))
 
 
 def _tower_context(config: LabeledConfiguration) -> tuple[Hypergraph, kernels.Bounds]:

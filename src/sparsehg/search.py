@@ -354,8 +354,10 @@ def count_copies(
 ) -> CopyCount:
     """Count injective edge-preserving maps of the pattern into the host.
 
-    `embeddings` counts the maps; `copies` counts distinct edge-set images,
-    so embeddings = copies * |Aut(pattern)|. With `induced`, only maps
+    `embeddings` counts the maps; `copies` counts distinct edge-set images.
+    Embeddings = copies * |Aut(pattern)| only when every pattern vertex
+    lies in an edge: an isolated one may take any unused host vertex, and
+    those maps share one edge image. With `induced`, only maps
     whose vertex image induces no host edges beyond the image are counted.
     `nodes_explored` counts the partial maps visited, the empty and the
     complete ones included.

@@ -211,6 +211,21 @@ def test_verify_claim63(capsys):
     assert report["checked_subsets"] == 64
 
 
+def test_verify_claim63_reports_the_scans_that_ran(capsys, monkeypatch):
+    # with the extra edge v1,v2,v3 the first scan (X = {v1}) finds that
+    # triple, of difference 2 against Item 1's bound 3, as its 8th subset,
+    # and no second scan runs
+    import sparsehg.families as families
+
+    cycle = families.linear_three_cycle()
+    graph = Hypergraph(3, cycle.graph.vertices, [*cycle.graph.edges, ("v1", "v2", "v3")])
+    extended = families.LabeledConfiguration(graph=graph, roles=cycle.roles, family=cycle.family)
+    monkeypatch.setattr(families, "linear_three_cycle", lambda: extended)
+    code, report = run(capsys, "verify", "claim63")
+    assert code == 2
+    assert (report["holds"], report["passes"], report["checked_subsets"]) == (False, 1, 8)
+
+
 def test_verify_gl_props_exhaustive_and_sampled(capsys, tmp_path):
     g0 = tmp_path / "g0.json"
     assert run(capsys, "build", "g-ell", "--ell", "0", "-o", str(g0))[0] == 0
@@ -1074,6 +1089,32 @@ def test_input_guards_exit_one(capsys, tmp_path, monkeypatch, guard):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("sparsehg: error:") and message in err
+
+
+# a coloring, a configuration and a graph, each with one key given twice
+_REPEATED_KEYS = {
+    "coloring-pair": (
+        '{"n": 3, "colors": {"1,2": 0, "1,2": 5, "1,3": 1, "2,3": 2}}',
+        ["ramsey", "check", "--input", "in.json", "--p", "3", "--q", "2"], "'1,2'"),
+    "role": (
+        '{"r": 3, "vertices": ["a", "b", "c", "d"], "edges": [["a", "b", "c"]],'
+        ' "roles": {"A": ["a", "d"], "A": ["d"]}}',
+        ["verify", "nice", "--input", "in.json"], "'A'"),
+    "top-level": (
+        '{"r": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]], "edges": []}',
+        ["search", "config", "--input", "in.json", "--v", "3", "--e", "1"], "'edges'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_KEYS))
+def test_repeated_key_exits_one(capsys, tmp_path, monkeypatch, case):
+    text, argv, key = _REPEATED_KEYS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("in.json").write_text(text)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sparsehg: error: in.json: not valid JSON (repeated key {key})\n"
 
 
 def test_missing_input_file_exits_one(capsys):

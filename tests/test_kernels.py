@@ -7,6 +7,7 @@ bit-sliced checker must match the naive niceness and tower oracles."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import weakref
 
@@ -162,6 +163,26 @@ def test_sampled_prefix_fills_only_the_drawn_lanes(n, samples):
     draws = [oracles.splitmix64_draw(seed, i, n) for i in range(samples)]
     i = next((i for i, draw in enumerate(draws) if not draw & ~prefix), None)
     assert result == ((samples, None) if i is None else (i + 1, (prefix, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("n", [14, 64, 65, 130, 2107])
+@pytest.mark.parametrize("samples", [1, 3, 64, 65])
+def test_stream_end_is_the_last_counter_a_uniform_pass_mixes(monkeypatch, n, samples):
+    # a scan with no edges and no bounds that can fail draws every sample;
+    # each counter c is recovered from the finalizer's input seed + c * GAMMA
+    assert kernels._stream_end(n, samples) == samples * math.ceil(n / 64)
+    seed, inverse = 5, pow(kernels.GAMMA, -1, 1 << 64)
+    used = []
+    mix = kernels._mix_vec
+
+    def recording_mix(z):
+        used.extend((v - seed) * inverse % (1 << 64) for v in z.ravel().tolist())
+        return mix(z)
+
+    monkeypatch.setattr(kernels, "_mix_vec", recording_mix)
+    bounds = Bounds(x=0, aell=0, xy=0, g=0, k=1, ell=0)
+    assert kernels.sample_scan([], n, bounds, samples, seed) == (samples, None)
+    assert sorted(used) == list(range(1, kernels._stream_end(n, samples) + 1))
 
 
 @pytest.mark.parametrize("block", [1, 3, 64, 65, None])

@@ -171,6 +171,17 @@ def test_single_edge_counts_closed_form():
     assert result.embeddings == 35 * 6
 
 
+def test_isolated_pattern_vertex_breaks_the_automorphism_identity():
+    # copies are distinct edge images: the isolated s takes either of the
+    # two host vertices off the edge, so 120 = 10 * 12, not 10 * |Aut| = 60
+    k5 = complete_3graph(5)
+    with_isolated = Hypergraph(3, ["p", "q", "r", "s"], [("p", "q", "r")])
+    bare = Hypergraph(3, ["p", "q", "r"], [("p", "q", "r")])
+    for pattern, counts in ((with_isolated, (120, 10)), (bare, (60, 10))):
+        result = count_copies(k5, pattern)
+        assert (result.embeddings, result.copies) == counts
+
+
 def test_empty_pattern_counts():
     pattern = Hypergraph(3, ["a", "b"], [])
     host = complete_3graph(4)
