@@ -19,8 +19,8 @@ _EXPORTS = {
         "families": ("LabeledConfiguration", "f14", "factorial_family", "geometric_tower",
                      "linear_three_cycle", "single_edge"),
         "niceness": ("NICE", "NOT_NICE", "SAMPLED_NO_VIOLATION", "Counterexample",
-                     "NicenessReport", "find_witness", "sample_nice", "verify_cycle_bounds",
-                     "verify_nice", "verify_tower_bounds"),
+                     "NicenessReport", "check_cycle_bounds", "find_witness", "sample_nice",
+                     "verify_cycle_bounds", "verify_nice", "verify_tower_bounds"),
         "projection": ("HEAVY_TRIPLE", "PROJECTED", "ProjectedMap", "ProjectionResult",
                        "lift", "project"),
         "ramsey": ("ColoringInstance", "RamseyReport", "check_coloring", "coloring_to_4graph",

@@ -6,10 +6,9 @@ key, so equal results hash equal regardless of wall-clock noise.
 `read_json` reads a file once and also returns the sha256 of exactly the
 bytes it parsed, so a pipe is digested as read. sha256 comes from
 CPython's builtin module, which needs no OpenSSL; hashlib is only the
-fallback for builds without one. `read_json` refuses a key repeated in
-any object, where `json` keeps the last; the readers check the JSON
-shape and that coloring keys are canonical; ColoringInstance checks a
-coloring's pairs and colors, and ProjectedMap a projection's triples.
+fallback for builds without one. The readers check the JSON shape and that
+coloring keys are canonical; ColoringInstance checks a coloring's pairs
+and colors, and ProjectedMap a projection's triples.
 """
 
 from __future__ import annotations
@@ -46,26 +45,15 @@ def report_digest(report: dict) -> str:
     return _sha256(canonical_json(body).encode()).hexdigest()
 
 
-def _object(pairs: list) -> dict:
-    """The dict of a JSON object's pairs; a repeated key is refused."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"repeated key {key!r}")
-    return obj
-
-
 def read_json(path: Union[str, Path]) -> tuple[Any, str]:
     """(document, sha256 hex of the bytes it was parsed from), from one read."""
     data = Path(path).read_bytes()
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_object)
+        return json.loads(data.decode("utf-8")), _sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         raise HypergraphError(f"{path}: not UTF-8 text ({exc})") from exc
-    except (ValueError, RecursionError) as exc:  # also: repeated key, digit limit, deep nesting
+    except (ValueError, RecursionError) as exc:  # also int digit limit, deep nesting
         raise HypergraphError(f"{path}: not valid JSON ({exc})") from exc
-    return doc, _sha256(data).hexdigest()
 
 
 def write_json(path: Union[str, Path], obj: Any) -> None:

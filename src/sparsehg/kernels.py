@@ -125,10 +125,15 @@ def _width(n: int) -> int:
     return max(64, _LANE_BITS // max(n, 1) // 64 * 64)
 
 
+def _words(n: int) -> int:
+    """64-bit words per subset of a host of n vertices."""
+    return max(1, (n + 63) // 64)
+
+
 def _stream_end(n: int, samples: int) -> int:
     """The last stream counter a `samples`-sample uniform pass on a host of
     n vertices uses: sample i takes counters i * words + 1 .. (i + 1) * words."""
-    return samples * max(1, (n + 63) // 64)
+    return samples * _words(n)
 
 
 def _positions(mask: int) -> list[int]:
@@ -308,7 +313,7 @@ def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
 
 def sample_scan(edge_masks, n, bounds: Bounds, samples, seed) -> ScanResult:
     """Seeded uniform supersets of `bounds.base`: draw U, then OR the base in."""
-    words = _stream_end(n, 1)  # the counters of one sample
+    words = _words(n)
     prefix = [j for j in _positions(bounds.base) if j < n]
     width = _width(n)
 
@@ -359,7 +364,7 @@ def _pack(masks: Sequence[int], n: int):
     subsets padding the last block."""
     import numpy as np
 
-    words = max(1, (n + 63) // 64)
+    words = _words(n)
     size, full = 8 * words, (1 << n) - 1
     packed = bytearray()
     for m in masks:

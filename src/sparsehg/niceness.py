@@ -15,8 +15,8 @@ Niceness, the tower bounds and claim 6.3 run through one scan driver,
 returns the raw scan, one report builder, `_report`, and the one bound
 checker in sparsehg.kernels. Three role readers build the record:
 `_nice_roles` (x = A_ell = xy = A, G empty, k + 1 in place of k and
-ell = 0), `_tower_context` and `_cycle_scans`, which yields the report of
-each claim 6.3 scan to `verify_cycle_bounds` and the CLI; its constructor
+ell = 0), `_tower_context` and `check_cycle_bounds`, which returns claim
+6.3's verdict with the report of each scan it ran; its constructor
 refuses a tower whose x or y roles leave A_ell. The stratified pass of
 sampled niceness runs that checker on the induced sub-hypergraph of A and
 its edge neighbourhood, where all of its subsets lie, so its lanes are as
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
 from sparsehg.core import Hypergraph, HypergraphError, Record
@@ -323,22 +323,9 @@ def find_witness(config: GraphLike) -> Optional[tuple[str, ...]]:
     return None
 
 
-def _cycle_scans(config: LabeledConfiguration) -> Iterator[NicenessReport]:
-    """The report of each exhaustive scan of `verify_cycle_bounds`, in
-    order, up to and including the first that refutes."""
-    v = _cycle_shape(config)
-    graph = config.graph
-    a_mask = graph.mask_of(v[:4])
-    for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
-        bounds = kernels.Bounds(x=x_mask, aell=a_mask, xy=a_mask, g=0, k=2, ell=0)
-        report = _report(graph, "exhaustive", _check(graph, bounds, "exhaustive"), _ITEM_NAMES)
-        yield report
-        if report.verdict != NICE:
-            return
-
-
-def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
-    """Exhaustive check of the two difference bounds special to the 3-cycle.
+def check_cycle_bounds(config: LabeledConfiguration) -> tuple[bool, list[NicenessReport]]:
+    """Whether both difference bounds special to the 3-cycle hold, and the
+    report of each exhaustive scan run to decide it.
 
     Main bound: delta(U) >= |U ∩ {v1..v4}| - [v1..v4 ⊆ U]. Moreover: when
     U has a vertex outside {v1..v4} and misses v1 or both of v2, v3, the
@@ -347,7 +334,22 @@ def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
     covers the subsets that miss X: one scan with X = {v1}, one with
     X = {v2, v3}. Stops at the first scan that refutes.
     """
-    return all(report.verdict == NICE for report in _cycle_scans(config))
+    v = _cycle_shape(config)
+    graph = config.graph
+    a_mask = graph.mask_of(v[:4])
+    reports = []
+    for x_mask in (graph.mask_of(v[:1]), graph.mask_of(v[1:3])):
+        bounds = kernels.Bounds(x=x_mask, aell=a_mask, xy=a_mask, g=0, k=2, ell=0)
+        report = _report(graph, "exhaustive", _check(graph, bounds, "exhaustive"), _ITEM_NAMES)
+        reports.append(report)
+        if report.verdict != NICE:
+            return False, reports
+    return True, reports
+
+
+def verify_cycle_bounds(config: LabeledConfiguration) -> bool:
+    """Whether both 3-cycle bounds hold: `check_cycle_bounds`'s verdict."""
+    return check_cycle_bounds(config)[0]
 
 
 def _tower_context(config: LabeledConfiguration) -> tuple[Hypergraph, kernels.Bounds]:

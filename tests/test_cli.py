@@ -1091,32 +1091,6 @@ def test_input_guards_exit_one(capsys, tmp_path, monkeypatch, guard):
     assert err.startswith("sparsehg: error:") and message in err
 
 
-# a coloring, a configuration and a graph, each with one key given twice
-_REPEATED_KEYS = {
-    "coloring-pair": (
-        '{"n": 3, "colors": {"1,2": 0, "1,2": 5, "1,3": 1, "2,3": 2}}',
-        ["ramsey", "check", "--input", "in.json", "--p", "3", "--q", "2"], "'1,2'"),
-    "role": (
-        '{"r": 3, "vertices": ["a", "b", "c", "d"], "edges": [["a", "b", "c"]],'
-        ' "roles": {"A": ["a", "d"], "A": ["d"]}}',
-        ["verify", "nice", "--input", "in.json"], "'A'"),
-    "top-level": (
-        '{"r": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]], "edges": []}',
-        ["search", "config", "--input", "in.json", "--v", "3", "--e", "1"], "'edges'"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_REPEATED_KEYS))
-def test_repeated_key_exits_one(capsys, tmp_path, monkeypatch, case):
-    text, argv, key = _REPEATED_KEYS[case]
-    monkeypatch.chdir(tmp_path)
-    Path("in.json").write_text(text)
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"sparsehg: error: in.json: not valid JSON (repeated key {key})\n"
-
-
 def test_missing_input_file_exits_one(capsys):
     assert main(["verify", "nice", "--input", "/nonexistent/g.json"]) == 1
 

@@ -349,21 +349,6 @@ def test_read_json_rejects_garbage(tmp_path):
         jsonio.read_json(path)
 
 
-@pytest.mark.parametrize("text, key", [
-    ('{"n": 3, "colors": {"1,2": 0, "1,2": 5}}', "'1,2'"),
-    ('{"roles": {"A": ["a"], "B": [], "A": ["b"]}}', "'A'"),
-    ('{"r": 3, "vertices": [], "r": 3}', "'r'"),
-    ('[{"x": 1}, {"y": {"z": 1, "z": 1}}]', "'z'"),
-])
-def test_read_json_refuses_a_repeated_key(tmp_path, text, key):
-    # json keeps the last value of a repeated key; the reader names the key
-    path = tmp_path / "dup.json"
-    path.write_text(text)
-    with pytest.raises(HypergraphError) as info:
-        jsonio.read_json(path)
-    assert str(info.value) == f"{path}: not valid JSON (repeated key {key})"
-
-
 @pytest.mark.parametrize("encoding", ["utf-16-le", "utf-32-le", "utf-16"])
 def test_read_json_decodes_utf8_only(tmp_path, encoding):
     # json.loads would detect these encodings in bytes and accept them

@@ -23,6 +23,7 @@ from sparsehg.niceness import (
     _STRATIFIED_DRAWS,
     _nice_roles,
     _stratified_masks,
+    check_cycle_bounds,
     find_witness,
     sample_nice,
     verify_cycle_bounds,
@@ -308,6 +309,12 @@ def test_verify_cycle_bounds_holds():
     assert verify_cycle_bounds(linear_three_cycle()) is True
 
 
+def test_check_cycle_bounds_reports_both_scans():
+    holds, scans = check_cycle_bounds(linear_three_cycle())
+    assert holds is True
+    assert [(s.verdict, s.checked_subsets) for s in scans] == [(NICE, 64), (NICE, 64)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(range(6)), st.sets(st.integers(min_value=0, max_value=19), max_size=5))
 def test_cycle_bounds_match_oracle(perm, edge_ids):
@@ -321,6 +328,11 @@ def test_cycle_bounds_match_oracle(perm, edge_ids):
     )
     expected = oracles.cycle_bounds_hold(labels, edges, {r: v[0] for r, v in roles.items()})
     assert verify_cycle_bounds(config) is expected
+    # the scans stop at the first that refutes
+    holds, scans = check_cycle_bounds(config)
+    verdicts = [s.verdict == NICE for s in scans]
+    assert holds is expected
+    assert verdicts == [True, True] if holds else verdicts in ([False], [True, False])
 
 
 def test_verify_cycle_bounds_wants_the_cycle():
