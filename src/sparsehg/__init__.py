@@ -2,8 +2,7 @@
 
 Every public name is resolved on first access (PEP 562) from the module
 `_EXPORTS` names for it, so importing the package, or one of its modules,
-loads only what is used: the CLI loads the modules of the command it runs,
-and numpy is imported only by the sampled checks.
+loads only what is used: the CLI loads the modules of the command it runs.
 """
 
 import importlib

@@ -21,15 +21,12 @@ timings.
 Each handler imports the modules its command runs, at call time, so a
 call loads only those: `import sparsehg.cli` loads core and jsonio, and
 e.g. `ramsey qquad` adds only ramsey. Only the verify handlers import
-sparsehg.niceness, and of those only sampled checks import numpy. main
-sets OPENBLAS_NUM_THREADS to 1 unless it is already set, so that numpy
-starts no BLAS worker threads.
+sparsehg.niceness.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import TYPE_CHECKING, Optional
@@ -399,11 +396,6 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # Sampled checks use numpy only in sparsehg.kernels, for ufuncs and array
-    # reshaping, never BLAS, so OpenBLAS worker threads are pure start-up
-    # cost. Set here, not in kernels, to leave a library user's BLAS alone;
-    # a value the user set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)

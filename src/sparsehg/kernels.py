@@ -39,23 +39,23 @@ A batch holds about `_LANE_BITS` lane bits (vertices times subsets)
 whatever the host width, and a scan frees each batch's lanes before it
 builds the next.
 
-Lanes are built two ways. `scan_range` takes fixed periodic bit patterns
-for the low bits of the scan index and all-ones or all-zero lanes for the
-high ones. Every other batch is a uint64 array of whole subsets in blocks
-of 64, word w of subset 64c + r at [w, r, c]: `sample_scan` draws each of
-its batches into one such array with `_draw`, and `check_masks` packs its
-list into one. `_transpose` turns each 64 x 64 bit block into lanes in
-place, with six delta swaps. Only `sample_scan`, `check_masks` and the
-stratified draws of sparsehg.niceness use numpy, and they import it when
-called, so exhaustive checks run without it.
+Lanes are built three ways. `scan_range` takes fixed periodic bit
+patterns for the low bits of the scan index and all-ones or all-zero
+lanes for the high ones. `sample_scan` draws them: a uniform random subset
+is an independent fair bit per (vertex, subset), so lane j of a batch of
+`count` subsets is one `getrandbits(count)` of the caller's
+random.Random, drawn for j = 0 .. n - 1 in order, batch after batch, and
+the base's lanes are then set to ones. `check_masks` lays its list of
+masks end to end in one big int, in blocks of 64 subsets, and `_transpose`
+turns each 64 x 64 bit block into lanes with six delta swaps applied to
+every block at once.
 
-The sampling stream is splitmix64: word w of sample i is
-mix64(seed + (i * words + w + 1) * GAMMA), words = max(1, ceil(n / 64)),
-a pure function of (seed, i). This module alone places the stream:
-`_draw` is the one place that forms these counters, writing the uniform
-batches, and `_draws`, the stratified pass's one-word stream, reads
-through it; `_stream_end` says where a uniform pass's counters end, so
-the stratified pass of sparsehg.niceness starts after it.
+The sample stream is therefore the generator's own output, a pure
+function of its seed. Its batch width, and so which call draws which
+lane, follows from `_LANE_BITS`: changing that constant redefines the
+stream, and a test pins the first batch's lanes for one (seed, n). The
+stratified pass of sparsehg.niceness keeps drawing from the same
+generator after the last batch.
 """
 
 from __future__ import annotations
@@ -63,19 +63,15 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from sparsehg.core import HypergraphError, Record
 
-MASK64 = (1 << 64) - 1
-GAMMA = 0x9E3779B97F4A7C15
-
 # lane bits per batch, vertices times subsets: about 512 KB of lanes, so a
 # batch on an F_8-sized host is as small as one on f14; one batch is alive
-# at a time, and 2^21 was slower (README, Memory)
+# at a time, and 2^21 was slower (README, Memory); it sets the batch width
+# and so the sample stream
 _LANE_BITS = 1 << 22
-# stream draws the stratified pass computes at a time
-_DRAW_BLOCK = 1 << 14
 # (shift, mask) of each delta swap of a 64 x 64 bit transpose: swap the
 # bits whose row and column differ in the shift's bit
 _SWAPS = (
@@ -128,12 +124,6 @@ def _width(n: int) -> int:
 def _words(n: int) -> int:
     """64-bit words per subset of a host of n vertices."""
     return max(1, (n + 63) // 64)
-
-
-def _stream_end(n: int, samples: int) -> int:
-    """The last stream counter a `samples`-sample uniform pass on a host of
-    n vertices uses: sample i takes counters i * words + 1 .. (i + 1) * words."""
-    return samples * _words(n)
 
 
 def _positions(mask: int) -> list[int]:
@@ -303,34 +293,24 @@ def scan_range(
 
 def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
     """Check an explicit list of subset masks over n vertices, in order, as
-    given: `bounds.base` is not ORed in. Needs numpy; only sampled checks
-    call it."""
+    given: `bounds.base` is not ORed in."""
     width = _width(n)
     chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
-    batches = ((_transpose(_pack(batch, n), n, len(batch)), len(batch)) for batch in chunks)
-    return _scan(edge_masks, n, bounds, batches)
+    return _scan(edge_masks, n, bounds, ((_transpose(batch, n), len(batch)) for batch in chunks))
 
 
-def sample_scan(edge_masks, n, bounds: Bounds, samples, seed) -> ScanResult:
-    """Seeded uniform supersets of `bounds.base`: draw U, then OR the base in."""
-    words = _words(n)
+def sample_scan(edge_masks, n, bounds: Bounds, samples, rng) -> ScanResult:
+    """`samples` uniform random supersets of `bounds.base`, drawn from `rng`,
+    a random.Random: lane j of each batch of `count` subsets is
+    rng.getrandbits(count), drawn for every vertex in order, and the base's
+    lanes are then set to ones."""
     prefix = [j for j in _positions(bounds.base) if j < n]
     width = _width(n)
 
     def batches():
-        import numpy as np
-
-        # every batch is drawn into this one array
-        z = np.empty((words, 64, (min(width, samples) + 63) // 64), np.uint64)
         for pos in range(0, samples, width):
             count = min(width, samples - pos)
-            _draw(z, seed, pos, count)
-            # only a scan's last batch can be short; the rows that pad its
-            # last block are zero, never drawn
-            full, rem = divmod(count, 64)
-            if rem:
-                z[:, rem:, full] = 0
-            lanes = _transpose(z, n, count)
+            lanes = list(map(rng.getrandbits, itertools.repeat(count, n)))
             for j in prefix:
                 lanes[j] = (1 << count) - 1
             yield lanes, count
@@ -339,85 +319,33 @@ def sample_scan(edge_masks, n, bounds: Bounds, samples, seed) -> ScanResult:
     return _scan(edge_masks, n, bounds, batches())
 
 
-def _draw(z, seed: int, first: int, count: int) -> None:
-    """Write samples first .. first + count - 1 of the stream into the
-    (words, 64, blocks) uint64 array z, in the block layout of `_transpose`:
-    word w of sample first + 64c + r, from counter (first + 64c + r) *
-    words + w + 1, goes to z[w, r, c]. No other entry is written or mixed."""
-    import numpy as np
-
-    u64 = np.uint64
-    words = z.shape[0]
-    # [w, r]: the counter of word w of sample first + r
-    rows = np.arange(first * words + 1, (first + 64) * words + 1, dtype=u64).reshape(64, words).T
-    full, rem = divmod(count, 64)
-    for part, lo in ((z[:, :, :full], 0), (z[:, :rem, full : full + 1], full)):
-        cols = np.arange(lo, lo + part.shape[2], dtype=u64) * u64(64 * words)
-        np.add(rows[:, : part.shape[1], None], cols, out=part)
-        part *= u64(GAMMA)
-        part += u64(seed & MASK64)
-        _mix_vec(part)
-
-
-def _pack(masks: Sequence[int], n: int):
-    """The masks, cut to n bits, in the block layout of `_transpose`, zero
-    subsets padding the last block."""
-    import numpy as np
-
+def _transpose(masks: Sequence[int], n: int) -> list[int]:
+    """Lanes of the first n vertices over `masks`, by delta swaps on one big
+    int. The masks, cut to n bits, lie end to end as `words` 64-bit words
+    each, zero masks padding the last block of 64: word w of mask 64c + r
+    is word (64c + r) * words + w, row r of block c. Each swap exchanges,
+    in every block at once, the bits whose row and bit position differ in
+    the shift's bit; then row b of block c holds bit 64w + b of masks
+    64c .. 64c + 63 in its word w, and that vertex's lane is one strided
+    slice of the words."""
     words = _words(n)
     size, full = 8 * words, (1 << n) - 1
     packed = bytearray()
     for m in masks:
         packed += (m & full).to_bytes(size, "little")
     packed += bytes(-len(packed) % (64 * size))
-    z = np.frombuffer(packed, "<u8").reshape(-1, 64, words).transpose(2, 1, 0)
-    return np.ascontiguousarray(z, dtype=np.uint64)
-
-
-def _mix_vec(z):
-    """splitmix64 finalizer over a uint64 array, in place."""
-    u64 = z.dtype.type
-    z ^= z >> u64(30)
-    z *= u64(0xBF58476D1CE4E5B9)
-    z ^= z >> u64(27)
-    z *= u64(0x94D049BB133111EB)
-    z ^= z >> u64(31)
-    return z
-
-
-def _transpose(z, n: int, count: int) -> list[int]:
-    """Lanes of the first n vertices over `count` subsets, from a contiguous
-    (words, 64, blocks) uint64 array that holds word w of subset 64c + r at
-    z[w, r, c]. Blocks past `count` are swapped but not returned, so only
-    the rows that pad the last returned block must be zero. Each 64 x 64
-    bit block, the column z[w, :, c], is transposed in place by delta
-    swaps, which work on rows contiguous across all blocks."""
-    import numpy as np
-
-    words, _, blocks = z.shape
+    blocks = len(packed) // (64 * size)
+    z = int.from_bytes(packed, "little")
+    row = 64 * words  # bits from one row of a block to the next
     for shift, mask in _SWAPS:
-        # rows r and r + shift, for r with bit `shift` clear
-        pair = z.reshape(words, 32 // shift, 2, shift, blocks)
-        lo, hi = pair[:, :, 0], pair[:, :, 1]
-        t = ((lo >> np.uint64(shift)) ^ hi) & np.uint64(mask)
-        hi ^= t
-        lo ^= t << np.uint64(shift)
-    # row b of word w now holds bit b of every subset, 64 subsets per block
-    rows = z.reshape(words * 64, blocks)[:n, : (count + 63) // 64]
-    return [int.from_bytes(row, "little") for row in rows.astype("<u8", copy=False)]
-
-
-def _draws(seed: int, cursor: int, modulus: int) -> Iterator[int]:
-    """The one-word stream after counter `cursor` (sample i is counter
-    i + 1), each value reduced mod `modulus`, drawn `_DRAW_BLOCK` values at
-    a time into one array."""
-    import numpy as np
-
-    count = _DRAW_BLOCK
-    z = np.empty((1, 64, (count + 63) // 64), np.uint64)
-
-    def block(first: int) -> list[int]:
-        _draw(z, seed, first, count)
-        return (z[0].T.ravel()[:count] % modulus).tolist()
-
-    return itertools.chain.from_iterable(map(block, itertools.count(cursor, count)))
+        # `mask` in every word of the rows r with bit `shift` clear, which
+        # pair with rows r + shift
+        lo_rows = b"".join(
+            (0 if r & shift else mask).to_bytes(8, "little") * words for r in range(64)
+        )
+        select = int.from_bytes(lo_rows * blocks, "little")
+        t = ((z >> shift) ^ (z >> shift * row)) & select
+        z ^= t << shift | t << shift * row
+    data = memoryview(z.to_bytes(len(packed), "little")).cast("Q")
+    block = 64 * words  # words per block: 64 rows of `words` words
+    return [int.from_bytes(data[j % 64 * words + j // 64 :: block], "little") for j in range(n)]

@@ -3,11 +3,12 @@
 A graph with difference k is accepted here when some independent set A of
 size k+1 satisfies, for every vertex subset U, a pair of lower bounds on
 the difference of U in terms of |U ∩ A|. Verification is exhaustive
-(every subset, canonical bitmask order) or sampled (seeded splitmix64
-stream plus a stratified pass over small subsets near A, its arguments
-checked by `_check_sampling` alone). `_report` builds every refutation,
-a witness spanning an edge ("Independence", before any scan) included:
-it re-checks the first violation in scan order through
+(every subset, canonical bitmask order) or sampled (uniform subsets
+drawn from one random.Random per check, then a stratified pass over
+small subsets near A drawn from the same generator; `_check_sampling`
+alone checks the arguments and seeds the generator). `_report` builds
+every refutation, a witness spanning an edge ("Independence", before any
+scan) included: it re-checks the first violation in scan order through
 Hypergraph.difference, then reports it.
 
 Niceness, the tower bounds and claim 6.3 run through one scan driver,
@@ -20,8 +21,7 @@ ell = 0), `_tower_context` and `check_cycle_bounds`, which returns claim
 refuses a tower whose x or y roles leave A_ell. The stratified pass of
 sampled niceness runs that checker on the induced sub-hypergraph of A and
 its edge neighbourhood, where all of its subsets lie, so its lanes are as
-wide as that pool, not the host; sparsehg.kernels says where its draws
-start in the sample stream. Role labels and copy maps come from
+wide as that pool, not the host. Role labels and copy maps come from
 sparsehg.families's readers.
 """
 
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+import struct
 from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
@@ -43,6 +45,8 @@ _EXHAUSTIVE_VERTEX_LIMIT = 30
 _WITNESS_VERTEX_LIMIT = 20
 _STRATIFIED_SIZE_LIMIT = 8
 _STRATIFIED_DRAWS = 4096
+# 64-bit words the stratified pass takes from the generator per call
+_DRAW_BLOCK = 1 << 14
 
 _CONDITION_NAMES = {0: "Independence", 1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
@@ -122,15 +126,18 @@ def _report(
     return NicenessReport(NOT_NICE, checked, ce, seed=seed)
 
 
-def _check_sampling(samples: Optional[int], seed: Optional[int]) -> None:
-    """Raise HypergraphError unless (samples, seed) can drive a sampled check."""
-    if not isinstance(samples, int) or samples <= 0:
+def _check_sampling(samples: Optional[int], seed: Optional[int]) -> random.Random:
+    """The generator of a sampled check, seeded with `seed`; HypergraphError
+    unless (samples, seed) can drive one. A bool is refused for either,
+    though it is an int."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples <= 0:
         raise HypergraphError("samples must be a positive integer")
     if seed is None:
         raise HypergraphError("a sampled check needs a seed")
-    # the stream reads the seed mod 2^64, so no two accepted seeds draw alike
-    if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+    # random.Random seeds from |seed|, so -1 would draw what 1 draws
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
         raise HypergraphError(f"seed must be in [0, 2^64), got {seed}")
+    return random.Random(seed)
 
 
 def _check(
@@ -139,15 +146,13 @@ def _check(
     method: str,
     *,
     samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    rng: Optional[random.Random] = None,
 ) -> kernels.ScanResult:
     """Scan `bounds` on supersets of its base.
 
     The "exhaustive" method scans every superset, in increasing order of its
-    free bits; "sampled" draws `samples` seeded uniform subsets with the
-    base ORed in, its caller having checked `samples` and `seed` with
-    `_check_sampling`. A sampled check raises HypergraphError where numpy
-    is not installed.
+    free bits; "sampled" draws `samples` uniform subsets from `rng`, the
+    generator `_check_sampling` made, with the base ORed in.
     """
     edge_masks = list(graph.edge_masks)
     n = graph.vertex_count
@@ -159,15 +164,7 @@ def _check(
                 f"graph has {len(free)} (sample instead: --samples and --seed)"
             )
         return kernels.scan_range(edge_masks, free, bounds)
-    try:
-        return kernels.sample_scan(edge_masks, n, bounds, samples, seed)
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise HypergraphError(
-            "sampled checks need numpy, which is not installed; "
-            "exhaustive checks run without it"
-        ) from exc
+    return kernels.sample_scan(edge_masks, n, bounds, samples, rng)
 
 
 def _check_nice(
@@ -188,19 +185,17 @@ def _check_nice(
         raise HypergraphError(
             f"wrong witness size: difference is {k}, need {k + 1} vertices, got {len(wit)}"
         )
-    if method == "sampled":
-        # before the independence shortcut, which reads neither argument
-        _check_sampling(samples, seed)
+    # before the independence shortcut, which reads neither argument
+    rng = _check_sampling(samples, seed) if method == "sampled" else None
     if not graph.is_independent(wit):
         # condition 0: a witness spanning an edge has difference below |A|
         vio = (graph.mask_of(wit), 0, graph.difference(wit).delta, len(wit))
         return _report(graph, method, (0, vio), _CONDITION_NAMES, seed)
     bounds = _nice_roles(graph.mask_of(wit), k)
-    checked, vio = _check(graph, bounds, method, samples=samples, seed=seed)
-    if method == "sampled" and vio is None:
-        # the stratified draws follow the last counter the uniform pass used
-        cursor = kernels._stream_end(graph.vertex_count, samples)
-        stratified, vio = _stratified_pass(graph, wit, k, seed, cursor)
+    checked, vio = _check(graph, bounds, method, samples=samples, rng=rng)
+    if rng is not None and vio is None:
+        # the stratified draws continue the generator the uniform pass drew from
+        stratified, vio = _stratified_pass(graph, wit, k, rng)
         checked += stratified
     return _report(graph, method, (checked, vio), _CONDITION_NAMES, seed)
 
@@ -233,17 +228,24 @@ def _pool(graph: Hypergraph, wit: tuple[str, ...]) -> tuple[list[str], list[int]
     return pool, edges
 
 
-def _stratified_masks(size: int, seed: int, cursor: int) -> list[int]:
+def _stratified_masks(size: int, rng: random.Random) -> list[int]:
     """Small subsets of a pool of `size` vertices, as masks over its positions.
 
     Enumerates every subset of each size up to 8 when that is cheap,
-    otherwise takes 4096 seeded draws per size, rejecting a repeated index
-    within a draw. The draws continue the caller's splitmix64 stream at
-    counters cursor + 1, cursor + 2, ...; `cursor` is the last counter the
-    caller used.
+    otherwise takes 4096 draws per size from `rng`, rejecting a repeated
+    index within a draw. The indices are the generator's next 64-bit
+    words, each mod `size`: the words of successive getrandbits(64) calls,
+    taken `_DRAW_BLOCK` at a time in one call, which does not change them.
     """
     bits = [1 << i for i in range(size)]
-    stream = map(bits.__getitem__, kernels._draws(seed, cursor, size))
+    words = struct.Struct(f"<{_DRAW_BLOCK}Q")
+
+    def block(_):
+        drawn = rng.getrandbits(64 * _DRAW_BLOCK).to_bytes(words.size, "little")
+        return map(size.__rmod__, words.unpack(drawn))
+
+    indices = itertools.chain.from_iterable(map(block, itertools.count()))
+    stream = map(bits.__getitem__, indices)
     masks: list[int] = []
     for want in range(1, min(_STRATIFIED_SIZE_LIMIT, size) + 1):
         if math.comb(size, want) <= _STRATIFIED_DRAWS:
@@ -260,10 +262,10 @@ def _stratified_masks(size: int, seed: int, cursor: int) -> list[int]:
 
 
 def _stratified_pass(
-    graph: Hypergraph, wit: tuple[str, ...], k: int, seed: int, cursor: int
+    graph: Hypergraph, wit: tuple[str, ...], k: int, rng: random.Random
 ) -> kernels.ScanResult:
     """Check the stratified masks of witness `wit` (difference k), drawn
-    after stream counter `cursor`.
+    from `rng`.
 
     The masks lie in the pool, the witness and its edge neighbourhood, so
     they are checked on the pool's induced sub-hypergraph over the pool's
@@ -271,7 +273,7 @@ def _stratified_pass(
     the host, in the same order. A violation comes back lifted to host bits.
     """
     pool, pool_edges = _pool(graph, wit)
-    masks = _stratified_masks(len(pool), seed, cursor)
+    masks = _stratified_masks(len(pool), rng)
     bounds = _nice_roles((1 << len(wit)) - 1, k)
     checked, vio = kernels.check_masks(pool_edges, len(pool), bounds, masks)
     if vio is None:
@@ -290,13 +292,14 @@ def sample_nice(
 ) -> NicenessReport:
     """Seeded check of the subset bounds: uniform pass, then stratified pass.
 
-    Uniform subsets come from one splitmix64 stream, placed by
-    sparsehg.kernels; the stratified pass continues that stream after the
-    last counter the uniform pass used, so the two passes share no draw
-    and results are a pure function of (graph, witness, samples, seed). It
-    draws small subsets of the witness and its edge neighbourhood and
-    checks them on that pool's induced sub-hypergraph, whose width is the
-    pool's, not the host's.
+    Both passes draw from one random.Random(seed): sparsehg.kernels draws
+    the uniform subsets as lanes, one getrandbits call per vertex and
+    batch, and the stratified pass takes its indices from the generator's
+    next words, so the two passes share no draw and results are a pure
+    function of (graph, witness, samples, seed). The stratified pass draws
+    small subsets of the witness and its edge neighbourhood and checks them
+    on that pool's induced sub-hypergraph, whose width is the pool's, not
+    the host's.
     """
     return _check_nice(config, witness, "sampled", samples=samples, seed=seed)
 
@@ -383,8 +386,7 @@ def verify_tower_bounds(
         raise HypergraphError("exhaustive mode takes no samples; pass exhaustive=False")
     if exhaustive and seed is not None:
         raise HypergraphError("exhaustive mode takes no seed; pass exhaustive=False")
-    if not exhaustive:
-        _check_sampling(samples, seed)
+    rng = None if exhaustive else _check_sampling(samples, seed)
     method = "exhaustive" if exhaustive else "sampled"
-    scan = _check(graph, bounds, method, samples=samples, seed=seed)
+    scan = _check(graph, bounds, method, samples=samples, rng=rng)
     return _report(graph, method, scan, _ITEM_NAMES, seed)

@@ -32,19 +32,27 @@ def nice_violation(vertices, edges, witness):
     sweep: increasing mask over the vertex tuple's index order. Returns
     (subset, condition, observed, required) or None.
     """
-    wit = set(witness)
     n = len(vertices)
-    k = len(witness) - 1
     for mask in range(1 << n):
         subset = [vertices[i] for i in range(n) if (mask >> i) & 1]
-        inter = sum(1 for v in subset if v in wit)
-        d = difference(edges, subset)
-        bound1 = inter - (1 if wit <= set(subset) else 0)
-        if d < bound1:
-            return tuple(subset), "Cond1", d, bound1
-        if inter <= k - 1 and any(v not in wit for v in subset):
-            if d < inter + 1:
-                return tuple(subset), "Cond2", d, inter + 1
+        broken = nice_condition(edges, witness, subset)
+        if broken is not None:
+            return (tuple(subset), *broken)
+    return None
+
+
+def nice_condition(edges, witness, subset):
+    """The niceness bound `subset` breaks, as (condition, observed,
+    required), or None."""
+    wit = set(witness)
+    k = len(witness) - 1
+    inter = sum(1 for v in subset if v in wit)
+    d = difference(edges, subset)
+    bound1 = inter - (1 if wit <= set(subset) else 0)
+    if d < bound1:
+        return "Cond1", d, bound1
+    if inter <= k - 1 and any(v not in wit for v in subset) and d < inter + 1:
+        return "Cond2", d, inter + 1
     return None
 
 
@@ -99,56 +107,82 @@ def cycle_bounds_hold(vertices, edges, roles):
     return True
 
 
-def splitmix64(x):
-    """The splitmix64 finalizer on x mod 2^64."""
-    mask64 = (1 << 64) - 1
-    z = x & mask64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
-    return z ^ (z >> 31)
+def batch_width(n, lane_bits):
+    """Subsets per batch of a sampled scan on n vertices, when a batch
+    holds about `lane_bits` lane bits: a multiple of 64, at least 64."""
+    return max(64, lane_bits // max(n, 1) // 64 * 64)
 
 
-def splitmix64_draw(seed, index, n):
-    """Draw `index` of the sampled scans' stream over n vertices.
+def lanes(masks, n):
+    """Lane j of `masks`, one bit at a time: bit i set when masks[i] holds
+    vertex j."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(n)]
 
-    Word w of the draw is the splitmix64 output for counter
-    index * words + w + 1, words = max(1, ceil(n / 64)); the words are
-    concatenated low word first and cut to n bits.
+
+def uniform_subsets(rng, n, samples, lane_bits, base=0):
+    """The subsets of a sampled scan's uniform pass, drawn from `rng`, a
+    random.Random, in scan order.
+
+    The pass draws batches of `batch_width(n, lane_bits)` subsets, the last
+    one short. Lane j of batch b is the (b * n + j)-th getrandbits call,
+    getrandbits(count) for a batch of `count` subsets, and subset i of the
+    batch holds vertex j when bit i of lane j is set; `base` is ORed into
+    every subset.
     """
-    words = max(1, (n + 63) // 64)
-    draw = 0
-    for w in range(words):
-        draw |= splitmix64(seed + (index * words + w + 1) * 0x9E3779B97F4A7C15) << (64 * w)
-    return draw & ((1 << n) - 1)
+    width = batch_width(n, lane_bits)
+    subsets = []
+    for pos in range(0, samples, width):
+        count = min(width, samples - pos)
+        drawn = [rng.getrandbits(count) for _ in range(n)]
+        for i in range(count):
+            subsets.append(base | sum(1 << j for j in range(n) if drawn[j] >> i & 1))
+    return subsets
 
 
-def stratified_masks(graph, witness, seed, cursor):
-    """The stratified pass of sampled niceness, one scalar draw at a time.
+def stratified_positions(size, rng, draws=4096):
+    """The stratified pass over a pool of `size` vertices, one index value
+    at a time, as masks over pool positions.
 
-    The pool is the witness, then the vertices sharing an edge with it in
-    vertex order. Each size 1..8 takes every combination of the pool when
-    there are at most 4096, else 4096 subsets, each made of stream draws
-    cursor + 1, cursor + 2, ... mod the pool size, a repeated index
-    rejected.
+    Each size 1..8 takes every combination of the positions when there
+    are at most `draws`, else `draws` subsets, each made of index values
+    rng.getrandbits(64) mod `size`, a repeated index rejected.
     """
+    masks = []
+    for want in range(1, min(8, size) + 1):
+        if comb(size, want) <= draws:
+            for combo in itertools.combinations(range(size), want):
+                masks.append(sum(1 << i for i in combo))
+            continue
+        for _ in range(draws):
+            chosen = []
+            while len(chosen) < want:
+                idx = rng.getrandbits(64) % size
+                if idx not in chosen:
+                    chosen.append(idx)
+            masks.append(sum(1 << i for i in chosen))
+    return masks
+
+
+def stratified_masks(graph, witness, rng):
+    """The stratified pass of sampled niceness as host masks. The pool is
+    the witness, then the vertices sharing an edge with it in vertex order;
+    pool position i stands for pool[i]."""
     wit = set(witness)
     touched = {u for edge in graph.edges if wit & set(edge) for u in edge} - wit
     pool = list(witness) + [v for v in graph.vertices if v in touched]
-    masks = []
-    for size in range(1, min(8, len(pool)) + 1):
-        if comb(len(pool), size) <= 4096:
-            for combo in itertools.combinations(pool, size):
-                masks.append(graph.mask_of(combo))
-            continue
-        for _ in range(4096):
-            chosen = []
-            while len(chosen) < size:
-                cursor += 1
-                idx = splitmix64(seed + cursor * 0x9E3779B97F4A7C15) % len(pool)
-                if idx not in chosen:
-                    chosen.append(idx)
-            masks.append(graph.mask_of(pool[i] for i in chosen))
-    return masks
+    return [
+        graph.mask_of(v for i, v in enumerate(pool) if m >> i & 1)
+        for m in stratified_positions(len(pool), rng)
+    ]
+
+
+def sampled_nice_subsets(graph, witness, samples, seed, lane_bits):
+    """Every subset a sampled niceness check draws, as host masks, in the
+    order it checks them: the uniform pass, then the stratified pass, both
+    from one random.Random(seed)."""
+    rng = random.Random(seed)
+    uniform = uniform_subsets(rng, graph.vertex_count, samples, lane_bits)
+    return uniform + stratified_masks(graph, witness, rng)
 
 
 def find_configuration(edges, v, e):

@@ -1,15 +1,13 @@
 """What importing the package costs: each CLI command loads only the
-package modules it runs, numpy is loaded only by the sampled subset scans,
-no command loads dataclasses, inspect or OpenSSL's hashes, writing a file
-loads no signal module, digests are the same where CPython's builtin sha256
-is missing, exhaustive verification runs where numpy cannot be imported at
-all and a sampled one fails there with one error line, no scan loads a
-thread pool or starts OpenBLAS worker threads, and the lazily resolved
+package modules it runs, no command loads numpy, dataclasses, inspect or
+OpenSSL's hashes, writing a file loads no signal module, digests are the
+same where CPython's builtin sha256 is missing, exhaustive and sampled
+verification give the same reports where numpy cannot be imported at all,
+no scan loads a thread pool or starts a thread, and the lazily resolved
 package names still behave like ordinary package attributes."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -21,13 +19,10 @@ import sparsehg
 import sparsehg.cli as cli
 
 # Runs in a fresh interpreter: each CLI call in turn, then which of the
-# modules named in argv[2] (comma-separated) have been imported so far. With
-# argv[3] == "no-numpy", importing numpy raises ImportError.
+# modules named in argv[2] (comma-separated) have been imported so far.
 _CHILD = """
 import contextlib, io, json, os, sys
 watched = sys.argv[2].split(",")
-if sys.argv[3:] == ["no-numpy"]:
-    sys.modules["numpy"] = None
 import sparsehg.cli as cli
 
 f14 = os.path.join(sys.argv[1], "f14.json")
@@ -67,27 +62,18 @@ def _child(script, *args, environ=os.environ, flags=()):
     return json.loads(proc.stdout)
 
 
-def test_only_subset_scans_import_numpy(tmp_path):
-    assert _child(_CHILD, str(tmp_path), "numpy,concurrent.futures") == [
-        ["import sparsehg.cli", None, []],
-        ["build f14", 0, []],
-        ["build g-ell", 0, []],
-        ["ramsey qquad", 0, []],
-        ["search config", 0, []],
-        ["extract", 0, []],
-        ["verify nice", 0, []],
-        ["verify claim63", 0, []],
-        ["verify gl-props", 0, []],
-        ["verify nice", 0, ["numpy"]],
-    ]
-
-
-def test_no_command_imports_dataclasses_or_inspect(tmp_path):
-    # -S: no site hook may load either module first. numpy imports inspect
-    # itself, so it is blocked, and the sampled call fails after loading
-    # the package's own modules.
-    seen = _child(_CHILD, str(tmp_path), "dataclasses,inspect", "no-numpy", flags=["-S"])
-    assert [code for _, code, _ in seen] == [None] + [0] * 8 + [1]
+@pytest.mark.parametrize("flags, watched", [
+    # with the site hooks, so that installed packages can be imported
+    ((), "numpy,concurrent.futures"),
+    # -S: no site hook may load hashlib, OpenSSL's _hashlib, dataclasses or
+    # inspect first
+    (("-S",), "hashlib,_hashlib,dataclasses,inspect"),
+], ids=["site", "no-site"])
+def test_no_command_imports_numpy_or_hashlib(tmp_path, flags, watched):
+    # sampled checks draw from random.Random, and digests take CPython's
+    # builtin sha256; the result types derive from core.Record
+    seen = _child(_CHILD, str(tmp_path), watched, flags=list(flags))
+    assert [code for _, code, _ in seen] == [None] + [0] * 9
     assert all(loaded == [] for _, _, loaded in seen), seen
 
 
@@ -95,32 +81,10 @@ def test_writing_a_file_does_not_load_signal(tmp_path):
     # -S: no site hook may load signal first. The SIGTERM trap around a
     # write takes the builtin _signal; `search config` is the first call
     # that loads signal, which it imports to kill its workers.
-    seen = _child(_CHILD, str(tmp_path), "signal", "no-numpy", flags=["-S"])
-    assert [code for _, code, _ in seen] == [None] + [0] * 8 + [1]
+    seen = _child(_CHILD, str(tmp_path), "signal", flags=["-S"])
+    assert [code for _, code, _ in seen] == [None] + [0] * 9
     assert [label for label, _, _ in seen][4] == "search config"
     assert [loaded for _, _, loaded in seen] == [[]] * 4 + [["signal"]] * 6, seen
-
-
-# Runs in a fresh interpreter: import numpy, then print which of the modules
-# named in argv[1] (comma-separated) have been imported.
-_WATCHED_BY_NUMPY = """
-import json, sys
-import numpy
-print(json.dumps([m for m in sys.argv[1].split(",") if m in sys.modules]))
-"""
-
-
-def test_no_command_loads_openssl(tmp_path):
-    # -S: no site hook may load hashlib first, so only numpy's directory is
-    # put on the path. numpy 1.x loads _hashlib itself (numpy.random imports
-    # secrets), so the sampled call may load what numpy alone loads.
-    numpy_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
-    environ = dict(os.environ, PYTHONPATH=numpy_dir)
-    by_numpy = _child(_WATCHED_BY_NUMPY, "hashlib,_hashlib", environ=environ, flags=["-S"])
-    seen = _child(_CHILD, str(tmp_path), "hashlib,_hashlib", environ=environ, flags=["-S"])
-    assert [code for _, code, _ in seen] == [None] + [0] * 9
-    assert all(loaded == [] for _, _, loaded in seen[:-1]), seen
-    assert seen[-1][2] == by_numpy
 
 
 # Runs in a fresh interpreter where CPython's builtin sha256 modules cannot
@@ -171,14 +135,17 @@ print(json.dumps(seen))
 """
 
 
-def test_exhaustive_verification_runs_without_numpy(tmp_path, capsys):
-    f14, g0 = str(tmp_path / "f14.json"), str(tmp_path / "g0.json")
-    assert cli.main(["build", "f14", "-o", f14]) == 0
-    assert cli.main(["build", "g-ell", "--ell", "0", "-o", g0]) == 0
+def test_verification_runs_where_numpy_cannot_be_imported(tmp_path, capsys):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("f14", "g0", "f5", "g1")}
+    for name, build in (("f14", ["f14"]), ("g0", ["g-ell", "--ell", "0"]),
+                        ("f5", ["f-k", "--k", "5"]), ("g1", ["g-ell", "--ell", "1"])):
+        assert cli.main(["build", *build, "-o", paths[name]]) == 0
     calls = [
-        ["verify", "nice", "--input", f14],
+        ["verify", "nice", "--input", paths["f14"]],
         ["verify", "claim63"],
-        ["verify", "gl-props", "--input", g0],
+        ["verify", "gl-props", "--input", paths["g0"]],
+        ["verify", "nice", "--input", paths["f5"], "--samples", "2000", "--seed", "5"],
+        ["verify", "gl-props", "--input", paths["g1"], "--samples", "2000", "--seed", "11"],
     ]
     capsys.readouterr()
     expected = []
@@ -192,16 +159,6 @@ def test_exhaustive_verification_runs_without_numpy(tmp_path, capsys):
         report = json.loads(out)
         assert report.pop("timings").keys() == want.pop("timings").keys()
         assert report == want
-
-
-def test_sampled_verification_without_numpy_is_one_error_line(tmp_path):
-    f14 = str(tmp_path / "f14.json")
-    assert cli.main(["build", "f14", "-o", f14]) == 0
-    calls = [["verify", "nice", "--input", f14, "--samples", "10", "--seed", "1"]]
-    [[code, out, err]] = _child(_NO_NUMPY_CHILD, json.dumps(calls))
-    assert (code, out) == (1, "")
-    assert err.startswith("sparsehg: error: sampled checks need numpy")
-    assert len(err.splitlines()) == 1
 
 
 # Runs in a fresh interpreter: the CLI call in argv[1:], if any; then the
@@ -234,26 +191,24 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, adds):
     assert loaded == sorted(_LOADED_BY_CLI + [f"sparsehg.{m}" for m in adds])
 
 
-# Runs in a fresh interpreter: a sampled CLI call, which imports numpy, then
-# its exit code, this process's thread count and OPENBLAS_NUM_THREADS.
+# Runs in a fresh interpreter: a sampled CLI call, then its exit code, this
+# process's thread count and whether the call changed the environment.
 _THREADS_CHILD = """
 import contextlib, io, json, os, sys
 import sparsehg.cli as cli
 
+before = dict(os.environ)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "nice", "--input", sys.argv[1], "--samples", "100", "--seed", "1"])
-print(json.dumps([code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]))
+print(json.dumps([code, len(os.listdir("/proc/self/task")), dict(os.environ) == before]))
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_cli_starts_no_openblas_threads_unless_asked(tmp_path):
+def test_sampled_call_starts_no_thread_and_sets_no_environment(tmp_path):
     f14 = str(tmp_path / "f14.json")
     assert cli.main(["build", "f14", "-o", f14]) == 0
-    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    assert _child(_THREADS_CHILD, f14, environ=unset) == [0, 1, "1"]
-    code, _, preset = _child(_THREADS_CHILD, f14, environ=dict(unset, OPENBLAS_NUM_THREADS="2"))
-    assert (code, preset) == (0, "2")
+    assert _child(_THREADS_CHILD, f14) == [0, 1, True]
 
 
 def test_every_exported_name_resolves_and_is_listed():

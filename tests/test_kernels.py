@@ -1,17 +1,16 @@
 """The subset-check kernels: results must not depend on where a host's
 vertices sit in the mask or on how many subsets a batch of lanes holds,
-the sample stream must be a pure function of (seed, index) and match an
-independent splitmix64 draw at every host width and sample count, and the
+the sampled lanes must be the documented getrandbits calls of the
+caller's random.Random at every host width and sample count, explicit
+masks must transpose into the lanes a per-bit oracle gives, and the
 bit-sliced checker must match the naive niceness and tower oracles."""
 
 from __future__ import annotations
 
-import itertools
-import math
+import hashlib
 import random
-import weakref
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,21 +32,13 @@ def _nice_args(seed):
     return g, tuple(wit)
 
 
-def test_mix64_reference_values():
-    # splitmix64 finalizer on fixed inputs; pins the sample stream
-    z = np.array([0, 1, 12345, 2**64 - 1], dtype=np.uint64)
-    assert kernels._mix_vec(z).tolist() == [
-        0, 6238072747940578789, 17540659726606785873, 13029008266876403067,
-    ]
-
-
-def test_stream_is_pure_function_of_seed_and_index():
+def test_stream_is_pure_function_of_seed():
     g = f14().graph
     masks = list(g.edge_masks)
     bounds = _nice_roles(g.mask_of(f14().witness), 4)
-    r1 = kernels.sample_scan(masks, 14, bounds, 500, 99)
-    r2 = kernels.sample_scan(masks, 14, bounds, 500, 99)
-    r3 = kernels.sample_scan(masks, 14, bounds, 500, 100)
+    r1 = kernels.sample_scan(masks, 14, bounds, 500, random.Random(99))
+    r2 = kernels.sample_scan(masks, 14, bounds, 500, random.Random(99))
+    r3 = kernels.sample_scan(masks, 14, bounds, 500, random.Random(100))
     assert r1 == r2
     assert r1 != r3 or r1[1] is None  # different seed, same verdict only by luck
 
@@ -125,27 +116,45 @@ def test_f14_scan_does_not_depend_on_word_count():
     assert r_narrow == r_wide == (1 << 14, None)
 
 
-@pytest.mark.parametrize("n", [14, 64, 65, 130, 2107])
-@pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
-@pytest.mark.parametrize("index", [0, 1, 123_456_789])
-def test_sample_stream_matches_independent_draw(n, seed, index):
-    # no edges, G = one vertex v, k + ell = n + 2: a subset violates Item 3
-    # exactly when it holds v, so the scan stops at the first draw holding v.
-    # Counter c under seed + index * words * GAMMA is counter
-    # c + index * words under seed, so that seed starts the scan at draw
-    # `index` of the seed's stream. Sample counts around one 64-subset
-    # block: a batch padded to whole blocks must count only its draws.
-    words = max(1, (n + 63) // 64)
-    start = (seed + index * words * kernels.GAMMA) & kernels.MASK64
-    draws = [oracles.splitmix64_draw(seed, index + i, n) for i in range(65)]
-    for samples, v in itertools.product((1, 63, 64, 65), (0, n // 2, n - 1)):
-        bounds = Bounds(x=0, aell=0, xy=0, g=1 << v, k=1, ell=n + 1)
-        result = kernels.sample_scan([], n, bounds, samples, start)
-        i = next((i for i, draw in enumerate(draws[:samples]) if draw >> v & 1), None)
-        if i is None:
-            assert result == (samples, None)
-        else:
-            assert result == (i + 1, (draws[i], 3, draws[i].bit_count(), n + 2))
+def _must_hold(n, x_mask, v, base=0):
+    """Bounds under which, with no edges, a subset violates exactly when it
+    holds X (x_mask) and vertex v: X, a base inside A_ell = X | base, G = v,
+    k = |X| + 1 and k + ell = n + 2, so Item 3 fires on every such subset
+    and no item fires on any other."""
+    k = x_mask.bit_count() + 1
+    return Bounds(x=x_mask, aell=x_mask | base, xy=0, g=1 << v, k=k, ell=n + 2 - k, base=base)
+
+
+@pytest.mark.parametrize("with_base", [False, True], ids=["no-base", "base"])
+@pytest.mark.parametrize("n", [14, 55, 65, 306])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sampled_violation_is_the_oracle_subset(n, with_base, data):
+    # a batch cap of 64-192 subsets and up to 700 samples: several batches,
+    # the last one usually short. A subset violates exactly when it holds a
+    # drawn set X plus v, so the scan stops at the first replayed subset
+    # holding them, in any batch, or draws every sample clean
+    seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed")
+    per_batch = data.draw(st.sampled_from([64, 128, 192]), label="per_batch")
+    samples = data.draw(st.integers(min_value=1, max_value=700), label="samples")
+    held = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=9, unique=True))
+    v, x_mask = held[0], sum(1 << j for j in held[1:])
+    base = 0
+    if with_base:
+        base = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1), label="base")
+        base &= data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="thin")
+    lane_bits = n * per_batch
+    want = oracles.uniform_subsets(random.Random(seed), n, samples, lane_bits, base)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_LANE_BITS", lane_bits)
+        got = kernels.sample_scan([], n, _must_hold(n, x_mask, v, base), samples,
+                                  random.Random(seed))
+    must = x_mask | 1 << v
+    i = next((i for i, u in enumerate(want) if u & must == must), None)
+    if i is None:
+        assert got == (samples, None)
+    else:
+        assert got == (i + 1, (want[i], 3, want[i].bit_count(), n + 2))
 
 
 @pytest.mark.parametrize("n", [14, 130])
@@ -153,112 +162,100 @@ def test_sample_stream_matches_independent_draw(n, seed, index):
 def test_sampled_prefix_fills_only_the_drawn_lanes(n, samples):
     # the y-prefix is the one edge, A_ell is that edge and one vertex xy
     # more, X and G are empty: Item 1 (P + [xy ⊆ U] < E) fires exactly on
-    # the prefix alone, which a draw rarely is. The lanes that pad a batch
-    # to whole 64-subset blocks are no subsets and must not count, though
-    # the prefix is forced into every subset.
+    # the prefix alone, which a draw rarely is. Lane bits past a batch's
+    # `samples` subsets are no subsets and must not count, though the
+    # prefix is forced into every subset.
     prefix = 0b111 << (n // 2)
     seed = 7
     bounds = Bounds(x=0, aell=prefix | 1, xy=1, g=0, k=1, ell=0, base=prefix)
-    result = kernels.sample_scan([prefix], n, bounds, samples, seed)
-    draws = [oracles.splitmix64_draw(seed, i, n) for i in range(samples)]
-    i = next((i for i, draw in enumerate(draws) if not draw & ~prefix), None)
+    result = kernels.sample_scan([prefix], n, bounds, samples, random.Random(seed))
+    draws = oracles.uniform_subsets(random.Random(seed), n, samples, kernels._LANE_BITS, prefix)
+    i = next((i for i, draw in enumerate(draws) if draw == prefix), None)
     assert result == ((samples, None) if i is None else (i + 1, (prefix, 1, 2, 3)))
 
 
-@pytest.mark.parametrize("n", [14, 64, 65, 130, 2107])
-@pytest.mark.parametrize("samples", [1, 3, 64, 65])
-def test_stream_end_is_the_last_counter_a_uniform_pass_mixes(monkeypatch, n, samples):
-    # a scan with no edges and no bounds that can fail draws every sample;
-    # each counter c is recovered from the finalizer's input seed + c * GAMMA
-    assert kernels._stream_end(n, samples) == samples * math.ceil(n / 64)
-    seed, inverse = 5, pow(kernels.GAMMA, -1, 1 << 64)
-    used = []
-    mix = kernels._mix_vec
+def _first_batch(n, samples, seed):
+    """The lanes of sample_scan's first batch, and its subset count."""
+    seen = []
 
-    def recording_mix(z):
-        used.extend((v - seed) * inverse % (1 << 64) for v in z.ravel().tolist())
-        return mix(z)
+    def first(edge_masks, n, bounds, batches):
+        lanes, count = next(batches)
+        seen.append((list(lanes), count))
+        return 0, None
 
-    monkeypatch.setattr(kernels, "_mix_vec", recording_mix)
-    bounds = Bounds(x=0, aell=0, xy=0, g=0, k=1, ell=0)
-    assert kernels.sample_scan([], n, bounds, samples, seed) == (samples, None)
-    assert sorted(used) == list(range(1, kernels._stream_end(n, samples) + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_scan", first)
+        kernels.sample_scan([], n, Bounds(x=0, aell=0, xy=0, g=0, k=1, ell=0), samples,
+                            random.Random(seed))
+    return seen[0]
 
 
-@pytest.mark.parametrize("block", [1, 3, 64, 65, None])
-@pytest.mark.parametrize("seed", [0, 2**64 - 1, -12345, 2**70 + 9])
-@pytest.mark.parametrize("cursor", [0, 1, 4_000_000, random.Random(5).randrange(10**9)])
-def test_draws_are_the_one_word_stream_after_the_cursor(monkeypatch, block, seed, cursor):
-    # value i is the splitmix64 output for counter cursor + 1 + i, mod m; a
-    # small _DRAW_BLOCK puts many block boundaries in the first 300 values
-    if block:
-        monkeypatch.setattr(kernels, "_DRAW_BLOCK", block)
-    for m in (1, 7, 40, 157):
-        got = list(itertools.islice(kernels._draws(seed, cursor, m), 300))
-        want = [
-            oracles.splitmix64(seed + (cursor + 1 + i) * kernels.GAMMA) % m for i in range(300)
-        ]
-        assert got == want
+def test_first_batch_lanes_are_pinned():
+    # 55 lanes of one full batch (76,224 subsets at 2^22 lane bits, F_5's
+    # width): a change to CPython's MT19937 or getrandbits, or to the lane
+    # budget, moves this digest instead of silently redefining the stream
+    lanes, count = _first_batch(55, 4_000_000, 2026)
+    assert count == oracles.batch_width(55, 1 << 22) == 76_224
+    rng = random.Random(2026)
+    assert lanes == [rng.getrandbits(count) for _ in range(55)]
+    size = (count + 7) // 8
+    digest = hashlib.sha256(b"".join(lane.to_bytes(size, "little") for lane in lanes))
+    assert digest.hexdigest() == "b8fb86fc313626488d33052aa0ba9d030f5f14469740c98bd679a97001f42da4"
 
 
-class _Lanes(list):
-    """A batch's lanes, weakly referenceable."""
+@pytest.mark.parametrize("n", [1, 14, 40, 63, 64, 65, 130, 216, 306])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200])
+def test_mask_lanes_match_per_bit_oracle(n, count):
+    # masks with bits past n, which no lane may carry
+    rng = random.Random(n * 1000 + count)
+    masks = [rng.getrandbits(n + 5) for _ in range(count)]
+    assert kernels._transpose(masks, n) == oracles.lanes(masks, n)
 
 
 @pytest.mark.parametrize("kernel", ["sample_scan", "check_masks"])
-def test_one_batch_alive_at_a_time(monkeypatch, kernel):
+def test_one_batch_alive_at_a_time(kernel):
     # f14 with its witness meets every bound, so each kernel runs all four
-    # of its 64-subset batches; when a batch is built, none before it lives
+    # of its batches of 2^14 subsets; as each batch's lanes are built, the
+    # memory traced is what it was as the first one's were, not a batch
+    # (14 lanes of 2 KB) more per batch before it
     graph = f14().graph
     masks, n = list(graph.edge_masks), graph.vertex_count
     bounds = _nice_roles(graph.mask_of(f14().witness), 4)
-    built, alive = [], []
+    width = 1 << 14
+    samples = 4 * width
+    traced = []
+
+    class Spy(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            if self.calls % n == 0:
+                traced.append(tracemalloc.get_traced_memory()[0])
+            self.calls += 1
+            return super().getrandbits(k)
+
     real = kernels._transpose
 
-    def transpose(*args):
-        alive.append(sum(ref() is not None for ref in built))
-        lanes = _Lanes(real(*args))
-        built.append(weakref.ref(lanes))
-        return lanes
+    def transpose(batch, n):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return real(batch, n)
 
-    monkeypatch.setattr(kernels, "_transpose", transpose)
-    monkeypatch.setattr(kernels, "_LANE_BITS", n * 64)
-    if kernel == "sample_scan":
-        result = kernels.sample_scan(masks, n, bounds, 256, 7)
-    else:
-        result = kernels.check_masks(masks, n, bounds, list(range(256)))
-    assert result == (256, None)
-    assert alive == [0, 0, 0, 0]
-
-
-def _first_draw_holding(n, must, lo, hi):
-    """A seed whose first stream draw holding every vertex of `must` has an
-    index in [lo, hi), with that index."""
-    for seed in itertools.count():
-        draws = (oracles.splitmix64_draw(seed, i, n) for i in range(hi))
-        i = next((i for i, draw in enumerate(draws) if draw & must == must), None)
-        if i is not None and i >= lo:
-            return seed, i
-
-
-@pytest.mark.parametrize("n", [14, 130])
-@pytest.mark.parametrize("lanes", [None, 64])
-def test_sampled_violation_mask_is_the_drawn_subset(n, lanes):
-    # 100 samples, so the last batch is not a whole number of 64-subset
-    # blocks; the first violation is a draw in its second block (index 64 or
-    # later) and must be reported as drawn. X = A_ell = six vertices, G = one
-    # more vertex v, k = 7, no edges, k + ell = n + 2: Item 3 fires exactly on
-    # the draws holding X and v.
-    x_mask = sum(1 << (j * (n // 6)) for j in range(6))
-    v = n - 1
-    seed, i = _first_draw_holding(n, x_mask | 1 << v, 64, 100)
     with pytest.MonkeyPatch.context() as mp:
-        if lanes is not None:
-            mp.setattr(kernels, "_LANE_BITS", n * lanes)
-        bounds = Bounds(x=x_mask, aell=x_mask, xy=0, g=1 << v, k=7, ell=n - 5)
-        result = kernels.sample_scan([], n, bounds, 100, seed)
-    draw = oracles.splitmix64_draw(seed, i, n)
-    assert result == (i + 1, (draw, 3, draw.bit_count(), n + 2))
+        mp.setattr(kernels, "_LANE_BITS", n * width)
+        mp.setattr(kernels, "_transpose", transpose)
+        subsets = [random.Random(7).getrandbits(n) for _ in range(samples)]
+        tracemalloc.start()
+        try:
+            if kernel == "sample_scan":
+                result = kernels.sample_scan(masks, n, bounds, samples, Spy(7))
+            else:
+                result = kernels.check_masks(masks, n, bounds, subsets)
+        finally:
+            tracemalloc.stop()
+    assert result == (samples, None)
+    assert len(traced) == 4
+    batch_bytes = n * width // 8
+    assert max(traced) - traced[0] < batch_bytes // 2, traced
 
 
 @settings(max_examples=40, deadline=None)

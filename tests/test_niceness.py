@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsehg import kernels, niceness
@@ -197,43 +197,72 @@ def test_sample_counterexample_is_sound():
 _family = functools.lru_cache(maxsize=None)(factorial_family)
 
 
-def _stratified_host_masks(graph, wit, seed, cursor):
+def _stratified_host_masks(graph, wit, rng):
     # the stratified masks, drawn over pool positions, lifted to host bits
     pool, _ = niceness._pool(graph, wit)
     return [
         graph.mask_of(v for i, v in enumerate(pool) if m >> i & 1)
-        for m in _stratified_masks(len(pool), seed, cursor)
+        for m in _stratified_masks(len(pool), rng)
     ]
 
 
-@pytest.mark.parametrize("seed", [0, -977, 2**63 + 11])
+def _after_uniform_pass(graph, seed, samples):
+    """random.Random(seed) once a clean `samples`-sample uniform pass on
+    `graph` has drawn from it, and the replayed one at the same point."""
+    rng = random.Random(seed)
+    nothing = kernels.Bounds(x=0, aell=0, xy=0, g=0, k=1, ell=0)
+    n = graph.vertex_count
+    assert kernels.sample_scan([], n, nothing, samples, rng) == (samples, None)
+    replay = random.Random(seed)
+    oracles.uniform_subsets(replay, n, samples, kernels._LANE_BITS)
+    return rng, replay
+
+
+@pytest.mark.parametrize("seed", [0, 977, 2**63 + 11])
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_stratified_masks_match_scalar_oracle(k, seed):
-    # F_5..F_7 pools are large enough that every size from 3 or 4 up is drawn
+    # F_5..F_7 pools are large enough that every size from 3 or 4 up is
+    # drawn; the pass draws on where 100 uniform samples left the generator
     cfg = _family(k)
-    expected = oracles.stratified_masks(cfg.graph, cfg.witness, seed, 1000)
-    assert _stratified_host_masks(cfg.graph, cfg.witness, seed, 1000) == expected
+    rng, replay = _after_uniform_pass(cfg.graph, seed, 100)
+    expected = oracles.stratified_masks(cfg.graph, cfg.witness, replay)
+    assert _stratified_host_masks(cfg.graph, cfg.witness, rng) == expected
 
 
 @pytest.mark.parametrize(
     "host_seed, block",
     [pytest.param(h, None, id=str(h)) for h in range(8)]
-    + [pytest.param(h, b, id=f"{h}-block{b}") for h, b in [(0, 3), (4, 5), (5, 7)]],
+    + [pytest.param(h, b, id=f"{h}-block{b}") for h, b in [(0, 1), (0, 3), (4, 5), (5, 7)]],
 )
 def test_stratified_masks_match_scalar_oracle_on_random_hosts(monkeypatch, host_seed, block):
-    # hosts 0 and 4-7 have pools large enough for drawn sizes, with all three
-    # kinds of seed; a small _DRAW_BLOCK puts block boundaries inside draws
+    # hosts 0 and 4-7 have pools large enough for drawn sizes; a small
+    # _DRAW_BLOCK puts block boundaries inside draws and must not move them
     if block:
-        monkeypatch.setattr(kernels, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(niceness, "_DRAW_BLOCK", block)
     rng = random.Random(host_seed)
     vertices = [f"t{i}" for i in range(rng.randint(12, 22))]
     edges = {tuple(sorted(rng.sample(vertices, 3))) for _ in range(2 * len(vertices))}
     g = Hypergraph(3, vertices, edges)
     wit = tuple(rng.sample(vertices, rng.randint(1, 8)))
-    seed = [0, -rng.getrandbits(70), 2**63 + rng.getrandbits(70)][host_seed % 3]
-    for cursor in (0, rng.randrange(10**7)):
-        expected = oracles.stratified_masks(g, wit, seed, cursor)
-        assert _stratified_host_masks(g, wit, seed, cursor) == expected
+    seed = [0, rng.getrandbits(64), 2**64 - 1][host_seed % 3]
+    for samples in (1, rng.randrange(1, 300)):
+        drawn, replay = _after_uniform_pass(g, seed, samples)
+        expected = oracles.stratified_masks(g, wit, replay)
+        assert _stratified_host_masks(g, wit, drawn) == expected
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 65, None])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, random.Random(5).getrandbits(64)])
+@pytest.mark.parametrize("size", [1, 7, 40, 157])
+def test_stratified_indices_do_not_depend_on_the_block_size(monkeypatch, block, seed, size):
+    # index value i is the generator's i-th 64-bit word mod the pool size,
+    # however many words one call draws; 20 draws per size make every size
+    # past the smallest drawn, so many draws straddle a small block's end
+    if block:
+        monkeypatch.setattr(niceness, "_DRAW_BLOCK", block)
+    monkeypatch.setattr(niceness, "_STRATIFIED_DRAWS", 20)
+    got = _stratified_masks(size, random.Random(seed))
+    assert got == oracles.stratified_positions(size, random.Random(seed), draws=20)
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,43 +281,72 @@ def test_pool_width_pass_matches_host_width_check(seed, pad, draws):
     g = Hypergraph(3, [f"pad{i}" for i in range(pad)] + list(vertices), edges)
     rng = random.Random(seed)
     wit = tuple(rng.sample(vertices, rng.randint(1, min(6, len(vertices)))))
-    k, cursor = len(wit) - 1, rng.randrange(10**6)
+    k = len(wit) - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(niceness, "_STRATIFIED_DRAWS", draws)
-        pooled = niceness._stratified_pass(g, wit, k, seed, cursor)
-        lifted = _stratified_host_masks(g, wit, seed, cursor)
+        pooled = niceness._stratified_pass(g, wit, k, random.Random(seed))
+        lifted = _stratified_host_masks(g, wit, random.Random(seed))
     host = kernels.check_masks(
         list(g.edge_masks), g.vertex_count, _nice_roles(g.mask_of(wit), k), lifted
     )
     assert pooled == host
 
 
-def test_stratified_stream_follows_the_uniform_counters_on_wide_hosts(monkeypatch):
-    # F_6 has 306 vertices, so each uniform sample takes 5 stream words; the
-    # splitmix64 counter of each draw is recovered from the finalizer's input
-    cfg = _family(6)
-    seed, samples = 17, 300
-    words = (cfg.graph.vertex_count + 63) // 64
-    assert words > 1
-    inverse = pow(kernels.GAMMA, -1, 1 << 64)
-    used = {"uniform": set(), "stratified": set()}
-    phase = ["uniform"]
-    mix, stratified = kernels._mix_vec, niceness._stratified_masks
+@pytest.mark.parametrize("seed", [1, 17, 2**64 - 1])
+@pytest.mark.parametrize("k, samples", [(5, 1), (5, 150), (6, 300)])
+def test_stratified_pass_continues_the_uniform_draws(monkeypatch, k, samples, seed):
+    # F_5 has 55 vertices and F_6 306, so a uniform sample takes one or five
+    # words of each lane's getrandbits call; a clean check draws every
+    # uniform sample, then the stratified masks the replay gives after them,
+    # and counts them all
+    cfg = _family(k)
+    checked_masks = []
+    real = niceness._stratified_masks
 
-    def recording_mix(z):
-        used[phase[0]].update((v - seed) * inverse % (1 << 64) for v in z.ravel().tolist())
-        return mix(z)
+    def recording(size, rng):
+        masks = real(size, rng)
+        checked_masks.extend(masks)
+        return masks
 
-    def recording_stratified(*args):
-        phase[0] = "stratified"
-        return stratified(*args)
-
-    monkeypatch.setattr(kernels, "_mix_vec", recording_mix)
-    monkeypatch.setattr(niceness, "_stratified_masks", recording_stratified)
+    monkeypatch.setattr(niceness, "_stratified_masks", recording)
     report = sample_nice(cfg, samples=samples, seed=seed)
     assert report.verdict == SAMPLED_NO_VIOLATION
-    assert used["uniform"] == set(range(1, samples * words + 1))
-    assert min(used["stratified"]) == samples * words + 1
+    pool, _ = niceness._pool(cfg.graph, cfg.witness)
+    lifted = [cfg.graph.mask_of(v for i, v in enumerate(pool) if m >> i & 1) for m in checked_masks]
+    replay = oracles.sampled_nice_subsets(cfg.graph, cfg.witness, samples, seed, kernels._LANE_BITS)
+    assert lifted == replay[samples:]
+    assert report.checked_subsets == len(replay)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=99_999),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_sampled_niceness_stops_at_the_oracle_subset(host_seed, samples, seed):
+    # random hosts of at most 12 vertices with a random independent witness
+    # of delta + 1 vertices, many of them NOT_NICE. The report names the
+    # first subset of the replayed stream, uniform then stratified, that
+    # breaks a bound, and counts the subsets up to it
+    vertices, edges = oracles.random_3graph(host_seed, max_n=12, max_m=12)
+    g = Hypergraph(3, vertices, edges)
+    size = g.delta + 1
+    assume(1 <= size <= len(vertices))
+    wit = tuple(random.Random(host_seed).sample(vertices, size))
+    assume(g.is_independent(wit))
+    report = sample_nice(g, wit, samples=samples, seed=seed)
+    replay = oracles.sampled_nice_subsets(g, wit, samples, seed, kernels._LANE_BITS)
+    for i, u in enumerate(replay):
+        subset = g.labels_of_mask(u)
+        broken = oracles.nice_condition(g.edges, wit, subset)
+        if broken is not None:
+            cx = report.counterexample
+            assert (report.verdict, report.checked_subsets) == (NOT_NICE, i + 1)
+            assert (cx.subset, cx.condition, cx.observed_delta, cx.required_bound) == (
+                subset, *broken)
+            return
+    assert report == niceness.NicenessReport(SAMPLED_NO_VIOLATION, len(replay), None, seed=seed)
 
 
 @pytest.mark.parametrize("delta,bound", [(0, 5), (4, 3)])
@@ -396,7 +454,7 @@ def test_tower_bounds_exhaustive_takes_no_samples():
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 70) + 3])
 def test_sampled_checks_reject_seeds_outside_64_bits(seed):
-    # the stream reads seeds mod 2^64: -1 would draw what 2^64 - 1 draws
+    # random.Random seeds from |seed|: -1 would draw what 1 draws
     with pytest.raises(HypergraphError, match=r"seed must be in \[0, 2\^64\)"):
         sample_nice(linear_three_cycle(), samples=5, seed=seed)
     with pytest.raises(HypergraphError, match=r"seed must be in \[0, 2\^64\)"):
@@ -432,9 +490,12 @@ def test_sampled_arguments_are_checked_for_a_dependent_witness(samples, seed):
 
 @pytest.mark.parametrize(
     "samples, seed, message",
-    [(None, 1, "samples must be"), (2.5, 1, "samples must be"), (10, 1.5, "seed must be in")],
+    [(None, 1, "samples must be"), (2.5, 1, "samples must be"), (10, 1.5, "seed must be in"),
+     (True, 1, "samples must be"), (10, False, r"seed must be in \[0, 2\^64\), got False"),
+     (True, False, "samples must be"), (10, True, "got True")],
 )
 def test_sampled_checks_reject_non_integer_arguments(samples, seed, message):
+    # a bool is an int, but True is no sample count and False no seed
     with pytest.raises(HypergraphError, match=message):
         sample_nice(f14(), samples=samples, seed=seed)
     with pytest.raises(HypergraphError, match=message):
