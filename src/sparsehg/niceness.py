@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import struct
 from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
@@ -45,8 +44,6 @@ _EXHAUSTIVE_VERTEX_LIMIT = 30
 _WITNESS_VERTEX_LIMIT = 20
 _STRATIFIED_SIZE_LIMIT = 8
 _STRATIFIED_DRAWS = 4096
-# 64-bit words the stratified pass takes from the generator per call
-_DRAW_BLOCK = 1 << 14
 
 _CONDITION_NAMES = {0: "Independence", 1: "Cond1", 2: "Cond2"}
 _ITEM_NAMES = {1: "Item1", 2: "Item2", 3: "Item3"}
@@ -233,30 +230,21 @@ def _stratified_masks(size: int, rng: random.Random) -> list[int]:
 
     Enumerates every subset of each size up to 8 when that is cheap,
     otherwise takes 4096 draws per size from `rng`, rejecting a repeated
-    index within a draw. The indices are the generator's next 64-bit
-    words, each mod `size`: the words of successive getrandbits(64) calls,
-    taken `_DRAW_BLOCK` at a time in one call, which does not change them.
+    index within a draw. Each index is one getrandbits(64) word, mod `size`.
     """
     bits = [1 << i for i in range(size)]
-    words = struct.Struct(f"<{_DRAW_BLOCK}Q")
-
-    def block(_):
-        drawn = rng.getrandbits(64 * _DRAW_BLOCK).to_bytes(words.size, "little")
-        return map(size.__rmod__, words.unpack(drawn))
-
-    indices = itertools.chain.from_iterable(map(block, itertools.count()))
-    stream = map(bits.__getitem__, indices)
+    draw = rng.getrandbits
     masks: list[int] = []
     for want in range(1, min(_STRATIFIED_SIZE_LIMIT, size) + 1):
         if math.comb(size, want) <= _STRATIFIED_DRAWS:
             masks.extend(map(sum, itertools.combinations(bits, want)))
             continue
-        # a draw ends at the first stream value that gives it `want`
-        # distinct indices, and the next draw starts after it
+        # a draw ends at the first index that gives it `want` distinct
+        # ones, and the next draw starts after it
         for _ in range(_STRATIFIED_DRAWS):
             mask = 0
             while mask.bit_count() < want:
-                mask |= next(stream)
+                mask |= bits[draw(64) % size]
             masks.append(mask)
     return masks
 
