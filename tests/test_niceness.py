@@ -245,14 +245,19 @@ def test_stratified_masks_match_scalar_oracle_on_random_hosts(host_seed):
         assert _stratified_host_masks(g, wit, drawn) == expected
 
 
+@pytest.mark.parametrize("draws", [1, 7, 20, 35, 157])
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, random.Random(5).getrandbits(64)])
 @pytest.mark.parametrize("size", [1, 7, 40, 157])
-def test_stratified_indices_are_successive_words_mod_the_pool_size(monkeypatch, seed, size):
+def test_stratified_indices_are_successive_words_mod_the_pool_size(
+    monkeypatch, draws, seed, size
+):
     # index value i is the generator's i-th 64-bit word mod the pool size;
-    # 20 draws per size make every size past the smallest drawn
-    monkeypatch.setattr(niceness, "_STRATIFIED_DRAWS", 20)
+    # a size is enumerated when it has at most `draws` subsets: 7 = C(7, 1),
+    # 35 = C(7, 3) and 157 = C(157, 1) sit on that edge, 1 draws one subset
+    # for every size past the first, and 20 draws every size of 40 and 157
+    monkeypatch.setattr(niceness, "_STRATIFIED_DRAWS", draws)
     got = _stratified_masks(size, random.Random(seed))
-    assert got == oracles.stratified_positions(size, random.Random(seed), draws=20)
+    assert got == oracles.stratified_positions(size, random.Random(seed), draws=draws)
 
 
 @pytest.mark.parametrize(
