@@ -61,8 +61,10 @@ def write_json(path: Union[str, Path], obj: Any) -> None:
     streamed into a file beside the target, never held at once, and that
     file then replaces the target, so an error, an interrupt or a default
     SIGTERM mid-write leaves the target as it was and no file beside it.
-    That file takes an existing target's permission bits; a target that
-    exists but is not a regular file, such as /dev/stdout, is written in place."""
+    A file already at that name was not made by this call: the write raises
+    FileExistsError and leaves it. That file takes an existing target's
+    permission bits; a target that exists but is not a regular file, such
+    as /dev/stdout, is written in place."""
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -74,13 +76,14 @@ def write_json(path: Union[str, Path], obj: Any) -> None:
         return
     tmp = f"{target}.{os.getpid()}.tmp"
     with _sigterm_exits():
-        fp = open(tmp, "x", encoding="utf-8")
         try:
-            with fp:
+            with open(tmp, "x", encoding="utf-8") as fp:
                 if mode is not None:
                     os.chmod(tmp, stat.S_IMODE(mode))
                 _dump(obj, fp)
             os.replace(tmp, target)
+        except FileExistsError:  # a file this call did not create
+            raise
         except BaseException:
             with contextlib.suppress(FileNotFoundError):  # a SIGTERM just after the rename
                 os.unlink(tmp)

@@ -214,6 +214,10 @@ def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]])
     workers: dict[int, tuple[int, int, object]] = {}  # result fd -> (pid, task fd, reader)
     alive: set[int] = set()
     held: list[int] = []  # every descriptor this process holds
+    # a SIGTERM between a fork or a close and its bookkeeping would leave a
+    # worker out of `alive` or a closed descriptor in `held`, so SIGTERM is
+    # held back until every worker is recorded
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         try:
             for _ in range(count):
@@ -225,6 +229,7 @@ def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]])
                 if pid == 0:  # the worker: never returns
                     code = 1
                     try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                         # an inherited end of another worker's pipe would
                         # keep that pipe open after the worker dies
                         for fd in held:
@@ -241,6 +246,8 @@ def _split(masks: tuple[int, ...], v: int, e: int, tasks: list[tuple[int, ...]])
                 workers[result_r] = (pid, task_w, os.fdopen(result_r, "rb", closefd=False))
         except OSError:
             return None
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         results: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
         busy: dict[int, int] = {}  # result fd -> the task it works on

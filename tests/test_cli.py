@@ -425,16 +425,21 @@ def test_inputs_are_read_once_and_digested_as_read(capsys, tmp_path, monkeypatch
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-def test_piped_input_reports_the_digest_of_its_bytes(f14_file):
+@pytest.mark.parametrize("redirected", [False, True], ids=["piped", "redirected"])
+def test_piped_input_reports_the_digest_of_its_bytes(f14_file, redirected):
     # a pipe gives its bytes once, so a digest taken by a second read would
-    # be that of the empty string
+    # be that of the empty string; a redirected file is read through the
+    # same /dev/stdin
     data = Path(f14_file).read_bytes()
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sparsehg.cli", "verify", "nice", "--input", "/dev/stdin"],
-        input=data, capture_output=True, env=dict(os.environ, PYTHONPATH=path),
-    )
+    argv = [sys.executable, "-m", "sparsehg.cli", "verify", "nice", "--input", "/dev/stdin"]
+    env = dict(os.environ, PYTHONPATH=path)
+    if redirected:
+        with open(f14_file, "rb") as stdin:
+            proc = subprocess.run(argv, stdin=stdin, capture_output=True, env=env)
+    else:
+        proc = subprocess.run(argv, input=data, capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["inputs"]["input"]["sha256"] == hashlib.sha256(data).hexdigest()
@@ -564,20 +569,29 @@ def test_main_builds_the_parser_of_the_named_command_only(capsys, monkeypatch):
     assert {leaf[0] for leaf in _leaf_commands(real("ramsey"))} == {"ramsey"}
 
 
+# the options whose value names a file the command reads
+_READ_OPTIONS = ("--input", "--pattern", "--proj", "--config")
+
+
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
-    # every build, verify and extract line of the README's CLI block, in order
+    # every sparsehg line of the README's CLI block, in order, but for those
+    # that read a file no earlier line writes
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [
-        shlex.split(line)[1:] for line in block.splitlines()
-        if line.startswith(("sparsehg build", "sparsehg verify", "sparsehg extract"))
-    ]
-    assert len(lines) >= 8
     monkeypatch.chdir(tmp_path)
-    for argv in lines:
+    ran = []
+    for line in block.splitlines():
+        if not line.startswith("sparsehg "):
+            continue
+        argv = shlex.split(line)[1:]
+        if any(opt in _READ_OPTIONS and not os.path.exists(value)
+               for opt, value in zip(argv, argv[1:])):
+            continue
         code = main(argv)
         assert code == 0, (argv, capsys.readouterr().err)
         capsys.readouterr()
+        ran.append(argv[0])
+    assert len(ran) >= 9 and {"build", "verify", "extract", "ramsey"} <= set(ran), ran
 
 
 def _write(path, obj):

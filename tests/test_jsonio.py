@@ -261,10 +261,15 @@ def test_failed_write_leaves_the_target(tmp_path):
 
 
 # A CLI build of f14 to argv[1] that sends itself SIGTERM at the point
-# argv[2] names: after part of the document, or just after the rename.
+# argv[2] names: as the temporary file's open returns, after part of the
+# document, or just after the rename.
 _SIGTERM_DURING_WRITE = """
 import os, signal, sys
 from sparsehg import cli, jsonio
+
+def open_(*args, **kwargs):
+    open(*args, **kwargs).close()  # the file now exists
+    os.kill(os.getpid(), signal.SIGTERM)
 
 def dump(obj, fp):
     fp.write("{")
@@ -275,7 +280,9 @@ def replace(src, dst, replace=os.replace):
     replace(src, dst)
     os.kill(os.getpid(), signal.SIGTERM)
 
-if sys.argv[2] == "mid-dump":
+if sys.argv[2] == "after-open":
+    jsonio.open = open_
+elif sys.argv[2] == "mid-dump":
     jsonio._dump = dump
 else:
     os.replace = replace
@@ -284,7 +291,7 @@ sys.exit(cli.main(["build", "f14", "-o", sys.argv[1]]))
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
-@pytest.mark.parametrize("when", ["mid-dump", "after-rename"])
+@pytest.mark.parametrize("when", ["after-open", "mid-dump", "after-rename"])
 def test_sigterm_during_a_write_leaves_no_temp_file(tmp_path, when):
     path = tmp_path / "out.json"
     jsonio.write_json(path, {"a": 1})
@@ -299,8 +306,21 @@ def test_sigterm_during_a_write_leaves_no_temp_file(tmp_path, when):
     # the target is the old document, or, once renamed, the whole new one
     old = jsonio.canonical_json({"a": 1}).encode()
     new = jsonio.canonical_json(jsonio.config_to_obj(f14())).encode()
-    assert path.read_bytes() == (old if when == "mid-dump" else new)
+    assert path.read_bytes() == (new if when == "after-rename" else old)
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_a_stale_temp_file_is_left_alone(tmp_path):
+    # the temporary file's name is the target's plus this process's pid; one
+    # already there was not made by this call, so it is neither used nor removed
+    path = tmp_path / "out.json"
+    jsonio.write_json(path, {"a": 1})
+    stale = tmp_path / f"out.json.{os.getpid()}.tmp"
+    stale.write_bytes(b"stale")
+    with pytest.raises(FileExistsError):
+        jsonio.write_json(path, {"b": 2})
+    assert path.read_bytes() == jsonio.canonical_json({"a": 1}).encode()
+    assert stale.read_bytes() == b"stale"
 
 
 @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)

@@ -435,3 +435,58 @@ def test_sigterm_kills_and_reaps_the_workers(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.kill()
         proc.communicate()
+
+
+# Runs `search._split` over two workers that each sleep as if on a long task,
+# and sends this process SIGTERM just after the argv[2]-th call of
+# os.<argv[1]> that this process makes returns.
+_SIGTERM_DURING_SPLIT = """
+import os, signal, sys, time
+from sparsehg import search
+
+parent, name, nth = os.getpid(), sys.argv[1], int(sys.argv[2])
+real, made = getattr(os, name), 0
+
+def call(*args):
+    global made
+    result = real(*args)
+    if os.getpid() == parent:
+        made += 1
+        if made == nth:
+            os.kill(parent, signal.SIGTERM)
+    return result
+
+setattr(os, name, call)
+search._cpus = lambda: 2
+search._worker = lambda *args: time.sleep(60)
+search._split((0b111, 0b1110), 3, 1, [(0,), (1,)])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("call, nth", [("fork", 2), ("close", 1)],
+                         ids=["as-the-second-fork-returns", "after-the-first-close"])
+def test_sigterm_while_forking_kills_and_reaps_the_workers(tmp_path, call, nth):
+    # a SIGTERM between a fork and its worker's record would leave that
+    # worker running, and one between a close and its record would close
+    # that descriptor twice. Output goes to a file, which a worker left
+    # running would not hold open the way it would a pipe.
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out.txt"
+    with open(out, "w") as fp:
+        proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_DURING_SPLIT, call, str(nth)],
+                                stdout=fp, stderr=subprocess.STDOUT, env=env,
+                                start_new_session=True)
+    try:
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM, out.read_text()
+        assert out.read_text() == ""
+        # the call ran in its own session: its process group is empty
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
