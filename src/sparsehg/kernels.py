@@ -37,7 +37,8 @@ subsets. The first violation is the lowest set bit of the OR of the three
 conditions; its difference and bound are recomputed for that one subset.
 A batch holds about `_LANE_BITS` lane bits (vertices times subsets)
 whatever the host width, and a scan frees each batch's lanes before it
-builds the next.
+builds the next. `check_masks` takes an eighth of that budget per batch:
+its transpose holds temporaries of about 8 times the packed batch.
 
 Lanes are built three ways. `scan_range` takes fixed periodic bit
 patterns for the low bits of the scan index and all-ones or all-zero
@@ -293,8 +294,9 @@ def scan_range(
 
 def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
     """Check an explicit list of subset masks over n vertices, in order, as
-    given: `bounds.base` is not ORed in."""
-    width = _width(n)
+    given: `bounds.base` is not ORed in. A batch takes an eighth of the lane
+    budget, since `_transpose` holds about 8 times its packed masks."""
+    width = _width(8 * n)
     chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
     return _scan(edge_masks, n, bounds, ((_transpose(batch, n), len(batch)) for batch in chunks))
 

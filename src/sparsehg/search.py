@@ -29,8 +29,11 @@ unsplit DFS. If a pipe or fork fails the search goes on in-process; a
 worker that dies before it reports raises `HypergraphError`.
 
 `count_copies` enumerates injective edge-onto-edge vertex maps on host
-vertex bits, checking each pattern edge as one OR against the host's edge
-masks; its `nodes_explored` counts the partial maps it visits.
+vertex bits. Each pattern edge is checked, once its last vertex is placed,
+as one sum of vertex bits looked up among the host's edge masks, and the
+lookup gives that host edge's bit; an embedding's edge image is the OR of
+the bits its checks gathered, so copies are counted in the same pass. Its
+`nodes_explored` counts the partial maps it visits.
 """
 
 from __future__ import annotations
@@ -361,13 +364,13 @@ def count_copies(
 ) -> CopyCount:
     """Count injective edge-preserving maps of the pattern into the host.
 
-    `embeddings` counts the maps; `copies` counts distinct edge-set images.
-    Embeddings = copies * |Aut(pattern)| only when every pattern vertex
-    lies in an edge: an isolated one may take any unused host vertex, and
-    those maps share one edge image. With `induced`, only maps
-    whose vertex image induces no host edges beyond the image are counted.
-    `nodes_explored` counts the partial maps visited, the empty and the
-    complete ones included.
+    `embeddings` counts the maps; `copies` counts distinct edge images, each
+    kept as the OR of the host edge bits its checks found. Embeddings =
+    copies * |Aut(pattern)| only when every pattern vertex lies in an edge:
+    an isolated one may take any unused host vertex, and those maps share
+    one edge image. With `induced`, only maps whose vertex image induces no
+    host edges beyond the image are counted. `nodes_explored` counts the
+    partial maps visited, the empty and the complete ones included.
     """
     if host.r != pattern.r:
         raise HypergraphError(
@@ -379,47 +382,49 @@ def count_copies(
             f"got {pattern.vertex_count}"
         )
     _search_guard(host)
-    host_masks = set(host.edge_masks)
+    # one bit per host edge: a sum of vertex bits is a host edge iff it is a
+    # key here, and the OR of an embedding's edge bits keys its edge image
+    edge_bit = {mask: 1 << j for j, mask in enumerate(host.edge_masks)}
     # order pattern vertices most-constrained first: by descending edge
     # membership, then canonical order, so edge checks fire early
     degree = collections.Counter(u for edge in pattern.edges for u in edge)
     order = sorted(pattern.vertices, key=lambda u: (-degree[u], pattern.index_of(u)))
     pos = {u: i for i, u in enumerate(order)}
-    edges_at = [sorted(pos[u] for u in edge) for edge in pattern.edges]
     # edges checkable once their last vertex (in `order`) is placed, as the
-    # positions of their other vertices
+    # positions of their vertices
     ready: list[list[list[int]]] = [[] for _ in order]
-    for at in edges_at:
-        ready[at[-1]].append(at[:-1])
+    for edge in pattern.edges:
+        at = sorted(pos[u] for u in edge)
+        ready[at[-1]].append(at)
     bits = [1 << j for j in range(host.vertex_count)]
     image = [0] * len(order)  # the host vertex bit placed at each position
 
     embeddings = nodes = 0
-    images: set[frozenset] = set()
+    images: set[int] = set()
 
-    def place(i: int, used: int) -> None:
+    def place(i: int, used: int, key: int) -> None:
+        # `key` is the OR of the host edge bits of the edges placed so far
         nonlocal embeddings, nodes
         nodes += 1
         if i == len(order):
-            # the bits are distinct, so a sum is their OR
-            edge_image = frozenset(sum(image[p] for p in at) for at in edges_at)
-            if induced and host.induced_edge_count(used) != len(edge_image):
+            if induced and host.induced_edge_count(used) != pattern.edge_count:
                 return
             embeddings += 1
-            images.add(edge_image)
+            images.add(key)
             return
         for bit in bits:
             if used & bit:
                 continue
             image[i] = bit
-            for others in ready[i]:
-                mask = bit
-                for p in others:
-                    mask |= image[p]
-                if mask not in host_masks:
+            grown = key
+            for at in ready[i]:
+                # the bits are distinct, so a sum is their OR
+                hit = edge_bit.get(sum(map(image.__getitem__, at)))
+                if hit is None:
                     break
+                grown |= hit
             else:
-                place(i + 1, used | bit)
+                place(i + 1, used | bit, grown)
 
-    place(0, 0)
+    place(0, 0, 0)
     return CopyCount(embeddings=embeddings, copies=len(images), nodes_explored=nodes)

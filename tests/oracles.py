@@ -239,6 +239,25 @@ def count_embeddings(host_vertices, host_edges, pat_vertices, pat_edges):
     return total
 
 
+def copy_counts(host_vertices, host_edges, pat_vertices, pat_edges, induced=False):
+    """(embeddings, copies) by scanning every injection: the edge-preserving
+    maps, and the distinct sets of host edges they map the pattern's edges
+    onto. With `induced`, only maps whose vertex image induces exactly
+    len(pat_edges) host edges count."""
+    host_set = {frozenset(e) for e in host_edges}
+    embeddings, images = 0, set()
+    for image in itertools.permutations(host_vertices, len(pat_vertices)):
+        vmap = dict(zip(pat_vertices, image))
+        mapped = frozenset(frozenset(vmap[u] for u in e) for e in pat_edges)
+        if not mapped <= host_set:
+            continue
+        if induced and len(induced_edges(host_edges, image)) != len(pat_edges):
+            continue
+        embeddings += 1
+        images.add(mapped)
+    return embeddings, len(images)
+
+
 def min_colors_over_cliques(n, colors, p):
     best = None
     for verts in itertools.combinations(range(1, n + 1), p):

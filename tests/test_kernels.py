@@ -241,7 +241,7 @@ def test_one_batch_alive_at_a_time(kernel):
         return real(batch, n)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_LANE_BITS", n * width)
+        mp.setattr(kernels, "_LANE_BITS", (n if kernel == "sample_scan" else 8 * n) * width)
         mp.setattr(kernels, "_transpose", transpose)
         subsets = [random.Random(7).getrandbits(n) for _ in range(samples)]
         tracemalloc.start()

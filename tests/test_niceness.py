@@ -306,7 +306,8 @@ def test_pool_width_pass_matches_host_width_check(seed, pad, draws):
 
 def test_f8_sampled_check_splits_its_stratified_masks_into_two_batches():
     # F_8's pool of 157 vertices gives 28,829 stratified masks, more than
-    # one batch of check_masks at that width, so the pass runs two batches
+    # one batch even at the sampled width there; check_masks takes an eighth
+    # of that lane budget, 3,328 masks a batch, so the pass runs nine batches
     cfg = _family(8)
     pool, _ = niceness._pool(cfg.graph, cfg.witness)
     assert len(pool) == 157

@@ -161,6 +161,8 @@ def test_cycle_copies_in_complete_hosts():
     assert in_k6.nodes_explored == 1957
     in_k7 = count_copies(complete_3graph(7), cycle)
     assert in_k7.copies == 840
+    in_k8 = count_copies(complete_3graph(8), cycle)
+    assert (in_k8.embeddings, in_k8.copies, in_k8.nodes_explored) == (20_160, 3_360, 28_961)
 
 
 def test_single_edge_counts_closed_form():
@@ -200,6 +202,32 @@ def test_embedding_count_matches_naive(seed):
     pattern = Hypergraph(3, pat_vertices, pat_edges)
     naive = oracles.count_embeddings(host_vertices, host.edges, pat_vertices, pattern.edges)
     assert count_copies(host, pattern).embeddings == naive
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([3, 4]),
+    st.integers(min_value=0, max_value=9_999),
+    st.booleans(),
+    st.booleans(),
+)
+def test_copy_counts_match_naive(r, seed, isolated, induced):
+    # hosts of at most 7 vertices; patterns of r or r + 1 vertices and at
+    # most two edges, plus with `isolated` a vertex in no edge
+    random_graph = oracles.random_3graph if r == 3 else oracles.random_4graph
+    host = Hypergraph(r, *random_graph(seed, max_n=7, max_m=12))
+    rng = random.Random(seed + 1)
+    pat_vertices = [f"p{i}" for i in range(rng.randint(r, r + 1))]
+    pool = list(itertools.combinations(pat_vertices, r))
+    pat_edges = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+    if isolated:
+        pat_vertices.append("isolated")
+    pattern = Hypergraph(r, pat_vertices, pat_edges)
+    result = count_copies(host, pattern, induced=induced)
+    naive = oracles.copy_counts(
+        host.vertices, host.edges, pattern.vertices, pattern.edges, induced=induced
+    )
+    assert (result.embeddings, result.copies) == naive
 
 
 def test_induced_counts_filter():
