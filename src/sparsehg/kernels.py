@@ -10,7 +10,8 @@ order and two integers:
 - `g`: G, the child copy, whose vertices outside X arm Item 3;
 - `k`, `ell`: the tower's k and ell;
 - `base`: the vertices every scanned subset holds, a tower's y-prefix
-  y0..y(ell-1); empty by default.
+  y0..y(ell-1); empty by default. `_scan` sets their lanes to ones in
+  every batch, whichever kernel built it.
 
 The constructor refuses X, xy or base outside A_ell, the precondition the
 bounds assume; G may leave A_ell. With P = |U \\ A_ell|, E = e(U),
@@ -45,11 +46,12 @@ patterns for the low bits of the scan index and all-ones or all-zero
 lanes for the high ones. `sample_scan` draws them: a uniform random subset
 is an independent fair bit per (vertex, subset), so lane j of a batch of
 `count` subsets is one `getrandbits(count)` of the caller's
-random.Random, drawn for j = 0 .. n - 1 in order, batch after batch, and
-the base's lanes are then set to ones. `check_masks` lays its list of
-masks end to end in one big int, in blocks of 64 subsets, and `_transpose`
-turns each 64 x 64 bit block into lanes with six delta swaps applied to
-every block at once.
+random.Random, drawn for j = 0 .. n - 1 in order, batch after batch.
+`check_masks` lays its list of masks end to end in one big int, in blocks
+of 64 subsets, and `_transpose` turns each 64 x 64 bit block into lanes
+with six delta swaps applied to every block at once. Whichever way a
+batch was built, `_scan` then sets the base's lanes to ones, so every
+kernel checks supersets of the base only.
 
 The sample stream is therefore the generator's own output, a pure
 function of its seed. Its batch width, and so which call draws which
@@ -120,11 +122,6 @@ class Bounds(Record):
 def _width(n: int) -> int:
     """Subsets per batch on a host of n vertices: a multiple of 64."""
     return max(64, _LANE_BITS // max(n, 1) // 64 * 64)
-
-
-def _words(n: int) -> int:
-    """64-bit words per subset of a host of n vertices."""
-    return max(1, (n + 63) // 64)
 
 
 def _positions(mask: int) -> list[int]:
@@ -203,18 +200,19 @@ def _less(a: list[int], b: list[int], borrow: int, ones: int) -> int:
 
 def _scan(edge_masks, n, bounds: Bounds, batches) -> ScanResult:
     """Check batches in order, each (lanes, width): n lanes of `width`
-    subsets; stops at the first violation."""
+    subsets, whose base lanes are set to ones first; stops at the first
+    violation."""
     # read once per scan: the closures below run per batch and per subset
     x_mask, aell_mask, xy_mask, gl_mask = bounds.x, bounds.aell, bounds.xy, bounds.g
     k, ell = bounds.k, bounds.ell
-    # an edge with a vertex outside the n lanes lies in no subset
-    edges = [_positions(m) for m in edge_masks if not m >> n]
-    aell = [j for j in _positions(aell_mask) if j < n]
+    edges = list(map(_positions, edge_masks))
+    aell = _positions(aell_mask)
     in_aell = set(aell)
     outside = [j for j in range(n) if j not in in_aell]
-    xs = [j for j in _positions(x_mask) if j < n]
+    xs = _positions(x_mask)
     xy = _positions(xy_mask)
-    glx = [j for j in _positions(gl_mask & ~x_mask) if j < n]
+    glx = _positions(gl_mask & ~x_mask)
+    base = _positions(bounds.base)
 
     def first_violation(lanes, ones):
         # a function of its own, so that a batch's temporaries are freed
@@ -224,7 +222,7 @@ def _scan(edge_masks, n, bounds: Bounds, batches) -> ScanResult:
         p = _count(map(lane, outside))
         au = _count(map(lane, aell))
         xu = au if x_mask == aell_mask else _count(map(lane, xs))
-        holds_xy = 0 if xy and xy[-1] >= n else reduce(and_, map(lane, xy), ones)
+        holds_xy = reduce(and_, map(lane, xy), ones)
         bad = _less(_add(p, [holds_xy]), e, 0, ones)
         few_x = _less(xu, _planes(k - 1, ones), 0, ones) if k > 1 else 0
         if few_x:
@@ -252,7 +250,10 @@ def _scan(edge_masks, n, bounds: Bounds, batches) -> ScanResult:
 
     checked = 0
     for lanes, width in batches:
-        i = first_violation(lanes, (1 << width) - 1)
+        ones = (1 << width) - 1
+        for j in base:
+            lanes[j] = ones
+        i = first_violation(lanes, ones)
         if i >= 0:
             return (checked + i + 1, violation(i, lanes))
         checked += width
@@ -266,36 +267,36 @@ def scan_range(
     """Exhaustive scan over U = bounds.base | scatter(i, free_positions), i in
     [0, 2^len(free_positions))."""
     free = list(free_positions)
-    # x, xy and base lie inside aell
-    n = max(max(free, default=-1) + 1, bounds.aell.bit_length(), bounds.g.bit_length())
+    # x, xy and base lie inside aell; a vertex no scanned subset holds keeps
+    # a zero lane, so an edge through it lies in no subset
+    n = max(max(free, default=-1) + 1, *map(int.bit_length, (bounds.aell, bounds.g, *edge_masks)))
     # scan index bits below `low` vary inside a batch, the rest between
     # batches; batch subset i has index bit t set in runs of 2^t lanes
     low = min(len(free), _width(n).bit_length() - 1)
     width = 1 << low
     ones = (1 << width) - 1
-    base = [ones if bounds.base >> j & 1 else 0 for j in range(n)]
-    lanes = list(base)
+    lanes = [0] * n
     for t, j in enumerate(free[:low]):
         run = 1 << t
         pattern, period = ((1 << run) - 1) << run, 2 * run
         while period < width:
             pattern |= pattern << period
             period *= 2
-        lanes[j] |= pattern
+        lanes[j] = pattern
 
     def batches():
         for pos in range(0, 1 << len(free), width):
             for t, j in enumerate(free[low:], low):
-                lanes[j] = base[j] | (ones if pos >> t & 1 else 0)
+                lanes[j] = ones if pos >> t & 1 else 0
             yield lanes, width
 
     return _scan(edge_masks, n, bounds, batches())
 
 
 def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
-    """Check an explicit list of subset masks over n vertices, in order, as
-    given: `bounds.base` is not ORed in. A batch takes an eighth of the lane
-    budget, since `_transpose` holds about 8 times its packed masks."""
+    """Check an explicit list of subset masks over n vertices, in order, each
+    with `bounds.base` ORed in. A batch takes an eighth of the lane budget,
+    since `_transpose` holds about 8 times its packed masks."""
     width = _width(8 * n)
     chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
     return _scan(edge_masks, n, bounds, ((_transpose(batch, n), len(batch)) for batch in chunks))
@@ -304,17 +305,14 @@ def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
 def sample_scan(edge_masks, n, bounds: Bounds, samples, rng) -> ScanResult:
     """`samples` uniform random supersets of `bounds.base`, drawn from `rng`,
     a random.Random: lane j of each batch of `count` subsets is
-    rng.getrandbits(count), drawn for every vertex in order, and the base's
-    lanes are then set to ones."""
-    prefix = [j for j in _positions(bounds.base) if j < n]
+    rng.getrandbits(count), drawn for every vertex in order; `_scan` then
+    sets the base's lanes to ones."""
     width = _width(n)
 
     def batches():
         for pos in range(0, samples, width):
             count = min(width, samples - pos)
             lanes = list(map(rng.getrandbits, itertools.repeat(count, n)))
-            for j in prefix:
-                lanes[j] = (1 << count) - 1
             yield lanes, count
             del lanes  # as in _scan: freed before the next batch is drawn
 
@@ -330,7 +328,7 @@ def _transpose(masks: Sequence[int], n: int) -> list[int]:
     the shift's bit; then row b of block c holds bit 64w + b of masks
     64c .. 64c + 63 in its word w, and that vertex's lane is one strided
     slice of the words."""
-    words = _words(n)
+    words = max(1, (n + 63) // 64)
     size, full = 8 * words, (1 << n) - 1
     packed = bytearray()
     for m in masks:

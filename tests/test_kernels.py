@@ -101,19 +101,27 @@ def test_bounds_refuse_roles_outside_aell(field):
 
 
 def test_f14_scan_does_not_depend_on_word_count():
-    # the f14 scan twice: on f14 itself, and on f14 padded with 60 isolated
-    # vertices, where a G bit on the last pad vertex gives the scan 74 lanes;
-    # no scanned subset holds that vertex, so Item 3 never fires
+    # the f14 scan three times: on f14 itself; on f14 padded with 60
+    # isolated vertices, where a G bit on the last pad vertex gives the scan
+    # 74 lanes; and on that host with G on the first pad vertex and edges
+    # joining later pads to each other and to f14's vertices. No scanned
+    # subset holds a pad vertex, so Item 3 never fires and no pad edge lies
+    # in a subset
     base = f14().graph
     pad = [f"pad{i}" for i in range(60)]
     wide = Hypergraph(3, list(base.vertices) + pad, base.edges)
+    v = list(base.vertices)
+    joined = [("pad1", "pad2", "pad3"), ("pad4", v[0], v[1]), ("pad59", "pad5", v[13])]
+    wired = Hypergraph(3, list(base.vertices) + pad, list(base.edges) + joined)
     nice = _nice_roles(base.mask_of(f14().witness), 4)
     last_pad = 1 << (wide.vertex_count - 1)
     assert last_pad.bit_length() > 64
     padded = Bounds(x=nice.x, aell=nice.aell, xy=nice.xy, g=last_pad, k=nice.k, ell=nice.ell)
+    first_pad = Bounds(x=nice.x, aell=nice.aell, xy=nice.xy, g=1 << 14, k=nice.k, ell=nice.ell)
     r_narrow = kernels.scan_range(list(base.edge_masks), range(14), nice)
     r_wide = kernels.scan_range(list(wide.edge_masks), range(14), padded)
-    assert r_narrow == r_wide == (1 << 14, None)
+    r_wired = kernels.scan_range(list(wired.edge_masks), range(14), first_pad)
+    assert r_narrow == r_wide == r_wired == (1 << 14, None)
 
 
 def _must_hold(n, x_mask, v, base=0):
@@ -310,7 +318,8 @@ def test_small_batches_match_tower_oracle(seed, lanes):
     # random roles on a random host, A_ell holding the x and y roles as the
     # bounds require, the y-prefix forced into every subset: the scan over
     # the free vertices and check_masks over the same subsets in the same
-    # order both stop at the oracle's first violation
+    # order, given with or without the y-prefix, all stop at the oracle's
+    # first violation
     vertices, edges = oracles.random_3graph(seed, max_n=12, max_m=12)
     g = Hypergraph(3, vertices, edges)
     n = g.vertex_count
@@ -341,6 +350,9 @@ def test_small_batches_match_tower_oracle(seed, lanes):
         mp.setattr(kernels, "_LANE_BITS", max(n, 1) * lanes)
         checked, violation = kernels.scan_range(masks, free, bounds)
         assert kernels.check_masks(masks, n, bounds, order) == (checked, violation)
+        # check_masks ORs the base into every mask, as the other kernels do
+        thin = [m & ~base for m in order]
+        assert kernels.check_masks(masks, n, bounds, thin) == (checked, violation)
     naive = oracles.tower_violation(vertices, edges, x_labels, y_labels, a_ell, gl)
     if naive is None:
         assert violation is None and checked == len(order)
