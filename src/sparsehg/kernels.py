@@ -39,7 +39,7 @@ conditions; its difference and bound are recomputed for that one subset.
 A batch holds about `_LANE_BITS` lane bits (vertices times subsets)
 whatever the host width, and a scan frees each batch's lanes before it
 builds the next. `check_masks` takes an eighth of that budget per batch:
-its transpose holds temporaries of about 8 times the packed batch.
+it peaks at 3 to 4 times one batch's lanes.
 
 Lanes are built three ways. `scan_range` takes fixed periodic bit
 patterns for the low bits of the scan index and all-ones or all-zero
@@ -47,11 +47,10 @@ lanes for the high ones. `sample_scan` draws them: a uniform random subset
 is an independent fair bit per (vertex, subset), so lane j of a batch of
 `count` subsets is one `getrandbits(count)` of the caller's
 random.Random, drawn for j = 0 .. n - 1 in order, batch after batch.
-`check_masks` lays its list of masks end to end in one big int, in blocks
-of 64 subsets, and `_transpose` turns each 64 x 64 bit block into lanes
-with six delta swaps applied to every block at once. Whichever way a
-batch was built, `_scan` then sets the base's lanes to ones, so every
-kernel checks supersets of the base only.
+`check_masks` lays its masks out as rows of bytes, and `_transpose` reads
+the 8 lanes of each byte column as binary digits. Whichever way a batch
+was built, `_scan` then sets the base's lanes to ones, so every kernel
+checks supersets of the base only.
 
 The sample stream is therefore the generator's own output, a pure
 function of its seed. Its batch width, and so which call draws which
@@ -75,16 +74,9 @@ from sparsehg.core import HypergraphError, Record
 # at a time, and 2^21 was slower (README, Memory); it sets the batch width
 # and so the sample stream
 _LANE_BITS = 1 << 22
-# (shift, mask) of each delta swap of a 64 x 64 bit transpose: swap the
-# bits whose row and column differ in the shift's bit
-_SWAPS = (
-    (32, 0x00000000FFFFFFFF),
-    (16, 0x0000FFFF0000FFFF),
-    (8, 0x00FF00FF00FF00FF),
-    (4, 0x0F0F0F0F0F0F0F0F),
-    (2, 0x3333333333333333),
-    (1, 0x5555555555555555),
-)
+# _DIGITS[t] maps each byte to b"1" if its bit t is set, else b"0": it
+# reads bit t of every row of a byte column as one binary digit
+_DIGITS = tuple(bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8))
 
 # A violation is (u_mask, code, delta, bound); code is the violated bound's
 # number.
@@ -295,8 +287,8 @@ def scan_range(
 
 def check_masks(edge_masks, n, bounds: Bounds, masks) -> ScanResult:
     """Check an explicit list of subset masks over n vertices, in order, each
-    with `bounds.base` ORed in. A batch takes an eighth of the lane budget,
-    since `_transpose` holds about 8 times its packed masks."""
+    with `bounds.base` ORed in. A batch takes an eighth of the lane budget;
+    `_transpose` peaks at about 2.5 times the lanes it returns."""
     width = _width(8 * n)
     chunks = (masks[lo : lo + width] for lo in range(0, len(masks), width))
     return _scan(edge_masks, n, bounds, ((_transpose(batch, n), len(batch)) for batch in chunks))
@@ -320,32 +312,19 @@ def sample_scan(edge_masks, n, bounds: Bounds, samples, rng) -> ScanResult:
 
 
 def _transpose(masks: Sequence[int], n: int) -> list[int]:
-    """Lanes of the first n vertices over `masks`, by delta swaps on one big
-    int. The masks, cut to n bits, lie end to end as `words` 64-bit words
-    each, zero masks padding the last block of 64: word w of mask 64c + r
-    is word (64c + r) * words + w, row r of block c. Each swap exchanges,
-    in every block at once, the bits whose row and bit position differ in
-    the shift's bit; then row b of block c holds bit 64w + b of masks
-    64c .. 64c + 63 in its word w, and that vertex's lane is one strided
-    slice of the words."""
-    words = max(1, (n + 63) // 64)
-    size, full = 8 * words, (1 << n) - 1
-    packed = bytearray()
-    for m in masks:
-        packed += (m & full).to_bytes(size, "little")
-    packed += bytes(-len(packed) % (64 * size))
-    blocks = len(packed) // (64 * size)
-    z = int.from_bytes(packed, "little")
-    row = 64 * words  # bits from one row of a block to the next
-    for shift, mask in _SWAPS:
-        # `mask` in every word of the rows r with bit `shift` clear, which
-        # pair with rows r + shift
-        lo_rows = b"".join(
-            (0 if r & shift else mask).to_bytes(8, "little") * words for r in range(64)
-        )
-        select = int.from_bytes(lo_rows * blocks, "little")
-        t = ((z >> shift) ^ (z >> shift * row)) & select
-        z ^= t << shift | t << shift * row
-    data = memoryview(z.to_bytes(len(packed), "little")).cast("Q")
-    block = 64 * words  # words per block: 64 rows of `words` words
-    return [int.from_bytes(data[j % 64 * words + j // 64 :: block], "little") for j in range(n)]
+    """Lanes of the first n vertices over `masks`, read from byte columns.
+    The masks, cut to n bits, are rows of `size` little-endian bytes after
+    one zero row, the last mask first: byte column b, the slice
+    rows[b::size], translated by `_DIGITS[t]` is lane 8b + t as binary
+    digits, most significant first. The zero row gives an empty batch zero
+    lanes, and a power-of-two base is exempt from CPython's int/str digit
+    limit."""
+    size, full = (n + 7) // 8, (1 << n) - 1
+    rows = bytearray(size)
+    for m in reversed(masks):
+        rows += (m & full).to_bytes(size, "little")
+    lanes = []
+    for b in range(size):
+        column = rows[b::size]
+        lanes.extend(int(column.translate(digits), 2) for digits in _DIGITS[: n - 8 * b])
+    return lanes

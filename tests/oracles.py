@@ -119,21 +119,26 @@ def lanes(masks, n):
     return [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(n)]
 
 
-def uniform_subsets(rng, n, samples, lane_bits, base=0):
-    """The subsets of a sampled scan's uniform pass, drawn from `rng`, a
-    random.Random, in scan order.
+def uniform_lanes(rng, n, samples, lane_bits):
+    """The lanes of a sampled scan's uniform pass, drawn from `rng`, a
+    random.Random, as (lanes, count) per batch in scan order.
 
     The pass draws batches of `batch_width(n, lane_bits)` subsets, the last
     one short. Lane j of batch b is the (b * n + j)-th getrandbits call,
-    getrandbits(count) for a batch of `count` subsets, and subset i of the
-    batch holds vertex j when bit i of lane j is set; `base` is ORed into
-    every subset.
+    getrandbits(count) for a batch of `count` subsets.
     """
     width = batch_width(n, lane_bits)
-    subsets = []
     for pos in range(0, samples, width):
         count = min(width, samples - pos)
-        drawn = [rng.getrandbits(count) for _ in range(n)]
+        yield [rng.getrandbits(count) for _ in range(n)], count
+
+
+def uniform_subsets(rng, n, samples, lane_bits, base=0):
+    """The subsets of a sampled scan's uniform pass, drawn from `rng` as
+    `uniform_lanes` says, in scan order: subset i of a batch holds vertex j
+    when bit i of lane j is set, and `base` is ORed into every subset."""
+    subsets = []
+    for drawn, count in uniform_lanes(rng, n, samples, lane_bits):
         for i in range(count):
             subsets.append(base | sum(1 << j for j in range(n) if drawn[j] >> i & 1))
     return subsets
@@ -163,16 +168,21 @@ def stratified_positions(size, rng, draws=4096):
     return masks
 
 
-def stratified_masks(graph, witness, rng):
-    """The stratified pass of sampled niceness as host masks. The pool is
-    the witness, then the vertices sharing an edge with it in vertex order;
-    pool position i stands for pool[i]."""
+def pool(graph, witness):
+    """The stratified pass's pool: the witness, then the vertices sharing an
+    edge with it in vertex order."""
     wit = set(witness)
     touched = {u for edge in graph.edges if wit & set(edge) for u in edge} - wit
-    pool = list(witness) + [v for v in graph.vertices if v in touched]
+    return list(witness) + [v for v in graph.vertices if v in touched]
+
+
+def stratified_masks(graph, witness, rng):
+    """The stratified pass of sampled niceness as host masks; pool position
+    i stands for pool(graph, witness)[i]."""
+    vertices = pool(graph, witness)
     return [
-        graph.mask_of(v for i, v in enumerate(pool) if m >> i & 1)
-        for m in stratified_positions(len(pool), rng)
+        graph.mask_of(v for i, v in enumerate(vertices) if m >> i & 1)
+        for m in stratified_positions(len(vertices), rng)
     ]
 
 

@@ -216,7 +216,7 @@ def _templates():
 
 
 def _readme_parameter_rows():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
     rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
     return [[cell.strip() for cell in row] for row in rows[1:]]

@@ -576,7 +576,7 @@ _READ_OPTIONS = ("--input", "--pattern", "--proj", "--config")
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     # every sparsehg line of the README's CLI block, in order, but for those
     # that read a file no earlier line writes
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(tmp_path)
     ran = []
@@ -800,7 +800,7 @@ def test_search_copies(capsys, tmp_path, cycle_file):
 )
 def test_json_booleans_are_not_integers(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(argv + ["--input", str(path)]) == 1
     lines = error_lines(capsys)
     assert len(lines) == 1 and message in lines[0]
@@ -809,10 +809,10 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, argv, doc, message):
 @pytest.mark.parametrize("subcopies", [[], None, 1, "s", True])
 @pytest.mark.parametrize("command", ["nice", "gl-props"])
 def test_non_object_subcopies_exit_one(capsys, f14_file, command, subcopies):
-    with open(f14_file) as fh:
+    with open(f14_file, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["subcopies"] = subcopies
-    with open(f14_file, "w") as fh:
+    with open(f14_file, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     assert main(["verify", command, "--input", f14_file]) == 1
     lines = error_lines(capsys)
@@ -844,7 +844,7 @@ def test_non_utf8_input_exits_one(capsys, f14_file, command):
 )
 def test_hostile_json_exits_one(capsys, tmp_path, argv, text):
     path = tmp_path / "hostile.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(argv + ["--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -914,7 +914,7 @@ def test_malformed_tower_roles_exit_one(capsys, tmp_path, role, labels):
     doc = copy.deepcopy(_G0_DOC)
     doc["roles"][role] = labels
     path = tmp_path / "g0.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", "gl-props", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -946,7 +946,7 @@ _OUTSIDE_A_ELL = {
 def test_tower_roles_outside_a_ell_exit_one(capsys, tmp_path, mutate, method):
     assert "w1" not in _G0_DOC["roles"]["A_ell"]
     path = tmp_path / "g0.json"
-    path.write_text(json.dumps(_mutated(_G0_DOC, mutate)))
+    path.write_text(json.dumps(_mutated(_G0_DOC, mutate)), encoding="utf-8")
     assert main(["verify", "gl-props", "--input", str(path), *method]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1156,7 +1156,8 @@ def test_unknown_label_error_does_not_depend_on_the_hash_seed(tmp_path):
     # the edge's labels are checked in the given order, so 'b' is named first
     # whatever order a set of the labels would take
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"r": 3, "vertices": ["a"], "edges": [["a", "b", "c"]]}))
+    bad.write_text(json.dumps({"r": 3, "vertices": ["a"], "edges": [["a", "b", "c"]]}),
+                   encoding="utf-8")
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     errors = set()
@@ -1164,7 +1165,7 @@ def test_unknown_label_error_does_not_depend_on_the_hash_seed(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sparsehg.cli", "search", "config",
              "--input", str(bad), "--v", "3", "--e", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
         )
         assert (proc.returncode, proc.stdout) == (1, "")
@@ -1183,6 +1184,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "sparsehg.cli", "ramsey", "qquad", "--p", "4"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
     )
     assert proc.returncode == 0

@@ -56,7 +56,7 @@ def _child(script, *args, environ=os.environ, flags=()):
     path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script, *args],
-        capture_output=True, text=True, env=dict(environ, PYTHONPATH=path),
+        capture_output=True, text=True, encoding="utf-8", env=dict(environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -303,7 +303,7 @@ def test_sigterm_during_a_write_leaves_no_temp_file(tmp_path, when):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _SIGTERM_DURING_WRITE, str(path), when],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, encoding="utf-8", env=env)
     # the process exits through the clean-up, not by the signal's default action
     assert proc.returncode == 128 + signal.SIGTERM
     assert proc.stdout == "" and proc.stderr == ""
@@ -330,7 +330,7 @@ def test_a_stale_temp_file_is_left_alone(tmp_path):
 @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
 def test_rewrites_keep_the_targets_mode(tmp_path, mode):
     path = tmp_path / "out.json"
-    path.write_text("old\n")
+    path.write_text("old\n", encoding="utf-8")
     path.chmod(mode)
     jsonio.write_json(path, [1])
     assert stat.S_IMODE(path.stat().st_mode) == mode
@@ -347,7 +347,7 @@ def test_new_files_take_the_umask_default(tmp_path):
 
 def test_writes_go_through_symlinks(tmp_path):
     real, link = tmp_path / "real.json", tmp_path / "link.json"
-    real.write_text("old\n")
+    real.write_text("old\n", encoding="utf-8")
     link.symlink_to(real)
     jsonio.write_json(link, [1])
     assert link.is_symlink() and real.read_bytes() == b"[\n  1\n]\n"
@@ -368,7 +368,7 @@ def test_pipes_are_written_in_place(tmp_path):
 
 def test_read_json_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{nope")
+    path.write_text("{nope", encoding="utf-8")
     with pytest.raises(HypergraphError, match="not valid JSON"):
         jsonio.read_json(path)
 

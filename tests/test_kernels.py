@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -211,13 +212,29 @@ def test_first_batch_lanes_are_pinned():
     assert digest.hexdigest() == "b8fb86fc313626488d33052aa0ba9d030f5f14469740c98bd679a97001f42da4"
 
 
-@pytest.mark.parametrize("n", [1, 14, 40, 63, 64, 65, 130, 216, 306])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 14, 40, 63, 64, 65, 130, 216, 306])
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200])
 def test_mask_lanes_match_per_bit_oracle(n, count):
-    # masks with bits past n, which no lane may carry
+    # masks with bits past n, which no lane may carry; 7, 8 and 9 vertices
+    # fill one byte column partly and fully, and start a second one
     rng = random.Random(n * 1000 + count)
     masks = [rng.getrandbits(n + 5) for _ in range(count)]
     assert kernels._transpose(masks, n) == oracles.lanes(masks, n)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_mask_lanes_ignore_the_int_str_digit_limit():
+    # 3,000 masks give lanes of 3,000 binary digits, past a limit of 640
+    # decimal digits, which applies to every base but the powers of two
+    rng = random.Random(3000)
+    masks = [rng.getrandbits(40) for _ in range(3000)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        lanes = kernels._transpose(masks, 40)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert lanes == oracles.lanes(masks, 40)
 
 
 @pytest.mark.parametrize("kernel", ["sample_scan", "check_masks"])

@@ -400,7 +400,7 @@ def search_argv(tmp_path, g, v, e):
     """A `search config` CLI call on g, and the environment that finds the package."""
     host = tmp_path / "host.json"
     host.write_text(json.dumps({"r": g.r, "vertices": list(g.vertices),
-                                "edges": [list(edge) for edge in g.edges]}))
+                                "edges": [list(edge) for edge in g.edges]}), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(sparsehg.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "sparsehg.cli", "search", "config",
@@ -417,8 +417,8 @@ def test_same_report_on_one_cpu_and_on_all(tmp_path):
 
     reports = []
     for preexec in (one_cpu, None):
-        proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=preexec,
-                              env=env)
+        proc = subprocess.run(argv, capture_output=True, text=True, encoding="utf-8",
+                              preexec_fn=preexec, env=env)
         assert proc.returncode == 2, proc.stderr
         report = json.loads(proc.stdout)
         # enough nodes that a process with two CPUs splits the search
@@ -431,7 +431,7 @@ def test_same_report_on_one_cpu_and_on_all(tmp_path):
 def children_of(pid):
     """The pids of pid's children, from /proc (Linux)."""
     try:
-        with open(f"/proc/{pid}/task/{pid}/children") as f:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="utf-8") as f:
             return f.read().split()
     except FileNotFoundError:  # pid has exited
         return []
@@ -445,7 +445,7 @@ def test_sigterm_kills_and_reaps_the_workers(tmp_path):
     # SIGTERM comes
     argv, env = search_argv(tmp_path, linear_3graph(2), 15, 12)
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=env, start_new_session=True)
+                            text=True, encoding="utf-8", env=env, start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         while len(children_of(proc.pid)) < 2:
@@ -503,13 +503,13 @@ def test_sigterm_while_forking_kills_and_reaps_the_workers(tmp_path, call, nth):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "out.txt"
-    with open(out, "w") as fp:
+    with open(out, "w", encoding="utf-8") as fp:
         proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_DURING_SPLIT, call, str(nth)],
                                 stdout=fp, stderr=subprocess.STDOUT, env=env,
                                 start_new_session=True)
     try:
-        assert proc.wait(timeout=30) == 128 + signal.SIGTERM, out.read_text()
-        assert out.read_text() == ""
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM, out.read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8") == ""
         # the call ran in its own session: its process group is empty
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
