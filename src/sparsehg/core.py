@@ -13,17 +13,35 @@ mask, and `is_independent` tests them edge by edge. Masks are plain Python
 integers, so hosts with more than 64 vertices work unchanged; the subset
 kernels check them as bit-sliced lanes, one Python int per vertex with one
 bit per subset.
+
+Every module's entry points share two argument rules: `_integer` refuses a
+bool, a non-int or a value out of range, and `_at_most` an input over a size
+guard, each with one message form.
 """
 
 from __future__ import annotations
 
 import _signal  # builtin and loaded at start-up, unlike signal.py
 import contextlib
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class HypergraphError(ValueError):
     """Malformed input: a bad construction, an unknown label or an out-of-range argument."""
+
+
+def _integer(name: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """HypergraphError unless `value` is an int, not a bool, in [lo, hi] (hi None: no bound)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise HypergraphError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _at_most(what: str, count: int, limit: int, unit: str = "vertices") -> None:
+    """HypergraphError when `count` is over a size guard's `limit`."""
+    if count > limit:
+        raise HypergraphError(f"{what} limited to {limit} {unit}; got {count}")
 
 
 class Record:
@@ -107,8 +125,7 @@ class Hypergraph:
     __slots__ = ("r", "vertices", "edges", "_index", "_edge_masks")
 
     def __init__(self, r: int, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
-        if not isinstance(r, int) or r < 2:
-            raise HypergraphError(f"uniformity must be an integer >= 2, got {r!r}")
+        _integer("r", r, 2)
         verts = tuple(vertices)
         index: dict[str, int] = {}
         for label in verts:

@@ -11,7 +11,9 @@ copy, found by composing the k-th child copy maps.
 
 from __future__ import annotations
 
-from sparsehg.core import DifferenceReport, Hypergraph, HypergraphError, Record, subgraph_from_edges
+from sparsehg.core import (
+    DifferenceReport, Hypergraph, HypergraphError, Record, _integer, subgraph_from_edges,
+)
 from sparsehg.families import LabeledConfiguration, _level_ratio, _tower_shape
 
 
@@ -49,8 +51,7 @@ def locate_subcopy(chain: LabeledConfiguration, lp: int) -> dict[str, str]:
     diverted branch runs through the k-th child copy at every level.
     """
     graphs, copies, k, ell, _ = _chain_context(chain)
-    if not isinstance(lp, int) or lp < 0 or lp >= ell:
-        raise HypergraphError(f"level {lp!r} out of range [0, {ell})")
+    _integer("lp", lp, 0, ell - 1)
     emb = _compose_to_level(graphs, copies, k, lp, ell)
     _, _, xs, ys, _, _ = _tower_shape(chain.levels[lp])
     _, _, top_xs, top_ys, _, _ = _tower_shape(chain)
@@ -122,8 +123,7 @@ def extract(chain: LabeledConfiguration, t: int) -> ExtractionResult:
     graphs, copies, k, ell, a_ell = _chain_context(chain)
     e_base = graphs[0].edge_count
     max_t = _level_ratio(k, ell)
-    if not isinstance(t, int) or t < 0 or t > max_t:
-        raise HypergraphError(f"t must be an integer in [0, {max_t}], got {t!r}")
+    _integer("t", t, 0, max_t)
     trace: list = []
     verts, edges = _extract_rec(graphs, copies, k, ell, t, trace)
     if len(edges) != t * e_base:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError
+from sparsehg.core import Hypergraph, HypergraphError, _integer
 
 
 class LabeledConfiguration:
@@ -156,8 +156,7 @@ def factorial_family(k: int) -> LabeledConfiguration:
 
     F_k glues k copies of F_(k-1) onto its spine (layout: module docstring).
     """
-    if not isinstance(k, int) or k < 4 or k > 8:
-        raise HypergraphError(f"k must be an integer in [4, 8], got {k!r}")
+    _integer("k", k, 4, 8)
     cfg = f14()
     for m in range(5, k + 1):
         cfg = _next_factorial(cfg, m)
@@ -239,8 +238,7 @@ def geometric_tower(
     `allow_edge_base` admits the single-edge base (anchor set of size 3, not
     independent).
     """
-    if not isinstance(ell, int) or ell < 0:
-        raise HypergraphError(f"ell must be a non-negative integer, got {ell!r}")
+    _integer("ell", ell, 0)
     a = base.witness
     k = base.graph.delta
     if k < 2:

@@ -33,7 +33,7 @@ import random
 from typing import Optional, Sequence, Union
 
 from sparsehg import kernels
-from sparsehg.core import Hypergraph, HypergraphError, Record
+from sparsehg.core import Hypergraph, HypergraphError, Record, _at_most, _integer
 from sparsehg.families import LabeledConfiguration, _cycle_shape, _tower_shape
 
 NICE = "NICE"
@@ -127,8 +127,7 @@ def _check_sampling(samples: Optional[int], seed: Optional[int]) -> random.Rando
     """The generator of a sampled check, seeded with `seed`; HypergraphError
     unless (samples, seed) can drive one. A bool is refused for either,
     though it is an int."""
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples <= 0:
-        raise HypergraphError("samples must be a positive integer")
+    _integer("samples", samples, 1)
     if seed is None:
         raise HypergraphError("a sampled check needs a seed")
     # random.Random seeds from |seed|, so -1 would draw what 1 draws
@@ -299,11 +298,7 @@ def find_witness(config: GraphLike) -> Optional[tuple[str, ...]]:
     returns None when every candidate fails or none exists.
     """
     graph = _as_graph(config)
-    if graph.vertex_count > _WITNESS_VERTEX_LIMIT:
-        raise HypergraphError(
-            f"witness search limited to {_WITNESS_VERTEX_LIMIT} vertices; "
-            f"graph has {graph.vertex_count}"
-        )
+    _at_most("witness search", graph.vertex_count, _WITNESS_VERTEX_LIMIT)
     size = graph.delta + 1
     if not 0 <= size <= graph.vertex_count:
         return None

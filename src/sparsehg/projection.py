@@ -15,7 +15,7 @@ import itertools
 from math import comb
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError, Record
+from sparsehg.core import Hypergraph, HypergraphError, Record, _at_most, _integer
 
 _PROJECT_VERTEX_LIMIT = 40
 
@@ -84,15 +84,9 @@ def project(graph: Hypergraph, k: int, e: int) -> ProjectionResult:
     is recorded as its lexicographically smallest triple.
     """
     r = graph.r
-    if not (2 <= k < r):
-        raise HypergraphError(f"need 2 <= k < r={r}, got k={k!r}")
-    if e < 2:
-        raise HypergraphError(f"need e >= 2, got {e!r}")
-    if graph.vertex_count > _PROJECT_VERTEX_LIMIT:
-        raise HypergraphError(
-            f"projection limited to {_PROJECT_VERTEX_LIMIT} vertices; "
-            f"graph has {graph.vertex_count}"
-        )
+    _integer("k", k, 2, r - 1)
+    _integer("e", e, 2)
+    _at_most("projection", graph.vertex_count, _PROJECT_VERTEX_LIMIT)
     if graph.vertex_count < k - 2:
         raise HypergraphError(f"need k-2={k - 2} anchor vertices, graph has {graph.vertex_count}")
     anchors, link_edges = _pick_anchors(graph, k)

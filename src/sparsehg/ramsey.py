@@ -13,7 +13,7 @@ import random
 from math import comb
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError, Record
+from sparsehg.core import Hypergraph, HypergraphError, Record, _at_most, _integer
 
 _CHECK_VERTEX_LIMIT = 14
 _IMPLICATION_VERTEX_LIMIT = 12
@@ -32,8 +32,7 @@ class ColoringInstance(Record):
     def __init__(self, n: int, colors: dict[Pair, int]):
         colors = dict(colors)
         super().__init__(n, colors)
-        if not isinstance(n, int) or n < 2:
-            raise HypergraphError(f"n must be an integer >= 2, got {n!r}")
+        _integer("n", n, 2)
         for pair, color in colors.items():
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(v, int) for v in pair)
                     and 1 <= pair[0] < pair[1] <= n):
@@ -61,20 +60,15 @@ class RamseyReport(Record):
 
 def q_quad(p: int) -> int:
     """Threshold color count: pairs of a p-clique, minus floor(p/2), plus 2."""
-    if not isinstance(p, int) or p < 4:
-        raise HypergraphError(f"p must be an integer >= 4, got {p!r}")
+    _integer("p", p, 4)
     return comb(p, 2) - p // 2 + 2
 
 
 def check_coloring(coloring: ColoringInstance, p: int, q: int) -> RamseyReport:
     """Exact minimum color count over every p-clique; valid iff >= q."""
     n = coloring.n
-    if not (2 <= p <= n):
-        raise HypergraphError(f"need 2 <= p <= n={n}, got p={p!r}")
-    if n > _CHECK_VERTEX_LIMIT:
-        raise HypergraphError(
-            f"exact clique scan limited to n <= {_CHECK_VERTEX_LIMIT}, got {n}"
-        )
+    _integer("p", p, 2, n)
+    _at_most("exact clique scan", n, _CHECK_VERTEX_LIMIT)
     best = None
     witness = None
     for verts in itertools.combinations(range(1, n + 1), p):
@@ -141,11 +135,7 @@ def verify_implication(coloring: ColoringInstance, p: int, q: int) -> bool:
     """
     from sparsehg.search import find_configuration
 
-    if coloring.n > _IMPLICATION_VERTEX_LIMIT:
-        raise HypergraphError(
-            f"implication check limited to n <= {_IMPLICATION_VERTEX_LIMIT}, "
-            f"got {coloring.n}"
-        )
+    _at_most("implication check", coloring.n, _IMPLICATION_VERTEX_LIMIT)
     e = comb(p, 2) - q + 1
     if e < 1:
         raise HypergraphError(f"q={q} leaves a non-positive edge target {e}")
@@ -163,8 +153,7 @@ def packed_coloring(n: int, p: int) -> ColoringInstance:
     two classes at a time, so every class has two disjoint members and
     contributes a 4-edge; all other pairs get fresh colors.
     """
-    if not isinstance(p, int) or p < 4 or p > n:
-        raise HypergraphError(f"need 4 <= p <= n={n}, got p={p!r}")
+    _integer("p", p, 4, n)
     packed = [(2 * i + 1, 2 * i + 2) for i in range(p // 2)]
     colors: dict[Pair, int] = {}
     for idx, pair in enumerate(packed):
@@ -179,8 +168,7 @@ def packed_coloring(n: int, p: int) -> ColoringInstance:
 
 def random_coloring(n: int, seed: int, palette: int = 25) -> ColoringInstance:
     """Uniform independent color per pair from a fixed palette; seeded."""
-    if palette < 1:
-        raise HypergraphError(f"palette must be positive, got {palette!r}")
+    _integer("palette", palette, 1)
     rng = random.Random(seed)
     colors = {
         pair: rng.randrange(palette)

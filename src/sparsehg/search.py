@@ -45,7 +45,7 @@ import select
 import signal
 from typing import Optional
 
-from sparsehg.core import Hypergraph, HypergraphError, Record, _sigterm_exits
+from sparsehg.core import Hypergraph, HypergraphError, Record, _at_most, _integer, _sigterm_exits
 
 _SEARCH_EDGE_LIMIT = 60
 _SEARCH_VERTEX_LIMIT = 20
@@ -77,8 +77,8 @@ def _search_guard(graph: Hypergraph) -> None:
 
 def _check_search(graph: Hypergraph, v: int, e: int) -> None:
     _search_guard(graph)
-    if e < 0 or v < 0:
-        raise HypergraphError("v and e must be non-negative")
+    _integer("v", v, 0)
+    _integer("e", e, 0)
 
 
 def _witness_from_masks(graph: Hypergraph, picked: tuple[int, ...]):
@@ -376,11 +376,7 @@ def count_copies(
         raise HypergraphError(
             f"uniformity mismatch: host is {host.r}-uniform, pattern {pattern.r}-uniform"
         )
-    if pattern.vertex_count > _PATTERN_VERTEX_LIMIT:
-        raise HypergraphError(
-            f"pattern limited to {_PATTERN_VERTEX_LIMIT} vertices, "
-            f"got {pattern.vertex_count}"
-        )
+    _at_most("pattern", pattern.vertex_count, _PATTERN_VERTEX_LIMIT)
     _search_guard(host)
     # one bit per host edge: a sum of vertex bits is a host edge iff it is a
     # key here, and the OR of an embedding's edge bits keys its edge image

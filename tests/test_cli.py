@@ -626,10 +626,12 @@ _GUARDS = {
         "pattern limited"),
     "ramsey-check": (
         {"c.json": lambda: jsonio.coloring_to_obj(random_coloring(15, 0))},
-        ["ramsey", "check", "--input", "c.json", "--p", "4", "--q", "5"], "n <= 14"),
+        ["ramsey", "check", "--input", "c.json", "--p", "4", "--q", "5"],
+        "exact clique scan limited to 14 vertices; got 15"),
     "ramsey-implication": (
         {"c.json": lambda: jsonio.coloring_to_obj(random_coloring(13, 0))},
-        ["ramsey", "implication", "--input", "c.json", "--p", "4", "--q", "5"], "n <= 12"),
+        ["ramsey", "implication", "--input", "c.json", "--p", "4", "--q", "5"],
+        "implication check limited to 12 vertices; got 13"),
     "project": (
         {"h.json": lambda: {"r": 4, "vertices": [f"u{i}" for i in range(41)],
                             "edges": [["u0", "u1", "u2", "u3"]]}},
@@ -1087,7 +1089,7 @@ _INPUT_GUARDS = {
     "search-negative-v": (
         {"f14.json": lambda: _F14_DOC},
         ["search", "config", "--input", "f14.json", "--v", "-1", "--e", "3"],
-        "v and e must be non-negative"),
+        "v must be an integer >= 0, got -1"),
     "nice-on-a-tower-without-witness": (
         {"g1.json": lambda: jsonio.config_to_obj(geometric_tower(f14(), 1))},
         ["verify", "nice", "--input", "g1.json"],

@@ -9,15 +9,24 @@ from sparsehg.core import (
     DifferenceReport,
     Hypergraph,
     HypergraphError,
+    _at_most,
+    _integer,
     subgraph_from_edges,
 )
-from sparsehg.extraction import ExtractionResult
-from sparsehg.families import LabeledConfiguration
+from sparsehg.extraction import ExtractionResult, extract, locate_subcopy
+from sparsehg.families import LabeledConfiguration, f14, factorial_family, geometric_tower
 from sparsehg.kernels import Bounds
-from sparsehg.niceness import Counterexample, NicenessReport
-from sparsehg.projection import ProjectedMap, ProjectionResult
-from sparsehg.ramsey import ColoringInstance, RamseyReport
-from sparsehg.search import CopyCount, SearchResult
+from sparsehg.niceness import Counterexample, NicenessReport, sample_nice
+from sparsehg.projection import ProjectedMap, ProjectionResult, project
+from sparsehg.ramsey import (
+    ColoringInstance,
+    RamseyReport,
+    check_coloring,
+    packed_coloring,
+    q_quad,
+    random_coloring,
+)
+from sparsehg.search import CopyCount, SearchResult, find_configuration, find_configuration_unpruned
 
 import oracles
 
@@ -251,3 +260,74 @@ def test_labeled_configuration_is_mutable_and_compares_without_levels():
     assert config != other
     with pytest.raises(TypeError):
         hash(other)
+
+
+def _span(lo, hi):
+    return f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.integers(-8, 8), st.integers(-10**30, 10**30), st.booleans(), st.floats()),
+    st.integers(-3, 3),
+    st.sampled_from(["none", "below", "equal", "zero"]),
+)
+def test_integer_matches_the_naive_rule(value, lo, hi_kind):
+    hi = {"none": None, "below": lo - 1, "equal": lo, "zero": 0}[hi_kind]
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        assert _integer("x", value, lo, hi) is None
+        return
+    with pytest.raises(HypergraphError) as info:
+        _integer("x", value, lo, hi)
+    assert str(info.value) == f"x must be an integer {_span(lo, hi)}, got {value!r}"
+
+
+def test_at_most_refuses_only_past_the_limit():
+    assert _at_most("scan", 14, 14) is None
+    with pytest.raises(HypergraphError) as info:
+        _at_most("scan", 15, 14)
+    assert str(info.value) == "scan limited to 14 vertices; got 15"
+
+
+_FOUR_GRAPH = Hypergraph(4, list("abcde"), [tuple("abcd")])
+
+# every integer argument of a public entry point: a call taking it, the
+# name its message starts with, its range [lo, hi] (hi None: no upper end)
+# and a typical value, refused too as a float
+_INTEGER_ARGUMENTS = {
+    "Hypergraph-r": (lambda r: Hypergraph(r, [], []), "r", 2, None, 3),
+    "factorial_family-k": (factorial_family, "k", 4, 8, 5),
+    "geometric_tower-ell": (lambda ell: geometric_tower(f14(), ell), "ell", 0, None, 1),
+    "locate_subcopy-lp": (lambda lp: locate_subcopy(geometric_tower(f14(), 2), lp), "lp", 0, 1, 0),
+    "locate_subcopy-lp-on-G1": (
+        lambda lp: locate_subcopy(geometric_tower(f14(), 1), lp), "lp", 0, 0, 0),
+    "locate_subcopy-lp-on-G0": (
+        lambda lp: locate_subcopy(geometric_tower(f14(), 0), lp), "lp", 0, -1, 0),
+    "extract-t": (lambda t: extract(geometric_tower(f14(), 1), t), "t", 0, 5, 2),
+    "ColoringInstance-n": (lambda n: ColoringInstance(n, {}), "n", 2, None, 3),
+    "q_quad-p": (q_quad, "p", 4, None, 4),
+    "check_coloring-p": (lambda p: check_coloring(random_coloring(6, 0), p, 3), "p", 2, 6, 4),
+    "packed_coloring-p": (lambda p: packed_coloring(6, p), "p", 4, 6, 4),
+    "random_coloring-palette": (
+        lambda palette: random_coloring(6, 0, palette=palette), "palette", 1, None, 2),
+    "project-k": (lambda k: project(_FOUR_GRAPH, k, 2), "k", 2, 3, 2),
+    "project-e": (lambda e: project(_FOUR_GRAPH, 2, e), "e", 2, None, 2),
+    "find_configuration-v": (lambda v: find_configuration(f14().graph, v, 5), "v", 0, None, 9),
+    "find_configuration-e": (lambda e: find_configuration(f14().graph, 9, e), "e", 0, None, 5),
+    "find_configuration_unpruned-v": (
+        lambda v: find_configuration_unpruned(f14().graph, v, 5), "v", 0, None, 9),
+    "find_configuration_unpruned-e": (
+        lambda e: find_configuration_unpruned(f14().graph, 9, e), "e", 0, None, 5),
+    "sample_nice-samples": (
+        lambda samples: sample_nice(f14(), samples=samples, seed=1), "samples", 1, None, 10),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_are_refused_with_one_error(site):
+    call, name, lo, hi, typical = _INTEGER_ARGUMENTS[site]
+    refused = [True, float(typical), lo - 1] + ([] if hi is None else [hi + 1])
+    for value in refused:
+        with pytest.raises(HypergraphError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be an integer {_span(lo, hi)}, got {value!r}"

@@ -135,7 +135,7 @@ def test_guard_rejects_oversized_inputs():
 @pytest.mark.parametrize("v, e", [(-1, 2), (6, -1)])
 def test_negative_targets_rejected_after_the_size_guard(search_fn, v, e):
     g = f14().graph
-    with pytest.raises(HypergraphError, match="v and e must be non-negative"):
+    with pytest.raises(HypergraphError, match="[ve] must be an integer >= 0, got -1"):
         search_fn(g, v, e)
     verts = [f"v{i}" for i in range(25)]
     oversized = Hypergraph(3, verts, list(itertools.combinations(verts, 3))[:70])
