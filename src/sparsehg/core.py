@@ -14,9 +14,8 @@ integers, so hosts with more than 64 vertices work unchanged; the subset
 kernels check them as bit-sliced lanes, one Python int per vertex with one
 bit per subset.
 
-Every module's entry points share two argument rules: `_integer` refuses a
-bool, a non-int or a value out of range, and `_at_most` an input over a size
-guard, each with one message form.
+Every entry point checks its arguments with the two rules here, each with one
+message form: `_integer` (an int, not a bool, in range) and `_at_most` (a size guard).
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ def _integer(name: str, value, lo: int, hi: Optional[int] = None) -> None:
         raise HypergraphError(f"{name} must be an integer {span}, got {value!r}")
 
 
-def _at_most(what: str, count: int, limit: int, unit: str = "vertices") -> None:
-    """HypergraphError when `count` is over a size guard's `limit`."""
+def _at_most(what: str, count: int, limit: int) -> None:
+    """HypergraphError when a vertex `count` is over a size guard's `limit`."""
     if count > limit:
-        raise HypergraphError(f"{what} limited to {limit} {unit}; got {count}")
+        raise HypergraphError(f"{what} limited to {limit} vertices; got {count}")
 
 
 class Record:

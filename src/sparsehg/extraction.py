@@ -11,9 +11,8 @@ copy, found by composing the k-th child copy maps.
 
 from __future__ import annotations
 
-from sparsehg.core import (
-    DifferenceReport, Hypergraph, HypergraphError, Record, _integer, subgraph_from_edges,
-)
+from sparsehg.core import (DifferenceReport, Hypergraph, HypergraphError, Record, _integer,
+                           subgraph_from_edges)
 from sparsehg.families import LabeledConfiguration, _level_ratio, _tower_shape
 
 

@@ -125,8 +125,7 @@ def _report(
 
 def _check_sampling(samples: Optional[int], seed: Optional[int]) -> random.Random:
     """The generator of a sampled check, seeded with `seed`; HypergraphError
-    unless (samples, seed) can drive one. A bool is refused for either,
-    though it is an int."""
+    unless (samples, seed) can drive one, a bool refused for either."""
     _integer("samples", samples, 1)
     if seed is None:
         raise HypergraphError("a sampled check needs a seed")

@@ -135,6 +135,7 @@ def verify_implication(coloring: ColoringInstance, p: int, q: int) -> bool:
     """
     from sparsehg.search import find_configuration
 
+    _integer("p", p, 2)
     _at_most("implication check", coloring.n, _IMPLICATION_VERTEX_LIMIT)
     e = comb(p, 2) - q + 1
     if e < 1:
@@ -153,6 +154,7 @@ def packed_coloring(n: int, p: int) -> ColoringInstance:
     two classes at a time, so every class has two disjoint members and
     contributes a 4-edge; all other pairs get fresh colors.
     """
+    _integer("n", n, 2)
     _integer("p", p, 4, n)
     packed = [(2 * i + 1, 2 * i + 2) for i in range(p // 2)]
     colors: dict[Pair, int] = {}
@@ -168,6 +170,7 @@ def packed_coloring(n: int, p: int) -> ColoringInstance:
 
 def random_coloring(n: int, seed: int, palette: int = 25) -> ColoringInstance:
     """Uniform independent color per pair from a fixed palette; seeded."""
+    _integer("n", n, 2)
     _integer("palette", palette, 1)
     rng = random.Random(seed)
     colors = {

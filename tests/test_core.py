@@ -25,6 +25,7 @@ from sparsehg.ramsey import (
     packed_coloring,
     q_quad,
     random_coloring,
+    verify_implication,
 )
 from sparsehg.search import CopyCount, SearchResult, find_configuration, find_configuration_unpruned
 
@@ -266,20 +267,14 @@ def _span(lo, hi):
     return f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
 
 
-@settings(max_examples=300)
-@given(
-    st.one_of(st.integers(-8, 8), st.integers(-10**30, 10**30), st.booleans(), st.floats()),
-    st.integers(-3, 3),
-    st.sampled_from(["none", "below", "equal", "zero"]),
-)
-def test_integer_matches_the_naive_rule(value, lo, hi_kind):
-    hi = {"none": None, "below": lo - 1, "equal": lo, "zero": 0}[hi_kind]
-    if type(value) is int and lo <= value and (hi is None or value <= hi):
+def test_integer_accepts_only_ints_in_range():
+    for value, lo, hi in [(10**30, 0, None), (0, 0, 0), (-3, -3, -3)]:
         assert _integer("x", value, lo, hi) is None
-        return
-    with pytest.raises(HypergraphError) as info:
-        _integer("x", value, lo, hi)
-    assert str(info.value) == f"x must be an integer {_span(lo, hi)}, got {value!r}"
+    for value, lo, hi in [(10**30, 0, 0), (0, 0, -1), (1, 0, 0), (-10**30, 0, None),
+                          (False, 0, None), (1.0, 0, None), ("1", 0, None)]:
+        with pytest.raises(HypergraphError) as info:
+            _integer("x", value, lo, hi)
+        assert str(info.value) == f"x must be an integer {_span(lo, hi)}, got {value!r}"
 
 
 def test_at_most_refuses_only_past_the_limit():
@@ -291,9 +286,10 @@ def test_at_most_refuses_only_past_the_limit():
 
 _FOUR_GRAPH = Hypergraph(4, list("abcde"), [tuple("abcd")])
 
-# every integer argument of a public entry point: a call taking it, the
-# name its message starts with, its range [lo, hi] (hi None: no upper end)
-# and a typical value, refused too as a float
+# every ranged integer argument of a public entry point (not the seeds, nor
+# the colour threshold q, which have no range): a call taking it, the name
+# its message starts with, its range [lo, hi] (hi None: no upper end) and a
+# typical value, refused too as a float
 _INTEGER_ARGUMENTS = {
     "Hypergraph-r": (lambda r: Hypergraph(r, [], []), "r", 2, None, 3),
     "factorial_family-k": (factorial_family, "k", 4, 8, 5),
@@ -307,9 +303,13 @@ _INTEGER_ARGUMENTS = {
     "ColoringInstance-n": (lambda n: ColoringInstance(n, {}), "n", 2, None, 3),
     "q_quad-p": (q_quad, "p", 4, None, 4),
     "check_coloring-p": (lambda p: check_coloring(random_coloring(6, 0), p, 3), "p", 2, 6, 4),
+    "packed_coloring-n": (lambda n: packed_coloring(n, 4), "n", 2, None, 6),
     "packed_coloring-p": (lambda p: packed_coloring(6, p), "p", 4, 6, 4),
+    "random_coloring-n": (lambda n: random_coloring(n, 0), "n", 2, None, 6),
     "random_coloring-palette": (
         lambda palette: random_coloring(6, 0, palette=palette), "palette", 1, None, 2),
+    "verify_implication-p": (
+        lambda p: verify_implication(random_coloring(6, 0), p, 3), "p", 2, None, 4),
     "project-k": (lambda k: project(_FOUR_GRAPH, k, 2), "k", 2, 3, 2),
     "project-e": (lambda e: project(_FOUR_GRAPH, 2, e), "e", 2, None, 2),
     "find_configuration-v": (lambda v: find_configuration(f14().graph, v, 5), "v", 0, None, 9),
