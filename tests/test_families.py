@@ -257,6 +257,9 @@ _BUILD_DIGESTS = {
     ("g-ell edge", 0): "30c46aaa72a330f5c6fc6a321e2ef713ad7887371ebbab236e789cb48d8511ab",
     ("g-ell edge", 3): "e41610140a95b2e9b3fb59ee2e0e83b64fee16c461f224a65cd29344748a8eff",
     ("g-ell edge", 6): "2d6d9e163ae57bed4094897b69b82c8ed25c42308af595c2328e7702d453ae6f",
+    ("g-ell f-5", 1): "f5ee6d8c0484b2b4bf01a5bf5e1d8ab991545dc2edf12f6d4774a478d328ad13",
+    ("g-ell f-5", 2): "4ff625c8c6209c9c6290a6e54eeb089049b7544a6cc727bc87bb5060352c9a40",
+    ("g-ell f-6", 1): "f73501c7fafad0040621a5794f4b6d5d2c48d66d73118c0414c19a7f7f1b3682",
 }
 
 
@@ -266,6 +269,8 @@ def test_build_bytes_are_pinned(family, n):
         cfg = factorial_family(n)
     elif family == "g-ell f14":
         cfg = geometric_tower(f14(), n)
+    elif family.startswith("g-ell f-"):
+        cfg = geometric_tower(factorial_family(int(family[-1])), n)
     else:
         cfg = geometric_tower(single_edge(), n, allow_edge_base=True)
     text = jsonio.canonical_json(jsonio.config_to_obj(cfg))
