@@ -6,33 +6,36 @@ each immediate child copy's name to its vertex-label embedding. Builds
 are deterministic: equal arguments give identical canonical forms.
 
 Both recursive families glue copies of a template onto a shared spine
-(`_glue`), and this module is the one place that knows their layout:
+by one rule (`_glue`), and this module is the one place that knows their
+layout. Copy i of a template with anchors a1..ak sends aj to xj, except
+ai, which goes to a fresh spine vertex xpi (copy 0 diverts none); the
+copy's `fixed` labels go where `fixed` says, and every other vertex v
+becomes "c{i}.v", so copy images stay recoverable from labels alone.
+Vertices are ordered spine first, then each copy's new labels in copy
+order and template order.
 
-- F_k (k >= 5) has spine x1..xk, xp1..xpk and k copies of F_(k-1) named
-  F_1..F_k; copy i sends the j-th witness vertex of F_(k-1) to xj, except
-  the i-th, which goes to xpi. The witness is A = (xp1..xpk, x1).
+- F_k (k >= 5) has spine x1..xk, xp1..xpk and copies 1..k of F_(k-1),
+  named F_1..F_k and anchored at its witness. The witness is
+  A = (xp1..xpk, x1).
 - Tower level G^m over a base with witness x1..xk, y0 has spine x1..xk,
-  y0..ym, xp1..xpk, k copies of G^(m-1) named G_(m-1)^1..G_(m-1)^k (copy i
-  fixes y0..y(m-1) and the x roles, except xi, which goes to xpi) and one
-  base copy named G^m attached at x1..xk and ym. Level 0 is the base with
-  the split recorded as roles x1..xk, y0 and subcopy G^0 the identity.
-  Every level carries the roles x1..xk, y0..ym and A_ell = (x1..xk, y0..ym).
-  Level m has 1 + k + ... + k^m (`_level_ratio`) times the base's edges.
+  y0..ym, xp1..xpk, copies 1..k of G^(m-1) named G_(m-1)^1..G_(m-1)^k,
+  anchored at its x roles with its y roles fixed to y0..y(m-1), and base
+  copy 0 named G^m, anchored at x1..xk with y0 fixed to ym. Level 0 is the
+  base with the split recorded as roles x1..xk, y0 and subcopy G^0 the
+  identity. Every level carries the roles x1..xk, y0..ym and
+  A_ell = (x1..xk, y0..ym). Level m has 1 + k + ... + k^m (`_level_ratio`)
+  times the base's edges.
 
 Past the builders and jsonio, roles, subcopies and the family name are
 read only by `LabeledConfiguration.witness` (role A), `_one_vertex_roles`,
 `_tower_shape` (x/y roles, A_ell and copy maps of a tower level) and
 `_cycle_shape` (v1..v6); a missing role or copy, or a one-vertex role
 naming none or several, raises HypergraphError.
-
-A copy's other vertices are labelled "c{i}.<template label>" in the i-th
-child copy and "c0.<template label>" in the tower's base copy, so copy
-images stay recoverable from labels alone. Vertices are ordered spine
-first, then each copy's new labels in copy order and template order.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Optional
 
 from sparsehg.core import Hypergraph, HypergraphError, _integer
@@ -53,13 +56,12 @@ class LabeledConfiguration:
         roles: dict[str, tuple[str, ...]],
         family: dict,
         subcopies: Optional[dict[str, dict[str, str]]] = None,
-        levels: Optional[tuple] = None,
     ):
         self.graph = graph
         self.roles = roles
         self.family = family
         self.subcopies = {} if subcopies is None else subcopies
-        self.levels = levels
+        self.levels: Optional[tuple] = None
 
     def _values(self) -> tuple:
         return (self.graph, self.roles, self.family, self.subcopies)
@@ -144,13 +146,6 @@ def single_edge() -> LabeledConfiguration:
     )
 
 
-def _factorial_edge_count(k: int) -> int:
-    out = 10
-    for m in range(5, k + 1):
-        out *= m
-    return out
-
-
 def factorial_family(k: int) -> LabeledConfiguration:
     """Level-k member of the doubling witness recursion; F_4 is f14.
 
@@ -168,16 +163,19 @@ def _glue(
 ) -> tuple[Hypergraph, dict[str, dict[str, str]]]:
     """Glue copies onto `spine`: the graph and its subcopy index.
 
-    Each copy is (subcopy name, template, fixed, prefix): `fixed` sends
-    template vertices to spine labels and every other vertex v becomes
-    "<prefix>.v". The build must come out with the expected counts.
+    Each copy is (subcopy name, template, i, anchors, fixed), mapped by the
+    copy rule (module docstring). The build must have the expected counts.
     """
     verts = list(spine)
     seen = set(verts)
     edges: list[tuple[str, ...]] = []
     subcopies: dict[str, dict[str, str]] = {}
-    for name, template, fixed, prefix in copies:
-        vmap = dict(fixed)
+    for name, template, i, anchors, fixed in copies:
+        vmap = {a: f"x{j}" for j, a in enumerate(anchors, start=1)}
+        if i:
+            vmap[anchors[i - 1]] = f"xp{i}"
+        vmap.update(fixed)
+        prefix = f"c{i}"
         for v in template.vertices:
             w = vmap.setdefault(v, f"{prefix}.{v}")
             if w not in seen:
@@ -196,20 +194,10 @@ def _glue(
 def _next_factorial(prev: LabeledConfiguration, m: int) -> LabeledConfiguration:
     a_prev = prev.witness
     if len(a_prev) != m:
-        raise HypergraphError(
-            f"witness of the level-{m - 1} graph must have {m} vertices"
-        )
+        raise HypergraphError(f"witness of the level-{m - 1} graph must have {m} vertices")
     spine = [f"x{j}" for j in range(1, m + 1)] + [f"xp{j}" for j in range(1, m + 1)]
-    copies = [
-        (
-            f"F_{i}",
-            prev.graph,
-            {av: f"xp{i}" if j == i else f"x{j}" for j, av in enumerate(a_prev, start=1)},
-            f"c{i}",
-        )
-        for i in range(1, m + 1)
-    ]
-    expected_e = _factorial_edge_count(m)
+    copies = [(f"F_{i}", prev.graph, i, a_prev, {}) for i in range(1, m + 1)]
+    expected_e = 10 * factorial(m) // 24
     graph, subcopies = _glue(spine, copies, expected_e, expected_e + m, f"level-{m} build")
     roles = {v: (v,) for v in spine}
     roles["A"] = tuple(f"xp{j}" for j in range(1, m + 1)) + ("x1",)
@@ -292,16 +280,10 @@ def _next_tower_level(
     ys = [f"y{j}" for j in range(0, m + 1)]
     spine = xs + ys + [f"xp{j}" for j in range(1, k + 1)]
     prev_spine = _one_vertex_roles(prev, xs + ys[:-1], "tower")
-    copies = [
-        (
-            f"G_{m - 1}^{i}",
-            prev.graph,
-            dict(zip(prev_spine, xs[: i - 1] + [f"xp{i}"] + xs[i:] + ys[:-1])),
-            f"c{i}",
-        )
-        for i in range(1, k + 1)
-    ]
-    copies.append((f"G^{m}", base.graph, dict(zip(x_split, xs)) | {y0_label: ys[-1]}, "c0"))
+    prev_xs, prev_ys = prev_spine[:k], prev_spine[k:]
+    copies = [(f"G_{m - 1}^{i}", prev.graph, i, prev_xs, dict(zip(prev_ys, ys[:-1])))
+              for i in range(1, k + 1)]
+    copies.append((f"G^{m}", base.graph, 0, x_split, {y0_label: ys[-1]}))
     expected_e = _level_ratio(k, m) * base.graph.edge_count
     graph, subcopies = _glue(spine, copies, expected_e, expected_e + k + m, f"tower level {m}")
     roles = {v: (v,) for v in spine}
@@ -330,9 +312,9 @@ def _one_vertex_roles(config: LabeledConfiguration, names: list[str], kind: str)
 
 def _tower_shape(config: LabeledConfiguration) -> tuple:
     """(k, ell, xs, ys, a_ell, copies) of a tower level: the labels of its
-    one-vertex roles x1..xk and y0..y(ell) and of A_ell, and its copy maps
-    in layout order, copies[0] the base copy G^ell and copies[i] the child
-    copy G_(ell-1)^i (none at level 0). k + ell must be the difference."""
+    one-vertex roles x1..xk and y0..y(ell) and of A_ell, and its copy maps:
+    copies[i] is copy i, that is copies[0] the base copy G^ell and
+    copies[i] the child copy G_(ell-1)^i (none at level 0). k + ell must be the difference."""
     if not isinstance(config, LabeledConfiguration) or config.family.get("name") != "g-ell":
         raise HypergraphError("expected a tower configuration (family 'g-ell')")
     k = 0

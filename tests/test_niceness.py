@@ -580,7 +580,6 @@ def test_tower_bounds_agree_with_naive_on_mangled_towers():
                 roles=cfg.roles,
                 family=cfg.family,
                 subcopies=cfg.subcopies,
-                levels=cfg.levels,
             )
             naive = oracles.tower_violation(
                 mangled.vertices, mangled.edges, x_labels, y_labels,
