@@ -68,6 +68,7 @@ def check_coloring(coloring: ColoringInstance, p: int, q: int) -> RamseyReport:
     """Exact minimum color count over every p-clique; valid iff >= q."""
     n = coloring.n
     _integer("p", p, 2, n)
+    _integer("q", q, 1, comb(p, 2))
     _at_most("exact clique scan", n, _CHECK_VERTEX_LIMIT)
     best = None
     witness = None
@@ -136,10 +137,9 @@ def verify_implication(coloring: ColoringInstance, p: int, q: int) -> bool:
     from sparsehg.search import find_configuration
 
     _integer("p", p, 2)
+    _integer("q", q, 1, comb(p, 2))
     _at_most("implication check", coloring.n, _IMPLICATION_VERTEX_LIMIT)
     e = comb(p, 2) - q + 1
-    if e < 1:
-        raise HypergraphError(f"q={q} leaves a non-positive edge target {e}")
     shadow, _ = coloring_to_4graph(coloring)
     found = find_configuration(shadow, p, e).found
     if not found:

@@ -303,6 +303,7 @@ _INTEGER_ARGUMENTS = {
     "ColoringInstance-n": (lambda n: ColoringInstance(n, {}), "n", 2, None, 3),
     "q_quad-p": (q_quad, "p", 4, None, 4),
     "check_coloring-p": (lambda p: check_coloring(random_coloring(6, 0), p, 3), "p", 2, 6, 4),
+    "check_coloring-q": (lambda q: check_coloring(random_coloring(6, 0), 4, q), "q", 1, 6, 3),
     "packed_coloring-n": (lambda n: packed_coloring(n, 4), "n", 2, None, 6),
     "packed_coloring-p": (lambda p: packed_coloring(6, p), "p", 4, 6, 4),
     "random_coloring-n": (lambda n: random_coloring(n, 0), "n", 2, None, 6),
@@ -310,6 +311,8 @@ _INTEGER_ARGUMENTS = {
         lambda palette: random_coloring(6, 0, palette=palette), "palette", 1, None, 2),
     "verify_implication-p": (
         lambda p: verify_implication(random_coloring(6, 0), p, 3), "p", 2, None, 4),
+    "verify_implication-q": (
+        lambda q: verify_implication(random_coloring(6, 0), 4, q), "q", 1, 6, 3),
     "project-k": (lambda k: project(_FOUR_GRAPH, k, 2), "k", 2, 3, 2),
     "project-e": (lambda e: project(_FOUR_GRAPH, 2, e), "e", 2, None, 2),
     "find_configuration-v": (lambda v: find_configuration(f14().graph, v, 5), "v", 0, None, 9),
