@@ -2,14 +2,26 @@
 
 Everything here favors obviousness over speed: plain frozensets, full
 itertools scans, no bitmasks, no pruning. Frozen expected values in the
-test files were produced by these functions.
+test files were produced by these functions. `child_env` is the one
+environment for a test's child interpreter.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from math import comb
+
+import sparsehg
+
+
+def child_env(environ=os.environ, **extra):
+    """`environ` plus `extra`, with this checkout's src first on PYTHONPATH,
+    so that a child interpreter imports the same sparsehg as the tests."""
+    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    return dict(environ, PYTHONPATH=path, **extra)
 
 
 def induced_edges(edges, subset):

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import sparsehg
 from sparsehg import jsonio
 import sparsehg.cli as cli
 from sparsehg.cli import build_parser, main
@@ -33,6 +32,8 @@ from sparsehg.families import f14, factorial_family, geometric_tower
 from sparsehg.niceness import verify_tower_bounds
 from sparsehg.projection import project
 from sparsehg.ramsey import packed_coloring, random_coloring
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -431,10 +432,8 @@ def test_piped_input_reports_the_digest_of_its_bytes(f14_file, redirected):
     # be that of the empty string; a redirected file is read through the
     # same /dev/stdin
     data = Path(f14_file).read_bytes()
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "sparsehg.cli", "verify", "nice", "--input", "/dev/stdin"]
-    env = dict(os.environ, PYTHONPATH=path)
+    env = oracles.child_env()
     if redirected:
         with open(f14_file, "rb") as stdin:
             proc = subprocess.run(argv, stdin=stdin, capture_output=True, env=env)
@@ -1160,15 +1159,13 @@ def test_unknown_label_error_does_not_depend_on_the_hash_seed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"r": 3, "vertices": ["a"], "edges": [["a", "b", "c"]]}),
                    encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     errors = set()
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-m", "sparsehg.cli", "search", "config",
              "--input", str(bad), "--v", "3", "--e", "1"],
             capture_output=True, text=True, encoding="utf-8",
-            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            env=oracles.child_env(PYTHONHASHSEED=hash_seed),
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         lines = [line for line in proc.stderr.splitlines() if line.startswith("sparsehg: error:")]
@@ -1179,15 +1176,12 @@ def test_unknown_label_error_does_not_depend_on_the_hash_seed(tmp_path):
 
 def test_console_script_entry_point():
     # the child imports the same sparsehg as this process, installed or not
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "sparsehg.cli", "ramsey", "qquad", "--p", "4"],
         capture_output=True,
         text=True,
         encoding="utf-8",
-        env=env,
+        env=oracles.child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q_quad"] == 6

@@ -17,6 +17,8 @@ import pytest
 import sparsehg
 import sparsehg.cli as cli
 
+import oracles
+
 # Runs in a fresh interpreter: each CLI call in turn, then which of the
 # modules named in argv[2] (comma-separated) have been imported so far.
 _CHILD = """
@@ -52,11 +54,9 @@ def _child(script, *args, environ=os.environ, flags=()):
     """Run `script` in a fresh interpreter, started with `flags`, that
     imports this sparsehg, with `environ` as its environment apart from
     PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script, *args],
-        capture_output=True, text=True, encoding="utf-8", env=dict(environ, PYTHONPATH=path),
+        capture_output=True, text=True, encoding="utf-8", env=oracles.child_env(environ),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import sparsehg
 from sparsehg import jsonio
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import (
@@ -299,11 +298,9 @@ sys.exit(cli.main(["build", "f14", "-o", sys.argv[1]]))
 def test_sigterm_during_a_write_leaves_no_temp_file(tmp_path, when):
     path = tmp_path / "out.json"
     jsonio.write_json(path, {"a": 1})
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _SIGTERM_DURING_WRITE, str(path), when],
-                          capture_output=True, text=True, encoding="utf-8", env=env)
+                          capture_output=True, text=True, encoding="utf-8",
+                          env=oracles.child_env())
     # the process exits through the clean-up, not by the signal's default action
     assert proc.returncode == 128 + signal.SIGTERM
     assert proc.stdout == "" and proc.stderr == ""

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sparsehg
 from sparsehg import search
 from sparsehg.core import Hypergraph, HypergraphError
 from sparsehg.families import f14, linear_three_cycle
@@ -401,11 +400,9 @@ def search_argv(tmp_path, g, v, e):
     host = tmp_path / "host.json"
     host.write_text(json.dumps({"r": g.r, "vertices": list(g.vertices),
                                 "edges": [list(edge) for edge in g.edges]}), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "sparsehg.cli", "search", "config",
             "--input", str(host), "--v", str(v), "--e", str(e)]
-    return argv, dict(os.environ, PYTHONPATH=path)
+    return argv, oracles.child_env()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -499,9 +496,7 @@ def test_sigterm_while_forking_kills_and_reaps_the_workers(tmp_path, call, nth):
     # worker running, and one between a close and its record would close
     # that descriptor twice. Output goes to a file, which a worker left
     # running would not hold open the way it would a pipe.
-    src = os.path.dirname(os.path.dirname(sparsehg.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = oracles.child_env()
     out = tmp_path / "out.txt"
     with open(out, "w", encoding="utf-8") as fp:
         proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_DURING_SPLIT, call, str(nth)],
